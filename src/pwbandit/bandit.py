@@ -8,14 +8,13 @@ highest estimated mixture probability).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .dictionary import Corpus
-from .errors import DuplicateGuess, SuccessExceedsPopulation
-from .mixture import DescentConfig, GuessHistory, MixtureWeights, estimate
+from .mixture import DescentConfig, GuessHistory, MixtureWeights, maximize
 
 
 class InitPolicy(Enum):
@@ -53,25 +52,46 @@ def initialize_weights(policy: InitPolicy, n: int,
 
 @dataclass
 class BanditState:
-    """Mutable per-attack state: what was guessed, what we observed, and
-    the running weight estimate. One attack owns one state."""
+    """Everything one attack knows; ``record_observation`` grows it by one guess.
+
+    ``probs[:m]`` and ``counts[:m]`` are the m-guess history as the solver reads
+    it; later rows are spare. ``guessed`` masks ``corpus.union_vocabulary``, and
+    ``cursors[i]`` is a rank position in dictionary i with every word above it guessed.
+    """
 
     history: GuessHistory
     current_estimate: MixtureWeights
+    rng: np.random.Generator
+    guessed: np.ndarray
+    cursors: list[int]
+    probs: np.ndarray
+    counts: np.ndarray
     previous_estimate: MixtureWeights | None = None
-    guessed: set[str] = field(default_factory=set)
-    rng: np.random.Generator = field(default_factory=np.random.default_rng)
 
 
 def new_state(corpus: Corpus, population: int, init: InitPolicy,
               rng: np.random.Generator) -> BanditState:
     """Fresh state before any guess; the first estimate comes from ``init``."""
-    start = initialize_weights(init, len(corpus), prev=None, rng=rng)
+    n = len(corpus)
     return BanditState(
         history=GuessHistory(population),
-        current_estimate=start,
+        current_estimate=initialize_weights(init, n, prev=None, rng=rng),
         rng=rng,
+        guessed=np.zeros(len(corpus.union_vocabulary), dtype=bool),
+        cursors=[0] * n,
+        probs=np.zeros((16, n)),  # doubled by record_observation when full
+        counts=np.zeros(16),
     )
+
+
+def _next_unguessed(corpus: Corpus, state: BanditState, i: int) -> str | None:
+    """Most popular unguessed word of dictionary i, moving its cursor up to it."""
+    entries, rank = corpus.dictionaries[i].entries, state.cursors[i]
+    index, guessed = corpus.vocab_index, state.guessed
+    while rank < len(entries) and guessed[index[entries[rank][0]]]:
+        rank += 1
+    state.cursors[i] = rank
+    return entries[rank][0] if rank < len(entries) else None
 
 
 def select_guess(policy: GuessPolicy, corpus: Corpus, state: BanditState) -> str | None:
@@ -81,39 +101,22 @@ def select_guess(policy: GuessPolicy, corpus: Corpus, state: BanditState) -> str
     nobody new. Ties break deterministically (lowest dictionary index for
     BEST_DICTIONARY, lexicographic least word for BY_Q).
     """
-    guessed = state.guessed
-
     if policy is GuessPolicy.BY_Q:
-        scores = corpus._vocab_probs @ np.asarray(state.current_estimate)
-        if guessed:
-            index = corpus._vocab_index
-            rows = [index[w] for w in guessed if w in index]
-            scores[rows] = -np.inf
-            if len(rows) == len(scores):
-                return None
+        scores = corpus.vocab_probs @ np.asarray(state.current_estimate)
+        np.putmask(scores, state.guessed, -np.inf)
         # union_vocabulary is sorted, so the first argmax is the tie-break winner
-        return corpus.union_vocabulary[int(np.argmax(scores))]
+        best = int(np.argmax(scores))
+        return None if state.guessed[best] else corpus.union_vocabulary[best]
 
+    heads = [_next_unguessed(corpus, state, i) for i in range(len(corpus))]
+    eligible = [i for i, word in enumerate(heads) if word is not None]
+    if not eligible:
+        return None
     if policy is GuessPolicy.RANDOM_DICTIONARY:
-        eligible = [i for i, d in enumerate(corpus.dictionaries)
-                    if d.next_unguessed(guessed) is not None]
-        if not eligible:
-            return None
-        pick = eligible[int(state.rng.integers(len(eligible)))]
-        return corpus.dictionaries[pick].next_unguessed(guessed)
-
+        return heads[eligible[int(state.rng.integers(len(eligible)))]]
     if policy is GuessPolicy.BEST_DICTIONARY:
-        q = state.current_estimate
-        best = None
-        for i, d in enumerate(corpus.dictionaries):
-            if d.next_unguessed(guessed) is None:
-                continue
-            if best is None or q[i] > q[best]:
-                best = i
-        if best is None:
-            return None
-        return corpus.dictionaries[best].next_unguessed(guessed)
-
+        # max keeps the first of equal weights: the lowest dictionary index
+        return heads[max(eligible, key=state.current_estimate.__getitem__)]
     raise ValueError(f"unknown guess policy: {policy!r}")
 
 
@@ -126,18 +129,18 @@ def record_observation(state: BanditState, word: str, successes: int,
     the likelihood shifts mass away from dictionaries that ranked the failed
     word highly.
     """
-    if word in state.guessed:
-        raise DuplicateGuess(f"{word!r} was already guessed")
-    remaining = state.history.population - state.history.total_successes
-    if successes < 0:
-        raise ValueError(f"negative successes for {word!r}")
-    if successes > remaining:
-        raise SuccessExceedsPopulation(
-            f"{successes} successes for {word!r}, only {remaining} users uncompromised"
-        )
-    state.previous_estimate = state.current_estimate
     state.history = state.history.extended(word, successes)
-    state.guessed.add(word)
+    m = len(state.history)
+    if m > len(state.counts):
+        state.probs = np.concatenate([state.probs, np.zeros_like(state.probs)])
+        state.counts = np.concatenate([state.counts, np.zeros_like(state.counts)])
+    v = corpus.vocab_index.get(word)
+    if v is not None:
+        state.guessed[v] = True
+        state.probs[m - 1] = corpus.vocab_probs[v]
+    state.counts[m - 1] = successes
+    state.previous_estimate = state.current_estimate
     start = initialize_weights(init, len(corpus), prev=state.previous_estimate, rng=state.rng)
-    state.current_estimate, _, _ = estimate(corpus, state.history, start, cfg)
+    state.current_estimate, _, _ = maximize(state.probs[:m], state.counts[:m],
+                                            state.history.population, np.asarray(start), cfg)
     return state

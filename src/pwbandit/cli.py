@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -54,7 +55,7 @@ def _build_corpus(cfg: ExperimentConfig) -> Corpus:
 
 def _load_password_lines(path: str) -> PasswordSet:
     with open(path, encoding="utf-8", newline="") as handle:
-        passwords = [line.rstrip("\n") for line in handle if line.rstrip("\n")]
+        passwords = [word for word in (line.rstrip("\r\n") for line in handle) if word]
     if not passwords:
         raise ConfigError(f"password set {path!r} is empty", field="composition.passwords")
     return PasswordSet(tuple(passwords))
@@ -146,9 +147,7 @@ def cmd_estimate(cfg: ExperimentConfig, guesses: Sequence[str]) -> None:
         raise ConfigError("guess words must be distinct")
     corpus = _build_corpus(cfg)
     ps = _password_set(cfg, corpus)
-    history = GuessHistory(ps.size)
-    for word in guesses:
-        history = history.extended(word, oracle_count(ps, word))
+    history = GuessHistory(ps.size, tuple((word, oracle_count(ps, word)) for word in guesses))
     rng = np.random.default_rng(cfg.attack_seed)
     init = initialize_weights(cfg.init_policy, len(corpus), rng=rng)
     rows: list[tuple[int, MixtureWeights, float]] = []
@@ -181,6 +180,31 @@ def cmd_baseline(cfg: ExperimentConfig) -> None:
           f"at guess {cfg.guess_budget} -> {path}")
 
 
+# The override flags each subcommand reads, and the config field each sets.
+_OVERRIDES = {
+    "compose": {"seed": "composition_seed", "out": "output_dir"},
+    "attack": {"seed": "attack_seed", "out": "output_dir", "runs": "runs",
+               "guesses": "guess_budget", "init": "init_policy", "guess": "guess_policy"},
+    "estimate": {"seed": "attack_seed", "out": "output_dir", "init": "init_policy"},
+    "baseline": {"out": "output_dir", "guesses": "guess_budget"},
+}
+
+
+def _policy_flag(policy: type[InitPolicy] | type[GuessPolicy], what: str) -> dict:
+    return dict(type=policy, choices=list(policy), help=f"override the {what} policy",
+                metavar="{" + ",".join(p.value for p in policy) + "}")
+
+
+_FLAGS = {
+    "seed": dict(type=int, help="override the composition seed (compose) or attack seed"),
+    "out": dict(help="override the output directory"),
+    "runs": dict(type=int, help="override the run count"),
+    "guesses": dict(type=int, help="override the guess budget"),
+    "init": _policy_flag(InitPolicy, "initialization"),
+    "guess": _policy_flag(GuessPolicy, "guess"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pwbandit",
@@ -196,37 +220,18 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in commands.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="experiment config file")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override the composition seed (compose) or attack seed")
-        cmd.add_argument("--out", default=None, help="override the output directory")
-        cmd.add_argument("--runs", type=int, default=None, help="override the run count")
-        cmd.add_argument("--guesses", type=int, default=None, help="override the guess budget")
-        cmd.add_argument("--init", choices=[p.value for p in InitPolicy], default=None,
-                         help="override the initialization policy")
-        cmd.add_argument("--guess", choices=[p.value for p in GuessPolicy], default=None,
-                         help="override the guess policy")
+        for flag in _OVERRIDES[name]:
+            cmd.add_argument(f"--{flag}", default=None, **_FLAGS[flag])
         if name == "estimate":
             cmd.add_argument("words", nargs="+", help="the fixed guess list, in order")
     return parser
 
 
 def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    if args.seed is not None:
-        if args.command == "compose":
-            cfg.composition_seed = args.seed
-        else:
-            cfg.attack_seed = args.seed
-    if args.out is not None:
-        cfg.output_dir = args.out
-    if args.runs is not None:
-        cfg.runs = args.runs
-    if args.guesses is not None:
-        cfg.guess_budget = args.guesses
-    if args.init is not None:
-        cfg.init_policy = InitPolicy(args.init)
-    if args.guess is not None:
-        cfg.guess_policy = GuessPolicy(args.guess)
-    return cfg
+    """The config with the given flags applied, validated again as a whole."""
+    changes = {field: getattr(args, flag) for flag, field in _OVERRIDES[args.command].items()
+               if getattr(args, flag) is not None}
+    return dataclasses.replace(cfg, **changes)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -86,13 +86,6 @@ class Dictionary:
         """1-based popularity rank of ``word``, or None if absent."""
         return self.rank_index.get(word)
 
-    def next_unguessed(self, guessed: set[str]) -> str | None:
-        """Most popular word not yet in ``guessed``; None when exhausted."""
-        for word, _ in self.entries:
-            if word not in guessed:
-                return word
-        return None
-
 
 def from_password_multiset(name: str, passwords: Iterable[str]) -> Dictionary:
     """Build a dictionary from raw passwords; counts are multiset multiplicities."""
@@ -107,13 +100,14 @@ def load_frequency_list(name: str, source: Iterable[str]) -> Dictionary:
 
     ``source`` is any iterable of text lines (an open file works). Blank
     lines are ignored. Entries are re-sorted per the rank order regardless
-    of input order. Raises MalformedLine, NonPositiveCount, DuplicateWord or
-    EmptyDictionary; each carries the offending 1-based line number.
+    of input order. Lines may end in LF or CRLF. Raises MalformedLine,
+    NonPositiveCount, DuplicateWord or EmptyDictionary; each carries the
+    offending 1-based line number.
     """
     entries: list[tuple[str, int]] = []
     seen: dict[str, int] = {}
     for line_no, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n")
+        line = raw.rstrip("\r\n")
         if not line:
             continue
         parts = line.split("\t")
@@ -178,27 +172,25 @@ class Corpus:
         return tuple(sorted(vocab))
 
     @cached_property
-    def _vocab_index(self) -> dict[str, int]:
+    def vocab_index(self) -> dict[str, int]:
+        """Row of each ``union_vocabulary`` word in ``vocab_probs``."""
         return {word: i for i, word in enumerate(self.union_vocabulary)}
 
     @cached_property
-    def _vocab_probs(self) -> np.ndarray:
-        # Row v, column i holds dictionary i's probability of vocabulary word v.
+    def vocab_probs(self) -> np.ndarray:
+        """Row v, column i: dictionary i's probability of vocabulary word v."""
         matrix = np.zeros((len(self.union_vocabulary), len(self.dictionaries)))
         for i, d in enumerate(self.dictionaries):
             for word, count in d.entries:
-                matrix[self._vocab_index[word], i] = count / d.total_count
+                matrix[self.vocab_index[word], i] = count / d.total_count
         return matrix
 
     def probability_rows(self, words: Iterable[str]) -> np.ndarray:
-        """Matrix of per-dictionary probabilities, one row per word."""
-        rows = np.zeros((0, len(self.dictionaries)))
-        idx = self._vocab_index
+        """Matrix of per-dictionary probabilities, one row per word (zeros if unranked)."""
         words = list(words)
-        if words:
-            rows = np.zeros((len(words), len(self.dictionaries)))
-            for j, word in enumerate(words):
-                v = idx.get(word)
-                if v is not None:
-                    rows[j] = self._vocab_probs[v]
+        rows = np.zeros((len(words), len(self.dictionaries)))
+        for j, word in enumerate(words):
+            v = self.vocab_index.get(word)
+            if v is not None:
+                rows[j] = self.vocab_probs[v]
         return rows

@@ -14,13 +14,14 @@ projected gradient ascent with a backtracking line search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .dictionary import Corpus
-from .errors import DimensionMismatch, EmptyInput
+from .errors import DimensionMismatch, DuplicateGuess, EmptyInput, SuccessExceedsPopulation
 
 SIMPLEX_TOL = 1e-9
 
@@ -71,41 +72,43 @@ class GuessHistory:
 
     Each observation pairs a guessed word with the number of users it
     compromised. Words never repeat; total successes cannot exceed the
-    population.
+    population. ``words`` and ``total_successes`` are kept alongside, so
+    that :meth:`extended` checks only the observation it appends.
     """
 
     population: int
     observations: tuple[tuple[str, int], ...] = ()
+    words: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    total_successes: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.population < 1:
             raise ValueError(f"population must be >= 1, got {self.population}")
-        obs = tuple((str(w), int(s)) for w, s in self.observations)
-        words = [w for w, _ in obs]
-        if len(set(words)) != len(words):
-            raise ValueError("observations repeat a word")
-        total = 0
-        for word, successes in obs:
-            if successes < 0:
-                raise ValueError(f"negative successes for {word!r}")
-            total += successes
-        if total > self.population:
-            raise ValueError(
-                f"total successes {total} exceed population {self.population}"
+        observations = self.observations
+        self.__dict__.update(observations=(), words=(), total_successes=0)
+        for word, successes in observations:
+            self._append(str(word), int(successes))
+
+    def _append(self, word: str, successes: int) -> None:
+        # Checks one observation and appends it in place, on an unshared instance.
+        if word in self.words:
+            raise DuplicateGuess(f"{word!r} was already guessed")
+        if successes < 0:
+            raise ValueError(f"negative successes for {word!r}")
+        remaining = self.population - self.total_successes
+        if successes > remaining:
+            raise SuccessExceedsPopulation(
+                f"{successes} successes for {word!r}, only {remaining} users uncompromised"
             )
-        object.__setattr__(self, "observations", obs)
+        self.__dict__.update(observations=self.observations + ((word, successes),),
+                             words=self.words + (word,),
+                             total_successes=self.total_successes + successes)
 
     def extended(self, word: str, successes: int) -> "GuessHistory":
-        """New history with one more observation appended."""
-        return GuessHistory(self.population, self.observations + ((word, successes),))
-
-    @property
-    def words(self) -> tuple[str, ...]:
-        return tuple(w for w, _ in self.observations)
-
-    @property
-    def total_successes(self) -> int:
-        return sum(s for _, s in self.observations)
+        """New history with one more observation appended (only that one is checked)."""
+        grown = copy.copy(self)
+        grown._append(str(word), int(successes))
+        return grown
 
     def __len__(self) -> int:
         return len(self.observations)
@@ -179,8 +182,7 @@ def log_likelihood(corpus: Corpus, weights, history: GuessHistory,
     rely on. Empty history gives exactly 0.
     """
     q = _weight_vector(weights, len(corpus))
-    probs, counts = _history_arrays(corpus, history)
-    return _log_likelihood(probs, counts, history.population, q, floor)
+    return _log_likelihood(*_history_arrays(corpus, history), history.population, q, floor)
 
 
 def gradient(corpus: Corpus, weights, history: GuessHistory,
@@ -195,8 +197,7 @@ def gradient(corpus: Corpus, weights, history: GuessHistory,
     with the same epsilon floors as the objective.
     """
     q = _weight_vector(weights, len(corpus))
-    probs, counts = _history_arrays(corpus, history)
-    return _gradient(probs, counts, history.population, q, floor)
+    return _gradient(*_history_arrays(corpus, history), history.population, q, floor)
 
 
 def _project(v: np.ndarray) -> np.ndarray:
@@ -246,13 +247,19 @@ def estimate(corpus: Corpus, history: GuessHistory, init: MixtureWeights,
     ``on_step(index, weights, loglik)`` is called for the initial point
     (index 0) and for every accepted iterate.
     """
-    n = len(corpus)
-    w = _weight_vector(init, n)
-    probs, counts = _history_arrays(corpus, history)
+    return maximize(*_history_arrays(corpus, history), history.population,
+                    _weight_vector(init, len(corpus)), cfg, on_step)
+
+
+def maximize(probs: np.ndarray, counts: np.ndarray, population: int, w: np.ndarray,
+             cfg: DescentConfig = DescentConfig(),
+             on_step: StepCallback | None = None) -> tuple[MixtureWeights, float, int]:
+    """:func:`estimate` on history arrays: ``probs`` holds one row of
+    per-dictionary probabilities per guessed word, ``counts`` its successes."""
     floor = cfg.probability_floor
 
     def value(q: np.ndarray) -> float:
-        return _log_likelihood(probs, counts, history.population, q, floor)
+        return _log_likelihood(probs, counts, population, q, floor)
 
     current = value(w)
     emitted = 0
@@ -260,7 +267,7 @@ def estimate(corpus: Corpus, history: GuessHistory, init: MixtureWeights,
         on_step(0, MixtureWeights.from_values(w), current)
     steps = 0
     for _ in range(cfg.max_steps):
-        grad = _gradient(probs, counts, history.population, w, floor)
+        grad = _gradient(probs, counts, population, w, floor)
         step = cfg.initial_step
         candidate = _project(w + step * grad)
         proposed = value(candidate)

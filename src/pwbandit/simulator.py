@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -169,14 +170,7 @@ def optimal_baseline(ps: PasswordSet, m: int) -> tuple[int, ...]:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     ordered = sorted(ps.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    curve: list[int] = []
-    running = 0
-    for _, count in ordered[:m]:
-        running += count
-        curve.append(running)
-    while len(curve) < m:
-        curve.append(running)
-    return tuple(curve)
+    return pad_curve(tuple(accumulate(count for _, count in ordered[:m])), m)
 
 
 def average_traces(traces: Iterable[AttackTrace]) -> tuple[float, ...]:
@@ -185,14 +179,11 @@ def average_traces(traces: Iterable[AttackTrace]) -> tuple[float, ...]:
     Shorter traces are padded with their final cumulative value so every
     run contributes to every index.
     """
-    curves = [list(t.cumulative_curve) for t in traces]
+    curves = [t.cumulative_curve for t in traces]
     if not curves:
         raise EmptyInput("no traces to average")
     length = max(len(c) for c in curves)
-    padded = np.zeros((len(curves), length))
-    for row, curve in enumerate(curves):
-        tail = curve[-1] if curve else 0
-        padded[row] = curve + [tail] * (length - len(curve))
+    padded = np.array([pad_curve(c, length) for c in curves], dtype=float)
     return tuple(float(x) for x in padded.mean(axis=0))
 
 

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given
 
 from pwbandit import (
-    BanditState,
     Corpus,
     DescentConfig,
     Dictionary,
     GuessPolicy,
     InitPolicy,
     MixtureWeights,
+    estimate,
     initialize_weights,
     new_state,
     record_observation,
@@ -16,7 +17,17 @@ from pwbandit import (
 )
 from pwbandit.errors import DuplicateGuess, SuccessExceedsPopulation
 
+from helpers import zipf_dictionary
+from test_dictionary import entries_st
+
 CHEAP = DescentConfig(max_steps=20)
+DICTIONARY_POLICIES = (GuessPolicy.RANDOM_DICTIONARY, GuessPolicy.BEST_DICTIONARY)
+
+
+def mark_guessed(corpus, state, *words):
+    """Exclude ``words`` from selection without recording an outcome."""
+    for word in words:
+        state.guessed[corpus.vocab_index[word]] = True
 
 
 @pytest.fixture
@@ -57,9 +68,9 @@ def test_by_q_picks_highest_mixture_probability(overlap_pair):
     state = new_state(overlap_pair, 100, InitPolicy.AVERAGE, np.random.default_rng(0))
     # Q_a = 0.40, Q_b = 0.55, Q_c = 0.05 at (0.5, 0.5), checked by hand
     assert select_guess(GuessPolicy.BY_Q, overlap_pair, state) == "b"
-    state.guessed.add("b")
+    mark_guessed(overlap_pair, state, "b")
     assert select_guess(GuessPolicy.BY_Q, overlap_pair, state) == "a"
-    state.guessed.update({"a", "c"})
+    mark_guessed(overlap_pair, state, "a", "c")
     assert select_guess(GuessPolicy.BY_Q, overlap_pair, state) is None
 
 
@@ -75,8 +86,9 @@ def test_by_q_is_invariant_to_count_scale(overlap_pair):
         Dictionary("d2", (("b", 9000), ("c", 1000))),
     ))
     for q in [(0.5, 0.5), (0.9, 0.1), (0.2, 0.8)]:
-        s1 = BanditState(history=None, current_estimate=MixtureWeights(q))
-        s2 = BanditState(history=None, current_estimate=MixtureWeights(q))
+        s1 = new_state(overlap_pair, 100, InitPolicy.AVERAGE, np.random.default_rng(0))
+        s2 = new_state(scaled, 100, InitPolicy.AVERAGE, np.random.default_rng(0))
+        s1.current_estimate = s2.current_estimate = MixtureWeights(q)
         assert select_guess(GuessPolicy.BY_Q, overlap_pair, s1) == select_guess(
             GuessPolicy.BY_Q, scaled, s2
         )
@@ -88,10 +100,10 @@ def test_best_dictionary_follows_weights_and_breaks_ties_low(overlap_pair):
     assert select_guess(GuessPolicy.BEST_DICTIONARY, overlap_pair, state) == "a"
     state.current_estimate = MixtureWeights((0.1, 0.9))
     assert select_guess(GuessPolicy.BEST_DICTIONARY, overlap_pair, state) == "b"
-    state.guessed.update({"b", "c"})
+    mark_guessed(overlap_pair, state, "b", "c")
     # d2 is exhausted, so the pick falls back to d1 regardless of weights.
     assert select_guess(GuessPolicy.BEST_DICTIONARY, overlap_pair, state) == "a"
-    state.guessed.add("a")
+    mark_guessed(overlap_pair, state, "a")
     assert select_guess(GuessPolicy.BEST_DICTIONARY, overlap_pair, state) is None
 
 
@@ -105,10 +117,10 @@ def test_random_dictionary_spreads_over_sources(overlap_pair):
 
 def test_random_dictionary_skips_exhausted_sources(overlap_pair):
     state = new_state(overlap_pair, 100, InitPolicy.AVERAGE, np.random.default_rng(3))
-    state.guessed.update({"b", "c"})
+    mark_guessed(overlap_pair, state, "b", "c")
     for _ in range(10):
         assert select_guess(GuessPolicy.RANDOM_DICTIONARY, overlap_pair, state) == "a"
-    state.guessed.add("a")
+    mark_guessed(overlap_pair, state, "a")
     assert select_guess(GuessPolicy.RANDOM_DICTIONARY, overlap_pair, state) is None
 
 
@@ -134,7 +146,7 @@ def test_record_observation_updates_state(overlap_pair):
     record_observation(state, "a", 60, overlap_pair, InitPolicy.AVERAGE, CHEAP)
     assert state.previous_estimate is before
     assert state.history.observations == (("a", 60),)
-    assert state.guessed == {"a"}
+    assert state.guessed.tolist() == [True, False, False]
     # 60 of 100 users on a word that only d1 ranks highly: weight moves to d1.
     assert state.current_estimate[0] > 0.5
 
@@ -155,7 +167,7 @@ def test_estimates_stay_on_simplex_through_an_attack(overlap_pair):
         record_observation(state, word, outcomes[word], overlap_pair, InitPolicy.BEST, CHEAP)
     assert sum(state.current_estimate) == pytest.approx(1.0, abs=1e-9)
     assert min(state.current_estimate) >= 0
-    assert len(state.guessed) == 3
+    assert state.guessed.all()
 
 
 def test_policies_never_repeat_guesses(overlap_pair):
@@ -190,3 +202,43 @@ def test_selection_is_deterministic_given_seed(overlap_pair):
         return picks, state.current_estimate.q
 
     assert run(42) == run(42)
+
+
+def test_dictionary_policies_walk_rank_order_to_exhaustion():
+    c = Corpus((Dictionary("t", (("a", 8), ("b", 2))),))
+    for policy in DICTIONARY_POLICIES:
+        state = new_state(c, 10, InitPolicy.AVERAGE, np.random.default_rng(0))
+        assert select_guess(policy, c, state) == "a"
+        mark_guessed(c, state, "a")
+        assert select_guess(policy, c, state) == "b"
+        mark_guessed(c, state, "b")
+        assert select_guess(policy, c, state) is None
+
+
+@given(entries_st)
+def test_dictionary_policies_enumerate_rank_order(counts):
+    c = Corpus((Dictionary("t", tuple(counts.items())),))
+    for policy in DICTIONARY_POLICIES:
+        state = new_state(c, 10, InitPolicy.AVERAGE, np.random.default_rng(0))
+        seen = []
+        while (word := select_guess(policy, c, state)) is not None:
+            seen.append(word)
+            mark_guessed(c, state, word)
+        assert seen == [w for w, _ in c.dictionaries[0].entries]
+
+
+def test_state_arrays_are_the_history_one_row_per_guess():
+    words = [f"w{i:02d}" for i in range(40)]
+    c = Corpus((zipf_dictionary("d1", words), zipf_dictionary("d2", words[::-1])))
+    state = new_state(c, 1000, InitPolicy.AVERAGE, np.random.default_rng(0))
+    for word in words[:20] + ["not-ranked"]:
+        record_observation(state, word, 3, c, InitPolicy.AVERAGE, CHEAP)
+        m = len(state.history)
+        probs, counts = state.probs[:m], state.counts[:m]
+        assert probs.flags.c_contiguous and counts.flags.c_contiguous
+        assert np.array_equal(probs, c.probability_rows(state.history.words))
+        assert counts.tolist() == [3.0] * m
+        # The public estimate on the same history repeats the descent exactly.
+        replay, _, _ = estimate(c, state.history, MixtureWeights.uniform(2), CHEAP)
+        assert replay == state.current_estimate
+    assert state.guessed.sum() == 20

@@ -182,6 +182,29 @@ def test_attack_accepts_password_file(workdir):
     assert [r[2] for r in rows] == ["2", "3"]
 
 
+def test_crlf_inputs_give_the_same_outputs_as_lf(workdir):
+    outputs = {}
+    for ending in ("\n", "\r\n"):
+        tag = "crlf" if ending == "\r\n" else "lf"
+        for name, lines in {"d1": ["alpha\t8", "beta\t2"], "d2": ["beta\t9", "gamma\t1"],
+                            "leak": ["beta", "beta", "alpha", "gamma"]}.items():
+            (workdir / f"{name}_{tag}.txt").write_bytes("".join(
+                line + ending for line in lines).encode("utf-8"))
+        config = workdir / f"{tag}.ini"
+        config.write_text(
+            f"[dictionaries]\nd1 = {workdir / f'd1_{tag}.txt'}\nd2 = {workdir / f'd2_{tag}.txt'}\n\n"
+            f"[composition]\npasswords = {workdir / f'leak_{tag}.txt'}\n\n"
+            "[attack]\nguesses = 3\nruns = 1\n\n"
+            f"[output]\ndir = {workdir / tag}\n",
+            encoding="utf-8",
+        )
+        assert main(["attack", "--config", str(config)]) == 0
+        outputs[tag] = [(workdir / tag / f).read_bytes() for f in ("trace.csv", "summary.csv")]
+    assert outputs["crlf"] == outputs["lf"]
+    _, rows = read_csv(workdir / "crlf" / "trace.csv")
+    assert [r[4] for r in rows] == ["2", "3", "4"]
+
+
 def test_estimate_trajectory_csv(workdir):
     assert main([
         "estimate", "--config", str(workdir / "experiment.ini"), "beta", "alpha",
@@ -252,6 +275,22 @@ def test_exit_codes(workdir, capsys):
     assert "io error" in capsys.readouterr().err
 
     assert main(["attack", "--config", str(workdir / "nonexistent.ini")]) == 3
+
+    config = str(workdir / "experiment.ini")
+    for flag, field in (("--runs", "attack.runs"), ("--guesses", "attack.guesses")):
+        assert main(["attack", "--config", config, flag, "0"]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("compose", "--runs", "1"), ("compose", "--init", "best"), ("estimate", "--guess", "by-q"),
+    ("estimate", "--guesses", "1"), ("baseline", "--seed", "5"), ("baseline", "--init", "best"),
+])
+def test_subcommands_reject_flags_they_do_not_read(workdir, command, flag, value):
+    words = ["beta"] if command == "estimate" else []
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--config", str(workdir / "experiment.ini"), flag, value, *words])
+    assert exit_.value.code == 2
 
 
 def test_malformed_dictionary_is_a_config_error(workdir, capsys):

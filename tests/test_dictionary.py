@@ -113,13 +113,6 @@ def test_probability_of():
     assert d.probability_of("z") == 0.0
 
 
-def test_next_unguessed_rank_order_and_exhaustion():
-    d = Dictionary("t", (("a", 8), ("b", 2)))
-    assert d.next_unguessed(set()) == "a"
-    assert d.next_unguessed({"a"}) == "b"
-    assert d.next_unguessed({"a", "b"}) is None
-
-
 def test_constructor_rejects_bad_entries():
     with pytest.raises(DuplicateWord):
         Dictionary("t", (("a", 1), ("a", 2)))
@@ -144,17 +137,6 @@ def test_probability_is_pmf(counts):
     probs = [d.probability_of(w) for w, _ in d.entries]
     assert all(p >= 0 for p in probs)
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
-
-
-@given(entries_st)
-def test_next_unguessed_enumerates_rank_order(counts):
-    d = Dictionary("t", tuple(counts.items()))
-    guessed = set()
-    seen = []
-    while (word := d.next_unguessed(guessed)) is not None:
-        seen.append(word)
-        guessed.add(word)
-    assert seen == [w for w, _ in d.entries]
 
 
 @given(entries_st)

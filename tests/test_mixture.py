@@ -56,6 +56,15 @@ def test_guess_history_validation():
     h = GuessHistory(10, (("a", 5),)).extended("b", 3)
     assert h.words == ("a", "b")
     assert h.total_successes == 8
+    assert h == GuessHistory(10, (("a", 5), ("b", 3)))
+    with pytest.raises(ValueError):
+        h.extended("a", 1)  # repeated word
+    with pytest.raises(ValueError):
+        h.extended("c", -1)
+    with pytest.raises(ValueError):
+        h.extended("c", 3)  # 11 of 10 users
+    assert h.extended("c", 2).total_successes == 10
+    assert h.observations == (("a", 5), ("b", 3))  # extending leaves h as it was
 
 
 def test_descent_config_validation():
