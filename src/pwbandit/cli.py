@@ -7,6 +7,8 @@ Subcommands:
     baseline  write the optimal guessing curve for the configured password set
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 internal error.
+An input file (config, dictionary or password set) that is not UTF-8 text
+is a configuration error.
 """
 
 from __future__ import annotations
@@ -48,14 +50,17 @@ def _build_corpus(cfg: ExperimentConfig) -> Corpus:
     for name, path in cfg.dictionaries:
         try:
             dictionaries.append(load_frequency_file(name, path))
-        except FrequencyListError as exc:
+        except (FrequencyListError, UnicodeDecodeError) as exc:
             raise ConfigError(str(exc), field=f"dictionaries.{name}") from None
     return Corpus(tuple(dictionaries))
 
 
 def _load_password_lines(path: str) -> PasswordSet:
     with open(path, encoding="utf-8", newline="") as handle:
-        passwords = [word for word in (line.rstrip("\r\n") for line in handle) if word]
+        try:
+            passwords = [word for word in (line.rstrip("\r\n") for line in handle) if word]
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path!r}: {exc}", field="composition.passwords") from None
     if not passwords:
         raise ConfigError(f"password set {path!r} is empty", field="composition.passwords")
     return PasswordSet(tuple(passwords))
@@ -127,7 +132,7 @@ def cmd_attack(cfg: ExperimentConfig) -> None:
     ps = _password_set(cfg, corpus)
     traces = [
         run_attack(corpus, ps, cfg.init_policy, cfg.guess_policy,
-                   cfg.guess_budget, cfg.descent, seed=cfg.attack_seed + run)
+                   cfg.guess_budget, seed=cfg.attack_seed + run)
         for run in range(cfg.runs)
     ]
     out = _out_dir(cfg)
@@ -151,8 +156,7 @@ def cmd_estimate(cfg: ExperimentConfig, guesses: Sequence[str]) -> None:
     rng = np.random.default_rng(cfg.attack_seed)
     init = initialize_weights(cfg.init_policy, len(corpus), rng=rng)
     rows: list[tuple[int, MixtureWeights, float]] = []
-    estimate(corpus, history, init, cfg.descent,
-             on_step=lambda step, w, loglik: rows.append((step, w, loglik)))
+    estimate(corpus, history, init, on_step=lambda step, w, loglik: rows.append((step, w, loglik)))
     out = _out_dir(cfg)
     path = out / "estimate.csv"
     handle, writer = _open_csv(path)

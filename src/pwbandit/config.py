@@ -20,36 +20,28 @@ Example::
     runs = 50
     seed = 0
 
-    [descent]               ; optional overrides
-    max_steps = 100
-    initial_step = 0.1
-    backtrack_factor = 0.5
-    min_step = 1e-12
-    probability_floor = 1e-12
-    convergence_tol = 1e-10
-
     [output]
     dir = out
 
+The solver takes no settings from the file: its constants are fixed in
+``mixture``, and a ``[descent]`` section is an error like any unknown one.
 `parse_config(serialize_config(parse_config(text)))` is a fixed point.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .bandit import GuessPolicy, InitPolicy
 from .errors import ConfigError
-from .mixture import DescentConfig, MixtureWeights
+from .mixture import MixtureWeights
 
 _SECTIONS = {
     "dictionaries": None,  # free-form name = path entries
     "composition": {"proportions", "users", "seed", "passwords"},
     "attack": {"init", "guess", "guesses", "runs", "seed"},
-    "descent": {"max_steps", "initial_step", "backtrack_factor", "min_step",
-                "probability_floor", "convergence_tol"},
     "output": {"dir"},
 }
 
@@ -66,7 +58,6 @@ class ExperimentConfig:
     guess_budget: int = 100
     runs: int = 50
     attack_seed: int = 0
-    descent: DescentConfig = field(default_factory=DescentConfig)
     output_dir: str = "out"
 
     def __post_init__(self):
@@ -76,6 +67,10 @@ class ExperimentConfig:
             raise ConfigError("runs must be >= 1", field="attack.runs")
         if self.guess_budget < 1:
             raise ConfigError("guesses must be >= 1", field="attack.guesses")
+        if self.attack_seed < 0:
+            raise ConfigError("seed must be >= 0", field="attack.seed")
+        if self.composition_seed < 0:
+            raise ConfigError("seed must be >= 0", field="composition.seed")
         if self.password_file is None:
             if self.proportions is None or self.population is None:
                 raise ConfigError(
@@ -158,20 +153,6 @@ def parse_config(text: str) -> ExperimentConfig:
     runs = _to_int(attack.get("runs", "50"), "attack.runs")
     attack_seed = _to_int(attack.get("seed", "0"), "attack.seed")
 
-    desc = parser["descent"] if parser.has_section("descent") else {}
-    defaults = DescentConfig()
-    try:
-        descent = DescentConfig(
-            max_steps=_to_int(desc.get("max_steps", str(defaults.max_steps)), "descent.max_steps"),
-            initial_step=_to_float(desc.get("initial_step", repr(defaults.initial_step)), "descent.initial_step"),
-            backtrack_factor=_to_float(desc.get("backtrack_factor", repr(defaults.backtrack_factor)), "descent.backtrack_factor"),
-            min_step=_to_float(desc.get("min_step", repr(defaults.min_step)), "descent.min_step"),
-            probability_floor=_to_float(desc.get("probability_floor", repr(defaults.probability_floor)), "descent.probability_floor"),
-            convergence_tol=_to_float(desc.get("convergence_tol", repr(defaults.convergence_tol)), "descent.convergence_tol"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), field="descent") from None
-
     output = parser["output"] if parser.has_section("output") else {}
     output_dir = output.get("dir", "out")
 
@@ -186,7 +167,6 @@ def parse_config(text: str) -> ExperimentConfig:
         guess_budget=guess_budget,
         runs=runs,
         attack_seed=attack_seed,
-        descent=descent,
         output_dir=output_dir,
     )
 
@@ -211,14 +191,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         f"runs = {cfg.runs}",
         f"seed = {cfg.attack_seed}",
         "",
-        "[descent]",
-        f"max_steps = {cfg.descent.max_steps}",
-        f"initial_step = {cfg.descent.initial_step!r}",
-        f"backtrack_factor = {cfg.descent.backtrack_factor!r}",
-        f"min_step = {cfg.descent.min_step!r}",
-        f"probability_floor = {cfg.descent.probability_floor!r}",
-        f"convergence_tol = {cfg.descent.convergence_tol!r}",
-        "",
         "[output]",
         f"dir = {cfg.output_dir}",
     ]
@@ -227,7 +199,11 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     with open(path, encoding="utf-8") as handle:
-        return parse_config(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    return parse_config(text)
 
 
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:

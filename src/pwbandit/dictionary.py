@@ -82,10 +82,6 @@ class Dictionary:
             return 0.0
         return self.entries[rank - 1][1] / self.total_count
 
-    def rank_of(self, word: str) -> int | None:
-        """1-based popularity rank of ``word``, or None if absent."""
-        return self.rank_index.get(word)
-
 
 def from_password_multiset(name: str, passwords: Iterable[str]) -> Dictionary:
     """Build a dictionary from raw passwords; counts are multiset multiplicities."""
@@ -100,7 +96,9 @@ def load_frequency_list(name: str, source: Iterable[str]) -> Dictionary:
 
     ``source`` is any iterable of text lines (an open file works). Blank
     lines are ignored. Entries are re-sorted per the rank order regardless
-    of input order. Lines may end in LF or CRLF. Raises MalformedLine,
+    of input order. Lines may end in LF or CRLF. A count is ASCII digits
+    with at most one leading ``-`` (no ``+``, spaces, underscores or
+    non-ASCII digits). Raises MalformedLine,
     NonPositiveCount, DuplicateWord or EmptyDictionary; each carries the
     offending 1-based line number.
     """
@@ -115,7 +113,9 @@ def load_frequency_list(name: str, source: Iterable[str]) -> Dictionary:
             raise MalformedLine("expected `word<TAB>count`", line=line_no)
         word, count_text = parts
         try:
-            count = int(count_text)
+            if not (count_text.isascii() and count_text.removeprefix("-").isdigit()):
+                raise ValueError
+            count = int(count_text)  # also raises past Python's integer-string digit limit
         except ValueError:
             raise MalformedLine(f"count is not an integer: {count_text!r}", line=line_no) from None
         if count <= 0:

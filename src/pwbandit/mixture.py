@@ -25,7 +25,14 @@ from .errors import DimensionMismatch, DuplicateGuess, EmptyInput, SuccessExceed
 
 SIMPLEX_TOL = 1e-9
 
-DEFAULT_FLOOR = 1e-12
+# The solver's fixed constants: the first trial step of each line search, the
+# factor it shrinks (or, inverted, grows) the step by, the smallest step it
+# tries, the floor on both logarithms, and the least gain that counts as a step.
+INITIAL_STEP = 0.1
+BACKTRACK_FACTOR = 0.5
+MIN_STEP = 1e-12
+PROBABILITY_FLOOR = 1e-12
+CONVERGENCE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -41,7 +48,7 @@ class MixtureWeights:
         if min(q) < 0:
             raise ValueError(f"negative weight in {q}")
         total = sum(q)
-        if abs(total - 1.0) > SIMPLEX_TOL:
+        if not abs(total - 1.0) <= SIMPLEX_TOL:  # NaN fails this too
             raise ValueError(f"weights sum to {total!r}, not 1")
         object.__setattr__(self, "q", q)
 
@@ -116,28 +123,13 @@ class GuessHistory:
 
 @dataclass(frozen=True)
 class DescentConfig:
-    """Knobs for the projected gradient ascent."""
+    """The cap on accepted steps of the projected gradient ascent."""
 
     max_steps: int = 100
-    initial_step: float = 0.1
-    backtrack_factor: float = 0.5
-    min_step: float = 1e-12
-    probability_floor: float = DEFAULT_FLOOR
-    convergence_tol: float = 1e-10
 
     def __post_init__(self):
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.initial_step <= 0:
-            raise ValueError("initial_step must be positive")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must be in (0, 1)")
-        if self.min_step <= 0:
-            raise ValueError("min_step must be positive")
-        if self.probability_floor <= 0:
-            raise ValueError("probability_floor must be positive")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
 
 
 def _weight_vector(weights, n: int) -> np.ndarray:
@@ -150,7 +142,7 @@ def _weight_vector(weights, n: int) -> np.ndarray:
 def mixture_probability(corpus: Corpus, weights, word: str) -> float:
     """Probability of seeing ``word`` under the weighted dictionary mixture."""
     q = _weight_vector(weights, len(corpus))
-    return float(sum(qi * d.probability_of(word) for qi, d in zip(q, corpus.dictionaries)))
+    return float(corpus.probability_rows((word,))[0] @ q)
 
 
 def _history_arrays(corpus: Corpus, history: GuessHistory) -> tuple[np.ndarray, np.ndarray]:
@@ -159,22 +151,22 @@ def _history_arrays(corpus: Corpus, history: GuessHistory) -> tuple[np.ndarray, 
     return probs, counts
 
 
-def _log_likelihood(probs, counts, population, q, floor) -> float:
+def _log_likelihood(probs, counts, population, q) -> float:
     observed = probs @ q
     remainder_count = population - counts.sum()
-    remainder = max(1.0 - observed.sum(), floor)
-    return float(counts @ np.log(np.maximum(observed, floor)) + remainder_count * np.log(remainder))
+    remainder = max(1.0 - observed.sum(), PROBABILITY_FLOOR)
+    return float(counts @ np.log(np.maximum(observed, PROBABILITY_FLOOR))
+                 + remainder_count * np.log(remainder))
 
 
-def _gradient(probs, counts, population, q, floor) -> np.ndarray:
-    observed = np.maximum(probs @ q, floor)
+def _gradient(probs, counts, population, q) -> np.ndarray:
+    observed = np.maximum(probs @ q, PROBABILITY_FLOOR)
     remainder_count = population - counts.sum()
-    remainder = max(1.0 - (probs @ q).sum(), floor)
+    remainder = max(1.0 - (probs @ q).sum(), PROBABILITY_FLOOR)
     return probs.T @ (counts / observed) - remainder_count * probs.sum(axis=0) / remainder
 
 
-def log_likelihood(corpus: Corpus, weights, history: GuessHistory,
-                   floor: float = DEFAULT_FLOOR) -> float:
+def log_likelihood(corpus: Corpus, weights, history: GuessHistory) -> float:
     """Censored-multinomial log-likelihood of ``weights`` given ``history``.
 
     ``weights`` may be a MixtureWeights or any length-n sequence; the value
@@ -182,11 +174,10 @@ def log_likelihood(corpus: Corpus, weights, history: GuessHistory,
     rely on. Empty history gives exactly 0.
     """
     q = _weight_vector(weights, len(corpus))
-    return _log_likelihood(*_history_arrays(corpus, history), history.population, q, floor)
+    return _log_likelihood(*_history_arrays(corpus, history), history.population, q)
 
 
-def gradient(corpus: Corpus, weights, history: GuessHistory,
-             floor: float = DEFAULT_FLOOR) -> np.ndarray:
+def gradient(corpus: Corpus, weights, history: GuessHistory) -> np.ndarray:
     """Analytic gradient of :func:`log_likelihood` with respect to the weights.
 
     Component i is
@@ -197,7 +188,7 @@ def gradient(corpus: Corpus, weights, history: GuessHistory,
     with the same epsilon floors as the objective.
     """
     q = _weight_vector(weights, len(corpus))
-    return _gradient(*_history_arrays(corpus, history), history.population, q, floor)
+    return _gradient(*_history_arrays(corpus, history), history.population, q)
 
 
 def _project(v: np.ndarray) -> np.ndarray:
@@ -234,13 +225,13 @@ def estimate(corpus: Corpus, history: GuessHistory, init: MixtureWeights,
              on_step: StepCallback | None = None) -> tuple[MixtureWeights, float, int]:
     """Maximize the log-likelihood by projected gradient ascent from ``init``.
 
-    Each step proposes project(w + step * gradient). A worse proposal halves
-    the step until it improves or falls under ``min_step``; an improving one
-    keeps growing the step (by the inverse backtrack factor) while that keeps
-    helping, which matters near flat face-constrained optima where a fixed
-    step would crawl. Stops after ``max_steps`` accepted steps, when no
-    admissible step improves, or when the improvement falls below
-    ``convergence_tol``.
+    Each step proposes project(w + step * gradient), starting from
+    ``INITIAL_STEP``. A worse proposal halves the step until it improves or
+    falls under ``MIN_STEP``; an improving one keeps doubling the step while
+    that keeps helping, which matters near flat face-constrained optima where
+    a fixed step would crawl. Stops after ``cfg.max_steps`` accepted steps,
+    when no admissible step improves, or when the improvement falls below
+    ``CONVERGENCE_TOL``.
 
     Returns (weights, final log-likelihood, effective steps taken). The
     log-likelihood of the result is never below that of ``init``. If given,
@@ -256,10 +247,8 @@ def maximize(probs: np.ndarray, counts: np.ndarray, population: int, w: np.ndarr
              on_step: StepCallback | None = None) -> tuple[MixtureWeights, float, int]:
     """:func:`estimate` on history arrays: ``probs`` holds one row of
     per-dictionary probabilities per guessed word, ``counts`` its successes."""
-    floor = cfg.probability_floor
-
     def value(q: np.ndarray) -> float:
-        return _log_likelihood(probs, counts, population, q, floor)
+        return _log_likelihood(probs, counts, population, q)
 
     current = value(w)
     emitted = 0
@@ -267,20 +256,20 @@ def maximize(probs: np.ndarray, counts: np.ndarray, population: int, w: np.ndarr
         on_step(0, MixtureWeights.from_values(w), current)
     steps = 0
     for _ in range(cfg.max_steps):
-        grad = _gradient(probs, counts, population, w, floor)
-        step = cfg.initial_step
+        grad = _gradient(probs, counts, population, w)
+        step = INITIAL_STEP
         candidate = _project(w + step * grad)
         proposed = value(candidate)
         if proposed < current:
-            while proposed < current and step * cfg.backtrack_factor >= cfg.min_step:
-                step *= cfg.backtrack_factor
+            while proposed < current and step * BACKTRACK_FACTOR >= MIN_STEP:
+                step *= BACKTRACK_FACTOR
                 candidate = _project(w + step * grad)
                 proposed = value(candidate)
             if proposed < current:
                 break
         else:
             while step < 1e12:  # projection saturates long before this
-                grown = step / cfg.backtrack_factor
+                grown = step / BACKTRACK_FACTOR
                 next_candidate = _project(w + grown * grad)
                 next_proposed = value(next_candidate)
                 if next_proposed <= proposed:
@@ -291,7 +280,7 @@ def maximize(probs: np.ndarray, counts: np.ndarray, population: int, w: np.ndarr
         emitted += 1
         if on_step is not None:
             on_step(emitted, MixtureWeights.from_values(w), current)
-        if gain < cfg.convergence_tol:
+        if gain < CONVERGENCE_TOL:
             break
         steps += 1
     return MixtureWeights.from_values(w), current, steps

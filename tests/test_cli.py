@@ -11,6 +11,7 @@ from pwbandit.config import (
     serialize_config,
 )
 from pwbandit.errors import ConfigError
+from pwbandit.mixture import DescentConfig
 
 BASE_CONFIG = """\
 [dictionaries]
@@ -28,9 +29,6 @@ guess = by-q
 guesses = 3
 runs = 2
 seed = 1
-
-[descent]
-max_steps = 20
 
 [output]
 dir = {out}
@@ -62,8 +60,6 @@ def test_parse_config_defaults(workdir):
     assert cfg.population == 200
     assert cfg.guess_budget == 3
     assert cfg.runs == 2
-    assert cfg.descent.max_steps == 20
-    assert cfg.descent.initial_step == 0.1  # untouched default
 
 
 def test_config_round_trip_is_a_fixed_point(workdir):
@@ -82,6 +78,10 @@ def test_config_round_trip_is_a_fixed_point(workdir):
     ("[attack]\nruns = many\n", "attack.runs"),
     ("[attack]\ninit = fastest\n", "attack.init"),
     ("[composition]\nproportions = 0.6, 0.6\nusers = 10\n", "composition.proportions"),
+    ("[descent]\nmax_steps = 20\n", "descent"),
+    ("[composition]\nproportions = nan\nusers = 10\n", "composition.proportions"),
+    ("[composition]\nproportions = 1.0\nusers = 10\nseed = -1\n", "composition.seed"),
+    ("[composition]\nproportions = 1.0\nusers = 10\n[attack]\nseed = -1\n", "attack.seed"),
 ])
 def test_parse_config_rejects_bad_input(tmp_path, mutation, field):
     text = "[dictionaries]\nd1 = x.tsv\n\n" + mutation
@@ -212,7 +212,7 @@ def test_estimate_trajectory_csv(workdir):
     header, rows = read_csv(workdir / "out" / "estimate.csv")
     assert header == ["step", "qhat_1", "qhat_2", "loglik"]
     assert [int(r[0]) for r in rows] == list(range(len(rows)))
-    assert len(rows) <= 21  # initial point plus at most max_steps iterates
+    assert len(rows) <= DescentConfig().max_steps + 1  # initial point plus the iterates
     assert rows[0][1] == "0.5" and rows[0][2] == "0.5"
     logliks = [float(r[3]) for r in rows]
     assert logliks == sorted(logliks)
@@ -280,6 +280,38 @@ def test_exit_codes(workdir, capsys):
     for flag, field in (("--runs", "attack.runs"), ("--guesses", "attack.guesses")):
         assert main(["attack", "--config", config, flag, "0"]) == 2
         assert f"config error: {field}" in capsys.readouterr().err
+
+    for command, field in (("attack", "attack.seed"), ("compose", "composition.seed")):
+        assert main([command, "--config", config, "--seed", "-1"]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+    assert main(["estimate", "--config", config, "--seed", "-1", "beta"]) == 2
+    assert "config error: attack.seed" in capsys.readouterr().err
+
+    text = (workdir / "experiment.ini").read_text(encoding="utf-8")
+    for seed_line, field in (("seed = 5\n", "composition.seed"), ("seed = 1\n", "attack.seed")):
+        negative = workdir / "negative.ini"
+        negative.write_text(text.replace(seed_line, "seed = -1\n"), encoding="utf-8")
+        assert main(["attack", "--config", str(negative)]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["config", "dictionary", "passwords"])
+def test_non_utf8_input_file_is_a_config_error(workdir, capsys, kind):
+    (workdir / "leak.txt").write_text("beta\nalpha\n", encoding="utf-8")
+    config = workdir / "leak.ini"
+    config.write_text(
+        f"[dictionaries]\nd1 = {workdir / 'd1.tsv'}\nd2 = {workdir / 'd2.tsv'}\n\n"
+        f"[composition]\npasswords = {workdir / 'leak.txt'}\n\n"
+        f"[output]\ndir = {workdir / 'out'}\n",
+        encoding="utf-8",
+    )
+    # The config file has no field, so its error names the file instead.
+    target, named = {"config": (config, str(config)),
+                     "dictionary": (workdir / "d2.tsv", "dictionaries.d2"),
+                     "passwords": (workdir / "leak.txt", "composition.passwords")}[kind]
+    target.write_bytes(target.read_bytes() + b"\xff\n")
+    assert main(["attack", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {named}: ")
 
 
 @pytest.mark.parametrize("command, flag, value", [

@@ -53,6 +53,11 @@ def test_load_duplicate_word_reports_line():
     ("\t8", MalformedLine),          # empty word
     ("a\t0", NonPositiveCount),
     ("a\t-3", NonPositiveCount),
+    ("a\t+5", MalformedLine),        # int() reads these four as integers
+    ("a\t 5", MalformedLine),
+    ("a\t\u0665", MalformedLine),    # ARABIC-INDIC DIGIT FIVE
+    ("a\t5_000", MalformedLine),
+    pytest.param("a\t" + "9" * 5000, MalformedLine, id="count-past-int-digit-limit"),
 ])
 def test_load_bad_lines(line, error):
     with pytest.raises(error) as exc:

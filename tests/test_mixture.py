@@ -43,6 +43,10 @@ def test_mixture_weights_invariants():
         MixtureWeights((1.5, -0.5))
     with pytest.raises(EmptyInput):
         MixtureWeights(())
+    with pytest.raises(ValueError):
+        MixtureWeights((math.nan, math.nan))
+    with pytest.raises(ValueError):
+        MixtureWeights((1.0, math.nan))
     assert MixtureWeights.uniform(4).q == (0.25, 0.25, 0.25, 0.25)
 
 
@@ -70,10 +74,6 @@ def test_guess_history_validation():
 def test_descent_config_validation():
     with pytest.raises(ValueError):
         DescentConfig(max_steps=0)
-    with pytest.raises(ValueError):
-        DescentConfig(backtrack_factor=1.0)
-    with pytest.raises(ValueError):
-        DescentConfig(probability_floor=0.0)
 
 
 def test_mixture_probability_single_dictionary():
@@ -229,6 +229,23 @@ def test_estimate_monotone_ascent_and_improves_on_init(two_dicts):
     assert loglik >= log_likelihood(two_dicts, init, h)
     assert sum(weights) == pytest.approx(1.0, abs=1e-9)
     assert loglik == trajectory[-1]
+
+
+@pytest.mark.parametrize("k", [1, 5, 10])
+def test_estimate_stops_at_max_steps(k):
+    c = Corpus((
+        Dictionary("d1", (("alpha", 8), ("beta", 2))),
+        Dictionary("d2", (("beta", 9), ("gamma", 1))),
+    ))
+    h = GuessHistory(200, (("beta", 95), ("alpha", 96)))
+    uncapped = []
+    estimate(c, h, MixtureWeights.uniform(2), on_step=lambda i, w, ll: uncapped.append(i))
+    assert len(uncapped) > k + 1  # the cap below binds
+    capped = []
+    _, _, steps = estimate(c, h, MixtureWeights.uniform(2), DescentConfig(max_steps=k),
+                           on_step=lambda i, w, ll: capped.append(i))
+    assert capped == list(range(k + 1))
+    assert steps == k
 
 
 def test_estimate_is_deterministic(two_dicts):
