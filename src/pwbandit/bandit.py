@@ -47,7 +47,7 @@ def initialize_weights(policy: InitPolicy, n: int,
     if rng is None:
         raise ValueError("random initialization needs an rng")
     draws = rng.standard_exponential(n)
-    return MixtureWeights.from_values(draws / draws.sum())
+    return MixtureWeights(draws / draws.sum())
 
 
 @dataclass
@@ -86,12 +86,11 @@ def new_state(corpus: Corpus, population: int, init: InitPolicy,
 
 def _next_unguessed(corpus: Corpus, state: BanditState, i: int) -> str | None:
     """Most popular unguessed word of dictionary i, moving its cursor up to it."""
-    entries, rank = corpus.dictionaries[i].entries, state.cursors[i]
-    index, guessed = corpus.vocab_index, state.guessed
-    while rank < len(entries) and guessed[index[entries[rank][0]]]:
+    rows, rank, guessed = corpus.ranked_rows[i], state.cursors[i], state.guessed
+    while rank < len(rows) and guessed[rows[rank]]:
         rank += 1
     state.cursors[i] = rank
-    return entries[rank][0] if rank < len(entries) else None
+    return corpus.union_vocabulary[rows[rank]] if rank < len(rows) else None
 
 
 def select_guess(policy: GuessPolicy, corpus: Corpus, state: BanditState) -> str | None:

@@ -56,7 +56,7 @@ def _build_corpus(cfg: ExperimentConfig) -> Corpus:
 
 
 def _load_password_lines(path: str) -> PasswordSet:
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         try:
             passwords = [word for word in (line.rstrip("\r\n") for line in handle) if word]
         except UnicodeDecodeError as exc:

@@ -133,7 +133,7 @@ def parse_config(text: str) -> ExperimentConfig:
         parts = [p for p in comp["proportions"].split(",")]
         values = [_to_float(p.strip(), "composition.proportions") for p in parts]
         try:
-            proportions = MixtureWeights.from_values(values)
+            proportions = MixtureWeights(values)
         except ValueError as exc:
             raise ConfigError(str(exc), field="composition.proportions") from None
     population = _to_int(comp["users"], "composition.users") if "users" in comp else None
@@ -198,7 +198,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError as exc:

@@ -1,8 +1,10 @@
-"""Word-frequency dictionaries: loading, validation, ranks and probabilities.
+"""Word-frequency dictionaries and the corpus that indexes their words.
 
-A dictionary is a named, rank-ordered word-frequency distribution. Rank 1 is
-the most frequent word; ties in frequency break by ascending lexicographic
-order of the word so that every load of the same data yields the same ranks.
+A dictionary is a named word-frequency distribution kept in rank order: a
+word's rank is its position in ``Dictionary.entries``, most frequent first,
+ties in frequency broken by ascending lexicographic order of the word so
+that every load of the same data yields the same ranks. Per-word
+probabilities live in ``Corpus``, the one index from words to rows.
 """
 
 from __future__ import annotations
@@ -38,22 +40,23 @@ def _check_word(word: str) -> None:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """A named word-frequency distribution with 1-based popularity ranks.
+    """A named word-frequency distribution in popularity order.
 
     ``entries`` is normalized on construction: sorted by count descending,
-    ties by ascending word order. Duplicate words are rejected.
+    ties by ascending word order, so a word's rank is its position in
+    ``entries`` (0-based). Duplicate words are rejected. Per-word
+    probabilities live in :class:`Corpus`.
     """
 
     name: str
     entries: tuple[tuple[str, int], ...]
     total_count: int = field(init=False, compare=False, repr=False)
-    rank_index: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         entries = tuple(sorted(self.entries, key=lambda e: (-e[1], e[0])))
         if not entries:
             raise EmptyDictionary("dictionary has no entries")
-        rank_index: dict[str, int] = {}
+        seen: set[str] = set()
         total = 0
         for word, count in entries:
             _check_word(word)
@@ -61,26 +64,15 @@ class Dictionary:
                 raise ValueError(f"count for {word!r} is not an integer: {count!r}")
             if count <= 0:
                 raise NonPositiveCount(f"count for {word!r} must be positive, got {count}")
-            if word in rank_index:
+            if word in seen:
                 raise DuplicateWord(f"duplicate word {word!r}")
-            rank_index[word] = len(rank_index) + 1
+            seen.add(word)
             total += count
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "total_count", total)
-        object.__setattr__(self, "rank_index", rank_index)
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.rank_index
-
-    def probability_of(self, word: str) -> float:
-        """Empirical probability of ``word``: count/total_count, 0 if absent."""
-        rank = self.rank_index.get(word)
-        if rank is None:
-            return 0.0
-        return self.entries[rank - 1][1] / self.total_count
 
 
 def from_password_multiset(name: str, passwords: Iterable[str]) -> Dictionary:
@@ -137,7 +129,7 @@ def serialize_frequency_list(d: Dictionary) -> str:
 
 
 def load_frequency_file(name: str, path: str | Path) -> Dictionary:
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         return load_frequency_list(name, handle)
 
 
@@ -166,10 +158,7 @@ class Corpus:
     @cached_property
     def union_vocabulary(self) -> tuple[str, ...]:
         """Every word appearing in any dictionary, deduplicated, sorted."""
-        vocab: set[str] = set()
-        for d in self.dictionaries:
-            vocab.update(d.rank_index)
-        return tuple(sorted(vocab))
+        return tuple(sorted({word for d in self.dictionaries for word, _ in d.entries}))
 
     @cached_property
     def vocab_index(self) -> dict[str, int]:
@@ -180,10 +169,16 @@ class Corpus:
     def vocab_probs(self) -> np.ndarray:
         """Row v, column i: dictionary i's probability of vocabulary word v."""
         matrix = np.zeros((len(self.union_vocabulary), len(self.dictionaries)))
-        for i, d in enumerate(self.dictionaries):
-            for word, count in d.entries:
-                matrix[self.vocab_index[word], i] = count / d.total_count
+        for i, (d, rows) in enumerate(zip(self.dictionaries, self.ranked_rows)):
+            matrix[rows, i] = [count / d.total_count for _, count in d.entries]
         return matrix
+
+    @cached_property
+    def ranked_rows(self) -> tuple[np.ndarray, ...]:
+        """Array i: the ``vocab_probs`` row of each word of dictionary i, in rank order."""
+        index = self.vocab_index
+        return tuple(np.array([index[word] for word, _ in d.entries], dtype=np.intp)
+                     for d in self.dictionaries)
 
     def probability_rows(self, words: Iterable[str]) -> np.ndarray:
         """Matrix of per-dictionary probabilities, one row per word (zeros if unranked)."""

@@ -56,10 +56,6 @@ class MixtureWeights:
     def uniform(cls, n: int) -> "MixtureWeights":
         return cls((1.0 / n,) * n)
 
-    @classmethod
-    def from_values(cls, values: Sequence[float]) -> "MixtureWeights":
-        return cls(tuple(float(x) for x in values))
-
     def __array__(self, dtype=None) -> np.ndarray:
         return np.asarray(self.q, dtype=dtype or float)
 
@@ -214,7 +210,7 @@ def project_to_simplex(v: Sequence[float]) -> MixtureWeights:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise EmptyInput(f"cannot project shape {arr.shape}")
-    return MixtureWeights.from_values(_project(arr))
+    return MixtureWeights(_project(arr))
 
 
 StepCallback = Callable[[int, MixtureWeights, float], None]
@@ -253,7 +249,7 @@ def maximize(probs: np.ndarray, counts: np.ndarray, population: int, w: np.ndarr
     current = value(w)
     emitted = 0
     if on_step is not None:
-        on_step(0, MixtureWeights.from_values(w), current)
+        on_step(0, MixtureWeights(w), current)
     steps = 0
     for _ in range(cfg.max_steps):
         grad = _gradient(probs, counts, population, w)
@@ -279,8 +275,8 @@ def maximize(probs: np.ndarray, counts: np.ndarray, population: int, w: np.ndarr
         w, current = candidate, proposed
         emitted += 1
         if on_step is not None:
-            on_step(emitted, MixtureWeights.from_values(w), current)
+            on_step(emitted, MixtureWeights(w), current)
         if gain < CONVERGENCE_TOL:
             break
         steps += 1
-    return MixtureWeights.from_values(w), current, steps
+    return MixtureWeights(w), current, steps

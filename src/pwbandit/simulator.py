@@ -94,15 +94,13 @@ def compose_password_set(corpus: Corpus, proportions: MixtureWeights, size: int,
     rng = np.random.default_rng(seed)
     passwords: list[str] = []
     labels: list[int] = []
-    for i, (d, users) in enumerate(zip(corpus.dictionaries, counts)):
+    vocab = corpus.union_vocabulary
+    for i, (rows, users) in enumerate(zip(corpus.ranked_rows, counts)):
         if users == 0:
             continue
-        words = [w for w, _ in d.entries]
-        pmf = np.array([c for _, c in d.entries], dtype=float)
-        pmf /= pmf.sum()
-        for j in rng.choice(len(words), size=users, p=pmf):
-            passwords.append(words[j])
-            labels.append(i)
+        picks = rows[rng.choice(len(rows), size=users, p=corpus.vocab_probs[rows, i])]
+        passwords.extend(vocab[v] for v in picks.tolist())
+        labels.extend([i] * users)
     return PasswordSet(tuple(passwords), proportions, tuple(labels))
 
 

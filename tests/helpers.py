@@ -96,7 +96,7 @@ def random_interior_point(rng: np.random.Generator, n: int,
     draws = rng.standard_exponential(n)
     q = draws / draws.sum()
     q = (1.0 - n * floor) * q + floor
-    return MixtureWeights.from_values(q)
+    return MixtureWeights(q)
 
 
 def simplex_grid(n: int, pitch: float) -> np.ndarray:

@@ -184,15 +184,15 @@ def test_attack_accepts_password_file(workdir):
 
 def test_crlf_inputs_give_the_same_outputs_as_lf(workdir):
     outputs = {}
-    for ending in ("\n", "\r\n"):
-        tag = "crlf" if ending == "\r\n" else "lf"
+    for tag, ending, bom in (("lf", "\n", ""), ("crlf", "\r\n", ""), ("bom", "\n", "\ufeff")):
         for name, lines in {"d1": ["alpha\t8", "beta\t2"], "d2": ["beta\t9", "gamma\t1"],
                             "leak": ["beta", "beta", "alpha", "gamma"]}.items():
-            (workdir / f"{name}_{tag}.txt").write_bytes("".join(
-                line + ending for line in lines).encode("utf-8"))
+            (workdir / f"{name}_{tag}.txt").write_bytes((bom + "".join(
+                line + ending for line in lines)).encode("utf-8"))
         config = workdir / f"{tag}.ini"
         config.write_text(
-            f"[dictionaries]\nd1 = {workdir / f'd1_{tag}.txt'}\nd2 = {workdir / f'd2_{tag}.txt'}\n\n"
+            f"{bom}[dictionaries]\nd1 = {workdir / f'd1_{tag}.txt'}\n"
+            f"d2 = {workdir / f'd2_{tag}.txt'}\n\n"
             f"[composition]\npasswords = {workdir / f'leak_{tag}.txt'}\n\n"
             "[attack]\nguesses = 3\nruns = 1\n\n"
             f"[output]\ndir = {workdir / tag}\n",
@@ -201,6 +201,7 @@ def test_crlf_inputs_give_the_same_outputs_as_lf(workdir):
         assert main(["attack", "--config", str(config)]) == 0
         outputs[tag] = [(workdir / tag / f).read_bytes() for f in ("trace.csv", "summary.csv")]
     assert outputs["crlf"] == outputs["lf"]
+    assert outputs["bom"] == outputs["lf"]
     _, rows = read_csv(workdir / "crlf" / "trace.csv")
     assert [r[4] for r in rows] == ["2", "3", "4"]
 

@@ -33,7 +33,6 @@ def test_load_basic():
     d = load_frequency_list("t", ["a\t8", "b\t2"])
     assert d.entries == (("a", 8), ("b", 2))
     assert d.total_count == 10
-    assert d.rank_index == {"a": 1, "b": 2}
 
 
 def test_load_resorts_input_order():
@@ -114,8 +113,9 @@ def test_from_password_multiset_matches_independent_tally():
 
 def test_probability_of():
     d = Dictionary("t", (("a", 8), ("b", 2)))
-    assert d.probability_of("a") == pytest.approx(0.8)
-    assert d.probability_of("z") == 0.0
+    rows = Corpus((d,)).probability_rows(["a", "z"])
+    assert rows[0, 0] == pytest.approx(0.8)
+    assert rows[1].tolist() == [0.0]
 
 
 def test_constructor_rejects_bad_entries():
@@ -139,9 +139,10 @@ def test_sorting_totality(counts):
 @given(entries_st)
 def test_probability_is_pmf(counts):
     d = Dictionary("t", tuple(counts.items()))
-    probs = [d.probability_of(w) for w, _ in d.entries]
-    assert all(p >= 0 for p in probs)
-    assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+    c = Corpus((d,))
+    probs = c.probability_rows(w for w, _ in d.entries)[:, 0]
+    assert all(p > 0 for p in probs)
+    assert c.vocab_probs.sum(axis=0) == pytest.approx([1.0], abs=1e-12)
 
 
 @given(entries_st)
@@ -167,6 +168,7 @@ def test_corpus_union_vocabulary():
         Dictionary("d2", (("b", 9), ("c", 1))),
     ))
     assert c.union_vocabulary == ("a", "b", "c")
+    assert [r.tolist() for r in c.ranked_rows] == [[0, 1], [1, 2]]
     assert len(c) == 2
 
 
