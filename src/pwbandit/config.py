@@ -23,14 +23,19 @@ Example::
     [output]
     dir = out
 
-The solver takes no settings from the file: its constants are fixed in
-``mixture``, and a ``[descent]`` section is an error like any unknown one.
+Relative dictionary and password paths are read from the config file's
+directory (``load_config``); the output directory is relative to the working
+directory. The solver takes no settings from the file: its constants are
+fixed in ``mixture``, and a ``[descent]`` section is an error like any
+unknown one.
 `parse_config(serialize_config(parse_config(text)))` is a fixed point.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -198,12 +203,21 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
+    """Read a config file. Relative dictionary and password paths in it are
+    taken from the config file's directory, so it works from any directory."""
     with open(path, encoding="utf-8-sig") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
-    return parse_config(text)
+    cfg = parse_config(text)
+    base = os.path.dirname(path)
+    return dataclasses.replace(
+        cfg,
+        dictionaries=tuple((name, os.path.join(base, file)) for name, file in cfg.dictionaries),
+        password_file=(None if cfg.password_file is None
+                       else os.path.join(base, cfg.password_file)),
+    )
 
 
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:

@@ -7,9 +7,17 @@ coefficient dropped, it does not depend on q) is
 
     sum_j N_j * ln Q_{k_j}  +  (N - sum_j N_j) * ln(1 - sum_j Q_{k_j})
 
-with Q_k = sum_i q_i * p_i(k). Both logs are floored at a small epsilon so
-the objective stays finite on the whole simplex. The maximizer is found by
-projected gradient ascent with a backtracking line search.
+with Q_k = sum_i q_i * p_i(k): a multinomial over m + 1 categories, the
+guessed words and the rest, each with a probability linear in q, so the
+log-likelihood is concave on the simplex. ``log_likelihood`` and
+``gradient`` floor both logs at ``PROBABILITY_FLOOR`` so they are finite on
+the whole simplex.
+
+``estimate`` maximizes it by active-set Newton ascent on the faces of the
+simplex (Bertsekas 1982), counting it as -inf where an observed word has
+probability at or below the floor. It stops once the Frank-Wolfe duality gap
+max_i g_i - g . q, an upper bound on the distance to the maximum for a
+concave objective (Jaggi 2013), is at most ``GAP_TOL`` nats per user.
 """
 
 from __future__ import annotations
@@ -25,14 +33,12 @@ from .errors import DimensionMismatch, DuplicateGuess, EmptyInput, SuccessExceed
 
 SIMPLEX_TOL = 1e-9
 
-# The solver's fixed constants: the first trial step of each line search, the
-# factor it shrinks (or, inverted, grows) the step by, the smallest step it
-# tries, the floor on both logarithms, and the least gain that counts as a step.
-INITIAL_STEP = 0.1
-BACKTRACK_FACTOR = 0.5
-MIN_STEP = 1e-12
+# The floor on both logarithms of the public objective and gradient; the
+# Frank-Wolfe gap, in nats per user, at which a descent has converged; and
+# the fraction of its first-order gain a step must realise.
 PROBABILITY_FLOOR = 1e-12
-CONVERGENCE_TOL = 1e-10
+GAP_TOL = 1e-9
+ARMIJO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -119,7 +125,8 @@ class GuessHistory:
 
 @dataclass(frozen=True)
 class DescentConfig:
-    """The cap on accepted steps of the projected gradient ascent."""
+    """The cap on steps of one descent, a guard: a converging descent stops
+    at the Frank-Wolfe gap tolerance well before it."""
 
     max_steps: int = 100
 
@@ -156,10 +163,12 @@ def _log_likelihood(probs, counts, population, q) -> float:
 
 
 def _gradient(probs, counts, population, q) -> np.ndarray:
-    observed = np.maximum(probs @ q, PROBABILITY_FLOOR)
-    remainder_count = population - counts.sum()
-    remainder = max(1.0 - (probs @ q).sum(), PROBABILITY_FLOOR)
-    return probs.T @ (counts / observed) - remainder_count * probs.sum(axis=0) / remainder
+    observed = probs @ q
+    remainder = 1.0 - observed.sum()
+    # A floored remainder is a constant term: it adds nothing to the gradient.
+    remainder_count = population - counts.sum() if remainder > PROBABILITY_FLOOR else 0
+    return (probs.T @ (counts / np.maximum(observed, PROBABILITY_FLOOR))
+            - remainder_count * probs.sum(axis=0) / max(remainder, PROBABILITY_FLOOR))
 
 
 def log_likelihood(corpus: Corpus, weights, history: GuessHistory) -> float:
@@ -181,28 +190,12 @@ def gradient(corpus: Corpus, weights, history: GuessHistory) -> np.ndarray:
         sum_j N_j * p_i(k_j) / Q_{k_j}
             - (N - sum_j N_j) * sum_j p_i(k_j) / (1 - sum_j Q_{k_j})
 
-    with the same epsilon floors as the objective.
+    with the same epsilon floors as the objective; where the remainder is
+    floored (every dictionary's words are all guessed), its term is a
+    constant and the second line is 0.
     """
     q = _weight_vector(weights, len(corpus))
     return _gradient(*_history_arrays(corpus, history), history.population, q)
-
-
-def _project(v: np.ndarray) -> np.ndarray:
-    # Sort-and-threshold Euclidean projection onto the standard simplex.
-    n = v.size
-    u = np.sort(v)[::-1]
-    shifts = (1.0 - np.cumsum(u)) / np.arange(1, n + 1)
-    rho = int(np.nonzero(u + shifts > 0)[0][-1])
-    out = np.maximum(v + shifts[rho], 0.0)
-    # Exact arithmetic gives sum(out) == 1, but when v has entries of large
-    # magnitude (floored-likelihood gradients can reach 1e13) the shift
-    # cancellation leaves rounding error far above the simplex tolerance.
-    total = out.sum()
-    if total <= 0.0:
-        out = np.zeros(n)
-        out[int(np.argmax(v))] = 1.0
-        return out
-    return out / total
 
 
 def project_to_simplex(v: Sequence[float]) -> MixtureWeights:
@@ -210,7 +203,17 @@ def project_to_simplex(v: Sequence[float]) -> MixtureWeights:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise EmptyInput(f"cannot project shape {arr.shape}")
-    return MixtureWeights(_project(arr))
+    # Sort and threshold. With entries of large magnitude the shift's
+    # cancellation leaves rounding error far above the simplex tolerance,
+    # which the final division removes.
+    u = np.sort(arr)[::-1]
+    shifts = (1.0 - np.cumsum(u)) / np.arange(1, arr.size + 1)
+    rho = int(np.nonzero(u + shifts > 0)[0][-1])
+    out = np.maximum(arr + shifts[rho], 0.0)
+    total = out.sum()
+    if total <= 0.0:
+        out, total = np.eye(arr.size)[int(np.argmax(arr))], 1.0
+    return MixtureWeights(out / total)
 
 
 StepCallback = Callable[[int, MixtureWeights, float], None]
@@ -219,20 +222,31 @@ StepCallback = Callable[[int, MixtureWeights, float], None]
 def estimate(corpus: Corpus, history: GuessHistory, init: MixtureWeights,
              cfg: DescentConfig = DescentConfig(),
              on_step: StepCallback | None = None) -> tuple[MixtureWeights, float, int]:
-    """Maximize the log-likelihood by projected gradient ascent from ``init``.
+    """Maximize the log-likelihood from ``init`` by active-set Newton ascent.
 
-    Each step proposes project(w + step * gradient), starting from
-    ``INITIAL_STEP``. A worse proposal halves the step until it improves or
-    falls under ``MIN_STEP``; an improving one keeps doubling the step while
-    that keeps helping, which matters near flat face-constrained optima where
-    a fixed step would crawl. Stops after ``cfg.max_steps`` accepted steps,
-    when no admissible step improves, or when the improvement falls below
-    ``CONVERGENCE_TOL``.
+    Each step solves the Newton system on the face of the simplex the
+    iterate lies on, widened by the empty coordinates whose gradient beats
+    g . q, keeping the sum of the weights. A direction that does not ascend
+    is replaced by a Frank-Wolfe step towards the best vertex. The step
+    length maximizes the likelihood along the direction up to the simplex
+    boundary (a safeguarded Newton line search; coordinates that reach the
+    boundary become exactly 0) and is halved while it gains less than
+    ``ARMIJO`` times its first-order prediction. The objective counts as
+    -inf wherever an observed word, or the rest while users remain, has
+    probability at or below ``PROBABILITY_FLOOR``, so no step ends on a face
+    where an observed word has probability 0; a start on such a face is
+    first moved halfway to the uniform point, which counts as a step.
 
-    Returns (weights, final log-likelihood, effective steps taken). The
-    log-likelihood of the result is never below that of ``init``. If given,
-    ``on_step(index, weights, loglik)`` is called for the initial point
-    (index 0) and for every accepted iterate.
+    Stops once the Frank-Wolfe gap max_i g_i - g . q of :func:`gradient` is
+    at most ``GAP_TOL * population`` nats: the log-likelihood is concave, so
+    that gap bounds how far it is below its maximum. ``cfg.max_steps`` only
+    guards against a descent that does not get there.
+
+    Returns (weights, final log-likelihood, steps taken). The log-likelihood
+    is that of ``init`` plus the gain of each step, summed from log1p terms
+    so that small gains are not lost to rounding; it is never below that of
+    ``init``. If given, ``on_step(index, weights, loglik)`` is called for the
+    initial point (index 0) and after every step.
     """
     return maximize(*_history_arrays(corpus, history), history.population,
                     _weight_vector(init, len(corpus)), cfg, on_step)
@@ -243,40 +257,183 @@ def maximize(probs: np.ndarray, counts: np.ndarray, population: int, w: np.ndarr
              on_step: StepCallback | None = None) -> tuple[MixtureWeights, float, int]:
     """:func:`estimate` on history arrays: ``probs`` holds one row of
     per-dictionary probabilities per guessed word, ``counts`` its successes."""
+    # The m + 1 categories whose probability must stay above the floor: each
+    # guessed word with successes, and the rest, with probabilities
+    # 1 - sum_j p_i(k_j), while users remain; each only if some dictionary
+    # gives it more than the floor. Any other category is a constant of the
+    # floored objective. Where every such category is above the floor, the
+    # floored objective and its gradient are the unfloored ones; elsewhere
+    # the objective counts as -inf.
+    # (Indices and float reductions, not boolean masks: numpy caches the
+    # buffers of small arrays by size, and masks sized by m would fill that
+    # cache with a buffer for every history length.)
+    rows = np.flatnonzero(counts)
+    reach = probs[rows].max(axis=1, initial=0.0)
+    if reach.min(initial=1.0) <= PROBABILITY_FLOOR:
+        rows = rows[reach > PROBABILITY_FLOOR]
+    cats, weight = probs[rows], counts[rows]
+    left, rest = 1.0 - probs.sum(axis=0), population - counts.sum()
+    rest_live = rest > 0 and left.max() > PROBABILITY_FLOOR
+    if rest_live:
+        cats, weight = np.vstack([cats, left]), np.append(weight, rest)
+
     def value(q: np.ndarray) -> float:
+        observed = probs @ q
+        if (observed[rows].min(initial=1.0) <= PROBABILITY_FLOOR
+                or (rest_live and 1.0 - observed.sum() <= PROBABILITY_FLOOR)):
+            return -np.inf
         return _log_likelihood(probs, counts, population, q)
 
-    current = value(w)
-    emitted = 0
+    current, steps = value(w), 0
     if on_step is not None:
         on_step(0, MixtureWeights(w), current)
-    steps = 0
-    for _ in range(cfg.max_steps):
-        grad = _gradient(probs, counts, population, w)
-        step = INITIAL_STEP
-        candidate = _project(w + step * grad)
-        proposed = value(candidate)
-        if proposed < current:
-            while proposed < current and step * BACKTRACK_FACTOR >= MIN_STEP:
-                step *= BACKTRACK_FACTOR
-                candidate = _project(w + step * grad)
-                proposed = value(candidate)
-            if proposed < current:
-                break
-        else:
-            while step < 1e12:  # projection saturates long before this
-                grown = step / BACKTRACK_FACTOR
-                next_candidate = _project(w + grown * grad)
-                next_proposed = value(next_candidate)
-                if next_proposed <= proposed:
-                    break
-                step, candidate, proposed = grown, next_candidate, next_proposed
-        gain = proposed - current
-        w, current = candidate, proposed
-        emitted += 1
+    if current == -np.inf:
+        w = 0.5 * (w + 1.0 / w.size)
+        current, steps = value(w), 1
         if on_step is not None:
-            on_step(emitted, MixtureWeights(w), current)
-        if gain < CONVERGENCE_TOL:
+            on_step(1, MixtureWeights(w), current)
+        if current == -np.inf:  # the floor binds everywhere: nothing to climb
+            return MixtureWeights(w), current, steps
+    tolerance, root = GAP_TOL * population, np.sqrt(weight)
+    while steps < cfg.max_steps:
+        # The public gradient, so that the gap certified here is the gap any
+        # caller computes; it differs from the categories' by a multiple of
+        # the all-ones vector, which moves neither the gap nor the step.
+        grad = _gradient(probs, counts, population, w)
+        lam = grad @ w
+        if grad.max() - lam <= tolerance:
             break
+        observed = cats @ w
+        scaled = cats * (root / observed)[:, None]
+        # minus the Hessian: sum_c C_c a_c a_c^T / (a_c . q)^2
+        direction = _newton_direction(scaled.T @ scaled, grad, w, (w > 0) | (grad > lam))
+        if direction is None or not grad @ direction > 0:
+            direction = -w
+            direction[int(np.argmax(grad))] += 1.0
+        # Ratio test: a step to the boundary sets the coordinates that reach it to 0.
+        shrinking = np.flatnonzero(direction < 0)
+        room = w[shrinking] / -direction[shrinking]
+        limit = room.min(initial=np.inf)
+        change = cats @ direction / observed  # relative change of each category per unit step
+        step = _line_search(change, weight, limit, tolerance)
+        slope = weight @ change
+        # Armijo backtrack. The gain is a sum of log1p terms, exact to rounding
+        # of itself, where a difference of two values would lose to rounding
+        # the gains of the last steps.
+        for _ in range(64):
+            gain = float(weight @ np.log1p(step * change))
+            if gain >= ARMIJO * step * slope:
+                break
+            step *= 0.5
+        if not gain > 0:
+            break  # no representable step gains: the gap is at rounding level
+        candidate = w + step * direction
+        if step == limit:
+            candidate[shrinking[room <= limit]] = 0.0
+        w, current = np.maximum(candidate, 0.0), current + gain
         steps += 1
+        if on_step is not None:
+            on_step(steps, MixtureWeights(w), current)
     return MixtureWeights(w), current, steps
+
+
+def _line_search(change: np.ndarray, weight: np.ndarray, limit: float,
+                 tolerance: float) -> float:
+    """The t in (0, limit] that maximizes sum_c weight_c ln(1 + t change_c),
+    to within ``tolerance``.
+
+    Newton's method on the derivative from t = 0, kept inside a bracket of
+    the maximizer: a step that leaves the bracket, or that fails to halve
+    the step before it (Newton's steps double next to a logarithm's pole),
+    is replaced by bisection.
+    """
+    fastest = change.min()
+    pole = -1.0 / fastest if fastest < 0 else np.inf
+    lo, hi, t, moved = 0.0, min(limit, pole), 0.0, np.inf
+    edge = limit < pole  # the objective is finite at limit, so the step may end there
+    for _ in range(100):
+        x = 1.0 + t * change
+        if not x.min() > 0:  # a pole that rounding placed at limit
+            hi, edge, t = t, False, 0.5 * (lo + t)
+            continue
+        ratio = change / x
+        rise, curvature = weight @ ratio, weight @ (ratio * ratio)
+        if rise > 0:
+            if t == limit:
+                break
+            lo = t
+        else:
+            hi, edge = t, False
+        if t > 0 and rise * rise <= tolerance * curvature:
+            break
+        new = t + rise / curvature
+        if edge and new >= hi:
+            new = hi
+        elif not lo < new < hi or abs(new - t) > 0.5 * moved:
+            new = 0.5 * (lo + hi)
+        moved, t = abs(new - t), new
+    return t
+
+
+def _newton_direction(curvature: np.ndarray, grad: np.ndarray, w: np.ndarray,
+                      free: np.ndarray) -> np.ndarray | None:
+    """Newton step of the quadratic model on the coordinates ``free``, with
+    the others fixed and the sum kept; None when fewer than two are free.
+
+    ``curvature`` is minus the Hessian. The step d is written as d = Z u,
+    where the last free coordinate balances the others, and u solves the
+    reduced system Z^T curvature Z u = Z^T grad. An empty coordinate the
+    step would push negative is fixed at 0 and the step solved again.
+
+    n is the number of dictionaries, a handful, so this works on Python
+    lists: at that size they cost less than numpy's calls, and no LAPACK
+    routine is loaded (``numpy.linalg.eigh`` alone added 0.8 MB of resident
+    code pages).
+    """
+    c, g, q = curvature.tolist(), grad.tolist(), w.tolist()
+    index = [i for i, f in enumerate(free.tolist()) if f]
+    while len(index) >= 2:
+        *head, last = index
+        matrix = [[c[i][j] - c[i][last] - c[last][j] + c[last][last] for j in head]
+                  for i in head]
+        u = _solve_semidefinite(matrix, [g[i] - g[last] for i in head])
+        direction = [0.0] * len(q)
+        for i, x in zip(head, u):
+            direction[i] = x
+        direction[last] = -sum(u)
+        pushed = {i for i in index if q[i] == 0 and direction[i] < 0}
+        if not pushed:
+            return np.array(direction)
+        index = [i for i in index if i not in pushed]
+    return None
+
+
+def _solve_semidefinite(matrix: list[list[float]], rhs: list[float]) -> list[float]:
+    """A solution u of matrix @ u = rhs for a positive semidefinite matrix.
+
+    Symmetric elimination, pivoting on the largest remaining diagonal entry
+    (pivoted Cholesky). Pivots below 1e-12 of the largest count as zero: their
+    components of u are 0, so a singular matrix (a likelihood flat along some
+    direction, where the maximizer is not unique) still gives a solution
+    when the system has one, as it does for a Newton step.
+    """
+    a, b = [row[:] for row in matrix], rhs[:]
+    remaining, order = list(range(len(b))), []
+    threshold = 1e-12 * max((a[i][i] for i in remaining), default=0.0)
+    while remaining:
+        p = max(remaining, key=lambda i: a[i][i])
+        if not a[p][p] > threshold:
+            break
+        remaining.remove(p)
+        order.append(p)
+        for i in remaining:
+            f = a[i][p] / a[p][p]
+            row_i, row_p = a[i], a[p]
+            for j in remaining:
+                row_i[j] -= f * row_p[j]
+            b[i] -= f * b[p]
+    u = [0.0] * len(b)
+    for k in range(len(order) - 1, -1, -1):
+        p = order[k]
+        u[p] = (b[p] - sum(a[p][j] * u[j] for j in order[k + 1:])) / a[p][p]
+    return u

@@ -112,28 +112,63 @@ class TraceRecord:
     estimate: MixtureWeights
 
 
-@dataclass(frozen=True)
 class AttackTrace:
-    """Per-guess record of one attack run plus an echo of its configuration."""
+    """Per-guess record of one attack run plus an echo of its configuration.
 
-    records: tuple[TraceRecord, ...]
-    init_policy: InitPolicy
-    guess_policy: GuessPolicy
-    seed: int
-    guess_budget: int
+    Kept as columns: ``words``, ``counts`` (an (m, 2) int64 array of each
+    guess's successes and the running total) and ``estimates`` (an (m, n)
+    array, row j the estimate after guess j). ``records`` rebuilds the
+    per-guess :class:`TraceRecord` view on demand.
+    """
 
-    def __post_init__(self):
-        running = 0
-        for r in self.records:
-            running += r.successes
-            if r.cumulative != running:
-                raise ValueError(
-                    f"cumulative {r.cumulative} at {r.word!r} != running sum {running}"
-                )
+    def __init__(self, records: Sequence[TraceRecord], init_policy: InitPolicy,
+                 guess_policy: GuessPolicy, seed: int, guess_budget: int):
+        m = len(records)
+        n = len(records[0].estimate) if m else 0
+        self._fill(tuple(r.word for r in records),
+                   np.array([(r.successes, r.cumulative) for r in records],
+                            dtype=np.int64).reshape(m, 2),
+                   np.array([r.estimate.q for r in records], dtype=float).reshape(m, n),
+                   init_policy, guess_policy, seed, guess_budget)
+        running = np.cumsum(self.counts[:, 0])
+        wrong = np.flatnonzero(running != self.counts[:, 1])
+        if wrong.size:
+            j = int(wrong[0])
+            raise ValueError(f"cumulative {self.counts[j, 1]} at {self.words[j]!r} "
+                             f"!= running sum {running[j]}")
+
+    @classmethod
+    def from_columns(cls, words: tuple[str, ...], counts: np.ndarray, estimates: np.ndarray,
+                     init_policy: InitPolicy, guess_policy: GuessPolicy, seed: int,
+                     guess_budget: int) -> "AttackTrace":
+        """A trace from columns whose running totals are right by construction."""
+        trace = cls.__new__(cls)
+        trace._fill(words, counts, estimates, init_policy, guess_policy, seed, guess_budget)
+        return trace
+
+    def _fill(self, words, counts, estimates, init_policy, guess_policy, seed, guess_budget):
+        counts.flags.writeable = estimates.flags.writeable = False
+        self.words, self.counts, self.estimates = words, counts, estimates
+        self.init_policy, self.guess_policy = init_policy, guess_policy
+        self.seed, self.guess_budget = seed, guess_budget
+
+    @property
+    def records(self) -> tuple[TraceRecord, ...]:
+        return tuple(TraceRecord(word, successes, cumulative, MixtureWeights(q))
+                     for word, (successes, cumulative), q
+                     in zip(self.words, self.counts.tolist(), self.estimates.tolist()))
 
     @property
     def cumulative_curve(self) -> tuple[int, ...]:
-        return tuple(r.cumulative for r in self.records)
+        return tuple(self.counts[:, 1].tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AttackTrace):
+            return NotImplemented
+        return (self.words == other.words and np.array_equal(self.counts, other.counts)
+                and np.array_equal(self.estimates, other.estimates)
+                and (self.init_policy, self.guess_policy, self.seed, self.guess_budget)
+                == (other.init_policy, other.guess_policy, other.seed, other.guess_budget))
 
 
 def run_attack(corpus: Corpus, ps: PasswordSet, init: InitPolicy, guess: GuessPolicy,
@@ -148,17 +183,23 @@ def run_attack(corpus: Corpus, ps: PasswordSet, init: InitPolicy, guess: GuessPo
         raise ValueError(f"guess budget must be >= 1, got {m}")
     rng = np.random.default_rng(seed)
     state = new_state(corpus, ps.size, init, rng)
-    records: list[TraceRecord] = []
+    words: list[str] = []
+    counts = np.zeros((m, 2), dtype=np.int64)
+    estimates = np.zeros((m, len(corpus)))
     cumulative = 0
-    for _ in range(m):
+    for j in range(m):
         word = select_guess(guess, corpus, state)
         if word is None:
             break
         successes = oracle_count(ps, word)
         record_observation(state, word, successes, corpus, init, cfg)
         cumulative += successes
-        records.append(TraceRecord(word, successes, cumulative, state.current_estimate))
-    return AttackTrace(tuple(records), init, guess, seed, m)
+        words.append(word)
+        counts[j] = successes, cumulative
+        estimates[j] = state.current_estimate.q
+    if len(words) < m:
+        counts, estimates = counts[:len(words)].copy(), estimates[:len(words)].copy()
+    return AttackTrace.from_columns(tuple(words), counts, estimates, init, guess, seed, m)
 
 
 def optimal_baseline(ps: PasswordSet, m: int) -> tuple[int, ...]:

@@ -25,8 +25,9 @@ from pwbandit import (
     run_attack,
     serialize_frequency_list,
 )
+from pwbandit import bandit
 from pwbandit.cli import main
-from pwbandit.mixture import estimate
+from pwbandit.mixture import GAP_TOL, DescentConfig, estimate, maximize
 
 from helpers import (
     assert_trace_dominated,
@@ -44,6 +45,8 @@ TRUTH = MixtureWeights((0.6, 0.3, 0.1))
 
 # every (trace, password_set) produced by the fixtures below, for criterion 7
 ALL_TRACES = []
+# (steps, final Frank-Wolfe gap) of every descent of criterion 6's attacks
+CRITERION_6_DESCENTS = []
 
 
 def _report(num: int, name: str, ok: bool) -> None:
@@ -79,17 +82,32 @@ def recovery_data(mixed_instance):
 
 @pytest.fixture(scope="module")
 def ordering_data(mixed_instance):
+    """Criterion 6's attacks; also records each descent's steps and final
+    Frank-Wolfe gap, computed here from the model's formula."""
     corpus, ps = mixed_instance
+
+    def recording(probs, counts, population, w, *args):
+        weights, loglik, steps = maximize(probs, counts, population, w, *args)
+        q = np.asarray(weights)
+        observed = probs @ q
+        hits = np.divide(counts, observed, out=np.zeros_like(counts), where=counts > 0)
+        g = (probs.T @ hits
+             - (population - counts.sum()) * probs.sum(axis=0) / (1.0 - observed.sum()))
+        CRITERION_6_DESCENTS.append((steps, float(g.max() - g @ q)))
+        return weights, loglik, steps
+
     started = time.perf_counter()
     finals = {}
-    for policy in GuessPolicy:
-        traces = [
-            run_attack(corpus, ps, InitPolicy.AVERAGE, policy, 100, seed=s)
-            for s in range(50)
-        ]
-        for trace in traces:
-            ALL_TRACES.append((trace, ps))
-        finals[policy] = [t.cumulative_curve[-1] for t in traces]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bandit, "maximize", recording)
+        for policy in GuessPolicy:
+            traces = [
+                run_attack(corpus, ps, InitPolicy.AVERAGE, policy, 100, seed=s)
+                for s in range(50)
+            ]
+            for trace in traces:
+                ALL_TRACES.append((trace, ps))
+            finals[policy] = [t.cumulative_curve[-1] for t in traces]
     elapsed = time.perf_counter() - started
     return finals, optimal_baseline(ps, 100), elapsed
 
@@ -227,6 +245,16 @@ def test_criterion_6_strategy_ordering(ordering_data):
     assert middle, f"BestDictionary mean {best:.0f} below RandomDictionary mean {rand:.0f}"
     assert near_optimal, f"ByQ mean {by_q:.0f} < 0.85 * optimal {baseline[-1]}"
     assert elapsed < 300.0, f"took {elapsed:.1f}s"
+
+
+def test_every_criterion_6_descent_is_certified(ordering_data):
+    # The solver stops on the Frank-Wolfe gap, an upper bound on how far the
+    # concave log-likelihood is below its maximum; the step cap never binds.
+    steps = [s for s, _ in CRITERION_6_DESCENTS]
+    gaps = [g for _, g in CRITERION_6_DESCENTS]
+    assert len(CRITERION_6_DESCENTS) == 3 * 50 * 100
+    assert max(gaps) <= GAP_TOL * 10_000, f"largest gap {max(gaps):.3g}"
+    assert max(steps) < DescentConfig().max_steps
 
 
 def test_criterion_7_no_trace_beats_the_baseline(recovery_data, ordering_data,

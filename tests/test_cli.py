@@ -315,6 +315,26 @@ def test_non_utf8_input_file_is_a_config_error(workdir, capsys, kind):
     assert capsys.readouterr().err.startswith(f"config error: {named}: ")
 
 
+def test_config_paths_are_relative_to_the_config_file(tmp_path, monkeypatch):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "d1.tsv").write_text("alpha\t8\nbeta\t2\n", encoding="utf-8")
+    (tmp_path / "a" / "leak.txt").write_text("beta\nalpha\nbeta\n", encoding="utf-8")
+    (tmp_path / "a" / "e.ini").write_text(
+        "[dictionaries]\nd1 = d1.tsv\n\n[composition]\npasswords = leak.txt\n\n"
+        "[attack]\nguesses = 2\nruns = 1\n", encoding="utf-8")
+    (tmp_path / "b").mkdir()
+    for cwd, config in ((tmp_path, "a/e.ini"), (tmp_path / "b", "../a/e.ini"),
+                        (tmp_path / "a", "e.ini")):
+        monkeypatch.chdir(cwd)
+        assert main(["baseline", "--config", config]) == 0
+        # the output directory stays relative to the working directory
+        _, rows = read_csv(cwd / "out" / "baseline.csv")
+        assert rows == [["1", "2"], ["2", "3"]]
+        assert main(["attack", "--config", config]) == 0
+        _, rows = read_csv(cwd / "out" / "trace.csv")
+        assert [row[2:5] for row in rows] == [["alpha", "1", "1"], ["beta", "2", "3"]]
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("compose", "--runs", "1"), ("compose", "--init", "best"), ("estimate", "--guess", "by-q"),
     ("estimate", "--guesses", "1"), ("baseline", "--seed", "5"), ("baseline", "--init", "best"),

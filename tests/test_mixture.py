@@ -17,6 +17,7 @@ from pwbandit import (
     project_to_simplex,
 )
 from pwbandit.errors import DimensionMismatch, EmptyInput
+from pwbandit.mixture import GAP_TOL
 
 from helpers import (
     central_difference_gradient,
@@ -233,19 +234,72 @@ def test_estimate_monotone_ascent_and_improves_on_init(two_dicts):
 
 @pytest.mark.parametrize("k", [1, 5, 10])
 def test_estimate_stops_at_max_steps(k):
-    c = Corpus((
-        Dictionary("d1", (("alpha", 8), ("beta", 2))),
-        Dictionary("d2", (("beta", 9), ("gamma", 1))),
-    ))
-    h = GuessHistory(200, (("beta", 95), ("alpha", 96)))
+    # Fourteen dictionaries rank alpha and beta in opposite orders, and beta
+    # cracks 150 of 200 users where alpha cracks 10: the maximizer is the
+    # vertex of the dictionary that ranks beta highest. From the uniform
+    # point each Newton step stops at the boundary where one more dictionary
+    # leaves the support, so the descent takes 13 steps.
+    n = 14
+    c = Corpus(tuple(Dictionary(f"d{i}", (("alpha", i + 1), ("beta", n - i), ("gamma", 3)))
+                     for i in range(n)))
+    h = GuessHistory(200, (("beta", 150), ("alpha", 10)))
     uncapped = []
-    estimate(c, h, MixtureWeights.uniform(2), on_step=lambda i, w, ll: uncapped.append(i))
+    estimate(c, h, MixtureWeights.uniform(n), on_step=lambda i, w, ll: uncapped.append(i))
     assert len(uncapped) > k + 1  # the cap below binds
     capped = []
-    _, _, steps = estimate(c, h, MixtureWeights.uniform(2), DescentConfig(max_steps=k),
+    _, _, steps = estimate(c, h, MixtureWeights.uniform(n), DescentConfig(max_steps=k),
                            on_step=lambda i, w, ll: capped.append(i))
     assert capped == list(range(k + 1))
     assert steps == k
+
+
+def fw_gap(corpus, weights, history) -> float:
+    g = gradient(corpus, weights, history)
+    return float(g.max() - g @ np.asarray(weights))
+
+
+@pytest.mark.parametrize("observations", [
+    # Q_c = 0 at the start, yet c cracked 30 users
+    (("c", 30), ("a", 20), ("b", 0)),
+    # d1's words are all guessed, so the rest has probability 0 at the start
+    # (1.1e-16 after rounding) while 40 users remain
+    (("x", 10), ("a", 20), ("b", 10), ("w", 0)),
+])
+def test_estimate_leaves_a_face_where_an_observed_category_has_probability_zero(observations):
+    c = Corpus((
+        Dictionary("d1", (("a", 43), ("b", 32), ("x", 23), ("w", 13))),
+        Dictionary("d2", (("b", 5), ("c", 5), ("y", 5))),
+        Dictionary("d3", (("a", 1), ("c", 9), ("z", 5))),
+    ))
+    h = GuessHistory(100, observations)
+    start = MixtureWeights((1.0, 0.0, 0.0))
+    trajectory = []
+    weights, loglik, _ = estimate(c, h, start, on_step=lambda i, w, ll: trajectory.append(ll))
+    observed = c.probability_rows(h.words) @ np.asarray(weights)
+    assert all(observed[j] > 0 for j, (_, n) in enumerate(h.observations) if n > 0)
+    assert 1.0 - observed.sum() > 0
+    assert fw_gap(c, weights, h) <= GAP_TOL * h.population
+    assert trajectory[0] == -math.inf  # the unfloored likelihood of the start
+    assert trajectory[1:] == sorted(trajectory[1:])
+    assert loglik > log_likelihood(c, start, h)
+    assert loglik == pytest.approx(log_likelihood(c, weights, h), abs=1e-9)
+
+
+def test_estimate_converges_once_every_word_is_guessed():
+    # 50 of the 100 users hold words outside the dictionaries: the rest
+    # category has no probability left anywhere, and drops out.
+    c = Corpus((
+        Dictionary("d1", (("a", 8), ("b", 2))),
+        Dictionary("d2", (("b", 5), ("c", 5))),
+        Dictionary("d3", (("a", 1), ("c", 9))),
+    ))
+    h = GuessHistory(100, (("c", 30), ("a", 20), ("b", 0)))
+    grid_max, _ = grid_loglik_max(c, h, pitch=0.01)
+    for start in (MixtureWeights.uniform(3), MixtureWeights((1.0, 0.0, 0.0))):
+        weights, loglik, steps = estimate(c, h, start)
+        assert fw_gap(c, weights, h) <= GAP_TOL * h.population
+        assert steps < DescentConfig().max_steps
+        assert loglik >= grid_max - 1e-3
 
 
 def test_estimate_is_deterministic(two_dicts):
