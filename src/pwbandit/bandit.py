@@ -84,13 +84,88 @@ def new_state(corpus: Corpus, population: int, init: InitPolicy,
     )
 
 
-def _next_unguessed(corpus: Corpus, state: BanditState, i: int) -> str | None:
-    """Most popular unguessed word of dictionary i, moving its cursor up to it."""
+# Scoring every vocabulary row for by-q costs about a nanosecond per
+# vocab_probs entry; the threshold walk (_by_q_candidates) costs 30-50 us
+# however few rows it keeps (2-core Xeon, numpy 2.4). So by-q walks only when
+# vocab_probs has more than _FULL_SCORE_ENTRIES entries, and scores every row
+# when the walk keeps more than one row in _WALK_SHARE. Both give the same word.
+_FULL_SCORE_ENTRIES = 1 << 15
+_WALK_SHARE = 8
+_EPS = float(np.finfo(float).eps)
+
+
+def _next_unguessed(corpus: Corpus, state: BanditState, i: int) -> int:
+    """Rank of dictionary i's most popular unguessed word (its length when
+    every word is guessed), moving its cursor up to it."""
     rows, rank, guessed = corpus.ranked_rows[i], state.cursors[i], state.guessed
     while rank < len(rows) and guessed[rows[rank]]:
         rank += 1
     state.cursors[i] = rank
-    return corpus.union_vocabulary[rows[rank]] if rank < len(rows) else None
+    return rank
+
+
+def _by_q_candidates(corpus: Corpus, state: BanditState, q: np.ndarray,
+                     slack: float) -> np.ndarray:
+    """Rows that hold every unguessed word the full product could rank first.
+
+    This is the threshold algorithm (Fagin, Lotem & Naor 2003) over the
+    ranked lists. Let B be the best score among the dictionaries' heads, the
+    first unguessed words at the cursors. The winner scores at least B up to
+    rounding, and a score is at most sum(q) times the word's largest p_i; so
+    the winner has p_i >= floor, B / sum(q) less the slack, in some
+    dictionary i. Each list is sorted, so those words lie between the cursor
+    and the first rank below floor, which probes at ranks cursor + 2^j - 1
+    bracket. Rows may repeat, and some may be guessed; none are returned
+    once every word is guessed.
+    """
+    probs, ranked = corpus.vocab_probs, corpus.ranked_rows
+    ranks = [_next_unguessed(corpus, state, i) for i in range(len(ranked))]
+    live = [i for i, rank in enumerate(ranks) if rank < len(ranked[i])]
+    if not live:
+        return np.empty(0, dtype=np.intp)
+    floor = (probs[[ranked[i][ranks[i]] for i in live]] @ q).max() / q.sum() * (1.0 - slack)
+    parts = []
+    for i in live:
+        rows, rank = ranked[i], ranks[i]
+        end, span = rank, 1
+        while end < len(rows) and probs[rows[end], i] >= floor:
+            end, span = rank + span, 2 * span + 1
+        parts.append(rows[rank:end])
+    return np.concatenate(parts)
+
+
+def _best_of_all_rows(probs: np.ndarray, guessed: np.ndarray, q: np.ndarray) -> int | None:
+    scores = probs @ q
+    np.putmask(scores, guessed, -np.inf)
+    # union_vocabulary is sorted, so the first argmax is the tie-break winner
+    best = int(np.argmax(scores))
+    return None if guessed[best] else best
+
+
+def _best_by_q(corpus: Corpus, state: BanditState) -> int | None:
+    """Row of the unguessed word with the highest ``vocab_probs @ q`` score,
+    the lowest row among equal scores; None once every word is guessed."""
+    probs, guessed = corpus.vocab_probs, state.guessed
+    q = np.asarray(state.current_estimate)
+    if probs.size <= _FULL_SCORE_ENTRIES:
+        return _best_of_all_rows(probs, guessed, q)
+    # Any rounding of a sum of n non-negative products q_i p_i (in any order,
+    # fused or not) is within n eps of the exact sum, relatively. The slack
+    # covers two such roundings, plus those of sum(q) and of floor.
+    slack = 8 * (len(q) + 2) * _EPS
+    rows = _by_q_candidates(corpus, state, q, slack)
+    if not rows.size:
+        return None
+    if len(rows) * _WALK_SHARE > len(probs):
+        return _best_of_all_rows(probs, guessed, q)
+    scores = probs[rows] @ q
+    np.putmask(scores, guessed[rows], -np.inf)
+    # A product over fewer rows may round a score differently from the full
+    # one, by less than the slack. So a winner clear of the rest by more than
+    # the slack is the full product's winner too; near ties (such as words
+    # with equal probability rows) go to the full product.
+    top = rows[scores >= scores.max() * (1.0 - slack)]
+    return int(top[0]) if top.min() == top.max() else _best_of_all_rows(probs, guessed, q)
 
 
 def select_guess(policy: GuessPolicy, corpus: Corpus, state: BanditState) -> str | None:
@@ -101,22 +176,21 @@ def select_guess(policy: GuessPolicy, corpus: Corpus, state: BanditState) -> str
     BEST_DICTIONARY, lexicographic least word for BY_Q).
     """
     if policy is GuessPolicy.BY_Q:
-        scores = corpus.vocab_probs @ np.asarray(state.current_estimate)
-        np.putmask(scores, state.guessed, -np.inf)
-        # union_vocabulary is sorted, so the first argmax is the tie-break winner
-        best = int(np.argmax(scores))
-        return None if state.guessed[best] else corpus.union_vocabulary[best]
+        best = _best_by_q(corpus, state)
+        return None if best is None else corpus.union_vocabulary[best]
 
-    heads = [_next_unguessed(corpus, state, i) for i in range(len(corpus))]
-    eligible = [i for i, word in enumerate(heads) if word is not None]
+    ranks = [_next_unguessed(corpus, state, i) for i in range(len(corpus))]
+    eligible = [i for i, rank in enumerate(ranks) if rank < len(corpus.ranked_rows[i])]
     if not eligible:
         return None
     if policy is GuessPolicy.RANDOM_DICTIONARY:
-        return heads[eligible[int(state.rng.integers(len(eligible)))]]
-    if policy is GuessPolicy.BEST_DICTIONARY:
+        i = eligible[int(state.rng.integers(len(eligible)))]
+    elif policy is GuessPolicy.BEST_DICTIONARY:
         # max keeps the first of equal weights: the lowest dictionary index
-        return heads[max(eligible, key=state.current_estimate.__getitem__)]
-    raise ValueError(f"unknown guess policy: {policy!r}")
+        i = max(eligible, key=state.current_estimate.__getitem__)
+    else:
+        raise ValueError(f"unknown guess policy: {policy!r}")
+    return corpus.union_vocabulary[corpus.ranked_rows[i][ranks[i]]]
 
 
 def record_observation(state: BanditState, word: str, successes: int,

@@ -90,7 +90,10 @@ def cmd_compose(cfg: ExperimentConfig) -> None:
     ps = compose_password_set(corpus, cfg.proportions, cfg.population, cfg.composition_seed)
     out = _out_dir(cfg)
     set_path = out / "password_set.txt"
-    with open(set_path, "w", encoding="utf-8", newline="") as handle:
+    # As in save_frequency_file: a first password that begins with U+FEFF is
+    # written after a byte-order mark, which the loader drops instead.
+    encoding = "utf-8-sig" if ps.passwords[0].startswith("\ufeff") else "utf-8"
+    with open(set_path, "w", encoding=encoding, newline="") as handle:
         handle.writelines(f"{pw}\n" for pw in ps.passwords)
     counts = largest_remainder_counts(cfg.proportions, cfg.population)
     meta_path = out / "password_set.meta"

@@ -134,8 +134,12 @@ def load_frequency_file(name: str, path: str | Path) -> Dictionary:
 
 
 def save_frequency_file(d: Dictionary, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(serialize_frequency_list(d))
+    text = serialize_frequency_list(d)
+    # Loaders drop a leading U+FEFF as a byte-order mark, so a first word that
+    # begins with one is written after a real byte-order mark.
+    encoding = "utf-8-sig" if text.startswith("\ufeff") else "utf-8"
+    with open(path, "w", encoding=encoding, newline="") as handle:
+        handle.write(text)
 
 
 @dataclass(frozen=True)

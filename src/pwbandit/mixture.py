@@ -203,17 +203,22 @@ def project_to_simplex(v: Sequence[float]) -> MixtureWeights:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise EmptyInput(f"cannot project shape {arr.shape}")
-    # Sort and threshold. With entries of large magnitude the shift's
-    # cancellation leaves rounding error far above the simplex tolerance,
-    # which the final division removes.
+    if not np.isfinite(arr).all():
+        raise ValueError(f"cannot project non-finite entries {arr}")
+    # Adding one constant to every entry leaves the projection unchanged, so
+    # the largest entry is moved to 0. An entry 1 or more below the largest
+    # projects to 0, and still does when clipped at -2; the clip keeps a
+    # difference beyond the float range finite.
+    with np.errstate(over="ignore"):
+        arr = np.maximum(arr - arr.max(), -2.0)
+    # Sort and threshold. The largest entry passes (0 + 1 > 0), so rho exists
+    # and its shift is positive, which keeps that entry, and the sum, above 0.
+    # The final division removes rounding error in the shifts.
     u = np.sort(arr)[::-1]
     shifts = (1.0 - np.cumsum(u)) / np.arange(1, arr.size + 1)
     rho = int(np.nonzero(u + shifts > 0)[0][-1])
     out = np.maximum(arr + shifts[rho], 0.0)
-    total = out.sum()
-    if total <= 0.0:
-        out, total = np.eye(arr.size)[int(np.argmax(arr))], 1.0
-    return MixtureWeights(out / total)
+    return MixtureWeights(out / out.sum())
 
 
 StepCallback = Callable[[int, MixtureWeights, float], None]

@@ -1,6 +1,9 @@
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from pwbandit import (
     Corpus,
@@ -9,12 +12,15 @@ from pwbandit import (
     GuessPolicy,
     InitPolicy,
     MixtureWeights,
+    compose_password_set,
     estimate,
     initialize_weights,
     new_state,
+    oracle_count,
     record_observation,
     select_guess,
 )
+from pwbandit import bandit
 from pwbandit.errors import DuplicateGuess, SuccessExceedsPopulation
 
 from helpers import zipf_dictionary
@@ -92,6 +98,83 @@ def test_by_q_is_invariant_to_count_scale(overlap_pair):
         assert select_guess(GuessPolicy.BY_Q, overlap_pair, s1) == select_guess(
             GuessPolicy.BY_Q, scaled, s2
         )
+
+
+def by_q_reference(corpus, state):
+    """The whole-vocabulary formula: first argmax of vocab_probs @ q over unguessed rows."""
+    scores = corpus.vocab_probs @ np.asarray(state.current_estimate)
+    scores[state.guessed] = -np.inf
+    best = int(np.argmax(scores))
+    return None if state.guessed[best] else corpus.union_vocabulary[best]
+
+
+@contextmanager
+def always_walk():
+    """by-q takes the threshold walk whatever the vocabulary size and however
+    many rows the walk keeps."""
+    with mock.patch.object(bandit, "_FULL_SCORE_ENTRIES", 0), \
+            mock.patch.object(bandit, "_WALK_SHARE", 0):
+        yield
+
+
+@st.composite
+def by_q_states(draw):
+    """A corpus over a pool of 8 words with counts 1-3, so that counts tie and
+    words share dictionaries (often with equal probability rows); a q with
+    exact zeros; and a state with random guessed words, cursors anywhere up to
+    each dictionary's first unguessed word."""
+    pool = [f"w{j}" for j in range(8)]
+    dictionaries = []
+    for i in range(draw(st.integers(1, 4))):
+        words = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True))
+        counts = draw(st.lists(st.integers(1, 3), min_size=len(words), max_size=len(words)))
+        dictionaries.append(Dictionary(f"d{i}", tuple(zip(words, counts))))
+    corpus = Corpus(tuple(dictionaries))
+    n, size = len(corpus), len(corpus.union_vocabulary)
+    raw = draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.25, 1 / 3, 0.5, 0.7, 1.0])
+                        | st.floats(0.0, 1.0), min_size=n, max_size=n).filter(any))
+    state = new_state(corpus, 100, InitPolicy.AVERAGE, np.random.default_rng(0))
+    state.current_estimate = MixtureWeights(np.array(raw) / sum(raw))
+    state.guessed[:] = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    for i, rows in enumerate(corpus.ranked_rows):
+        first = next((r for r, v in enumerate(rows) if not state.guessed[v]), len(rows))
+        state.cursors[i] = draw(st.integers(0, first))
+    return corpus, state
+
+
+@given(by_q_states())
+def test_by_q_walk_equals_the_whole_vocabulary_formula(case):
+    corpus, state = case
+    with always_walk():
+        while True:
+            expected = by_q_reference(corpus, state)
+            assert select_guess(GuessPolicy.BY_Q, corpus, state) == expected
+            if expected is None:
+                break
+            mark_guessed(corpus, state, expected)
+
+
+def test_by_q_walk_picks_every_guess_of_an_attack_on_a_large_vocabulary(monkeypatch):
+    # Three overlapping 20,000-word lists: the walk keeps a few dozen of about
+    # 29,000 rows per guess, so every guess takes the pruned path, and none
+    # scores the whole vocabulary.
+    rng = np.random.default_rng(5)
+    pool = [f"w{j:05d}" for j in range(30_000)]
+    corpus = Corpus(tuple(zipf_dictionary(f"d{i}", rng.permutation(pool)[:20_000].tolist(),
+                                          exponent=0.9) for i in range(3)))
+    assert corpus.vocab_probs.size > bandit._FULL_SCORE_ENTRIES
+    ps = compose_password_set(corpus, MixtureWeights((0.5, 0.3, 0.2)), 20_000, seed=3)
+    full_scores = []
+    score_all = bandit._best_of_all_rows
+    monkeypatch.setattr(bandit, "_best_of_all_rows",
+                        lambda *args: full_scores.append(1) or score_all(*args))
+    state = new_state(corpus, ps.size, InitPolicy.RANDOM, np.random.default_rng(9))
+    for _ in range(200):
+        word = select_guess(GuessPolicy.BY_Q, corpus, state)
+        assert word == by_q_reference(corpus, state)
+        record_observation(state, word, oracle_count(ps, word), corpus, InitPolicy.RANDOM)
+    assert not full_scores
+    assert len(set(state.history.words)) == 200
 
 
 def test_best_dictionary_follows_weights_and_breaks_ties_low(overlap_pair):

@@ -1,8 +1,12 @@
 import csv
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from pwbandit.cli import main
+from pwbandit import PasswordSet
+from pwbandit.cli import _load_password_lines, main
 from pwbandit.config import (
     ExperimentConfig,
     load_config,
@@ -12,6 +16,8 @@ from pwbandit.config import (
 )
 from pwbandit.errors import ConfigError
 from pwbandit.mixture import DescentConfig
+
+from test_dictionary import BOM, file_bytes, words_st
 
 BASE_CONFIG = """\
 [dictionaries]
@@ -204,6 +210,25 @@ def test_crlf_inputs_give_the_same_outputs_as_lf(workdir):
     assert outputs["bom"] == outputs["lf"]
     _, rows = read_csv(workdir / "crlf" / "trace.csv")
     assert [r[4] for r in rows] == ["2", "3", "4"]
+
+
+@given(st.lists(words_st, min_size=1, max_size=20), st.booleans(), st.data())
+def test_password_file_ignores_line_endings_and_a_byte_order_mark(passwords, bom, data):
+    raw = file_bytes(passwords, data, bom)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "leak.txt"
+        path.write_bytes(raw)
+        assert _load_password_lines(str(path)) == PasswordSet(tuple(passwords))
+
+
+def test_composed_first_password_beginning_with_a_bom_survives(tmp_path):
+    (tmp_path / "d1.tsv").write_bytes((BOM + BOM + "x\t5\n").encode("utf-8"))
+    config = tmp_path / "bom.ini"
+    config.write_text(f"[dictionaries]\nd1 = d1.tsv\n\n[composition]\nproportions = 1.0\n"
+                      f"users = 3\n\n[output]\ndir = {tmp_path / 'out'}\n", encoding="utf-8")
+    assert main(["compose", "--config", str(config)]) == 0
+    loaded = _load_password_lines(str(tmp_path / "out" / "password_set.txt"))
+    assert loaded.passwords == (BOM + "x",) * 3
 
 
 def test_estimate_trajectory_csv(workdir):

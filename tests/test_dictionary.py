@@ -1,8 +1,10 @@
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from pwbandit import (
     Corpus,
@@ -20,6 +22,8 @@ from pwbandit.errors import (
     MalformedLine,
     NonPositiveCount,
 )
+
+BOM = "\ufeff"
 
 words_st = st.text(
     alphabet=st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
@@ -159,6 +163,41 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "mine.tsv"
     save_frequency_file(d, path)
     assert path.read_bytes() == b"123456\t99\nhunter2\t41\nqwerty\t41\n"
+    assert load_frequency_file("mine", path) == d
+
+
+def file_bytes(lines, data, bom):
+    """``lines`` ending in LF throughout, CRLF throughout or a random mix,
+    the last one perhaps in nothing, after a UTF-8 byte-order mark if ``bom``."""
+    style = data.draw(st.sampled_from(["lf", "crlf", "mixed"]))
+    ends = {"lf": ["\n"], "crlf": ["\r\n"], "mixed": ["\n", "\r\n"]}[style]
+    endings = [data.draw(st.sampled_from(ends)) for _ in lines]
+    endings[-1] = data.draw(st.sampled_from(ends + [""]))
+    text = "".join(line + end for line, end in zip(lines, endings))
+    # Without a byte-order mark, a first line that begins with U+FEFF is read
+    # as having one: the format's rule, which the writers follow (see
+    # test_first_word_beginning_with_a_bom_survives_a_file_round_trip).
+    assume(bom or not text.startswith(BOM))
+    return ((BOM if bom else "") + text).encode("utf-8")
+
+
+@given(entries_st, st.booleans(), st.data())
+def test_loaders_ignore_line_endings_and_a_byte_order_mark(counts, bom, data):
+    expected = Dictionary("t", tuple(counts.items()))
+    raw = file_bytes([f"{w}\t{c}" for w, c in counts.items()], data, bom)
+    stream = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
+    assert load_frequency_list("t", stream) == expected
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.tsv"
+        path.write_bytes(raw)
+        assert load_frequency_file("t", path) == expected
+
+
+def test_first_word_beginning_with_a_bom_survives_a_file_round_trip(tmp_path):
+    d = Dictionary("mine", ((BOM + "x", 9), ("y", 1)))
+    path = tmp_path / "mine.tsv"
+    save_frequency_file(d, path)
+    assert path.read_bytes() == (BOM + BOM + "x\t9\ny\t1\n").encode("utf-8")
     assert load_frequency_file("mine", path) == d
 
 

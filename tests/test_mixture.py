@@ -165,7 +165,23 @@ def test_project_empty():
         project_to_simplex([])
 
 
-@given(st.lists(st.floats(-10, 10), min_size=1, max_size=6))
+@pytest.mark.parametrize("values,expected", [
+    ([3e16, 1.0], (1.0, 0.0)),
+    ([1e300, 1e300], (0.5, 0.5)),
+    ([1.0, 3e16, 3e16], (0.0, 0.5, 0.5)),
+    ([-1.7e308, 1.7e308], (0.0, 1.0)),  # the difference is past the float range
+])
+def test_project_entries_of_large_magnitude(values, expected):
+    assert project_to_simplex(values).q == expected
+
+
+@pytest.mark.parametrize("values", [[np.inf, 1.0], [1.0, -np.inf], [np.nan, 0.5]])
+def test_project_rejects_non_finite_entries(values):
+    with pytest.raises(ValueError, match="non-finite"):
+        project_to_simplex(values)
+
+
+@given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=6))
 def test_project_lands_on_simplex_and_is_idempotent(values):
     projected = project_to_simplex(values)
     assert sum(projected) == pytest.approx(1.0, abs=1e-9)
