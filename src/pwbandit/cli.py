@@ -6,7 +6,8 @@ Subcommands:
     estimate  run the oracle on a fixed guess list and dump the descent trajectory
     baseline  write the optimal guessing curve for the configured password set
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 internal error.
+Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 internal error
+(its traceback goes to standard error, before ``internal error: <message>``).
 An input file (config, dictionary or password set) that is not UTF-8 text
 is a configuration error.
 """
@@ -17,6 +18,7 @@ import argparse
 import csv
 import dataclasses
 import sys
+import traceback
 from pathlib import Path
 from typing import Sequence
 
@@ -261,6 +263,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # anything else is an internal invariant violation
+        traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
 

@@ -186,7 +186,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     else:
         lines.append("proportions = " + ", ".join(repr(q) for q in cfg.proportions))
         lines.append(f"users = {cfg.population}")
-        lines.append(f"seed = {cfg.composition_seed}")
+    lines.append(f"seed = {cfg.composition_seed}")  # with a password file too, for round trips
     lines += [
         "",
         "[attack]",

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -30,12 +31,11 @@ from .errors import (
 _FORBIDDEN_CHARS = ("\t", "\n", "\r")
 
 
-def _check_word(word: str) -> None:
-    if not word:
-        raise ValueError("empty word")
-    for ch in _FORBIDDEN_CHARS:
-        if ch in word:
-            raise ValueError(f"word contains forbidden character {ch!r}: {word!r}")
+def _rank_order(entries: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
+    """Count descending, ties by ascending word: two stable sorts."""
+    ranked = sorted(entries, key=itemgetter(0))
+    ranked.sort(key=itemgetter(1), reverse=True)
+    return tuple(ranked)
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,13 @@ class Dictionary:
     total_count: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        entries = tuple(sorted(self.entries, key=lambda e: (-e[1], e[0])))
+        entries = _rank_order(self.entries)
         if not entries:
             raise EmptyDictionary("dictionary has no entries")
         seen: set[str] = set()
-        total = 0
         for word, count in entries:
-            _check_word(word)
+            if not word or any(ch in word for ch in _FORBIDDEN_CHARS):
+                raise ValueError(f"invalid word {word!r}")
             if not isinstance(count, int) or isinstance(count, bool):
                 raise ValueError(f"count for {word!r} is not an integer: {count!r}")
             if count <= 0:
@@ -67,9 +67,7 @@ class Dictionary:
             if word in seen:
                 raise DuplicateWord(f"duplicate word {word!r}")
             seen.add(word)
-            total += count
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "total_count", total)
+        self.__dict__.update(entries=entries, total_count=sum(map(itemgetter(1), entries)))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -87,10 +85,9 @@ def load_frequency_list(name: str, source: Iterable[str]) -> Dictionary:
     """Parse a `word<TAB>count` line stream into a validated Dictionary.
 
     ``source`` is any iterable of text lines (an open file works). Blank
-    lines are ignored. Entries are re-sorted per the rank order regardless
-    of input order. Lines may end in LF or CRLF. A count is ASCII digits
-    with at most one leading ``-`` (no ``+``, spaces, underscores or
-    non-ASCII digits). Raises MalformedLine,
+    lines are ignored and entries are put in rank order. Lines may end in
+    LF or CRLF. A count is ASCII digits with at most one leading ``-`` (no
+    ``+``, spaces, underscores or non-ASCII digits). Raises MalformedLine,
     NonPositiveCount, DuplicateWord or EmptyDictionary; each carries the
     offending 1-based line number.
     """
@@ -100,10 +97,9 @@ def load_frequency_list(name: str, source: Iterable[str]) -> Dictionary:
         line = raw.rstrip("\r\n")
         if not line:
             continue
-        parts = line.split("\t")
-        if len(parts) != 2:
+        word, tab, count_text = line.partition("\t")
+        if not tab or "\t" in count_text:
             raise MalformedLine("expected `word<TAB>count`", line=line_no)
-        word, count_text = parts
         try:
             if not (count_text.isascii() and count_text.removeprefix("-").isdigit()):
                 raise ValueError
@@ -112,15 +108,18 @@ def load_frequency_list(name: str, source: Iterable[str]) -> Dictionary:
             raise MalformedLine(f"count is not an integer: {count_text!r}", line=line_no) from None
         if count <= 0:
             raise NonPositiveCount(f"count must be positive, got {count}", line=line_no)
-        if not word or any(ch in word for ch in _FORBIDDEN_CHARS):
+        if not word or "\n" in word or "\r" in word:  # the split left no tab in it
             raise MalformedLine(f"invalid word {word!r}", line=line_no)
-        if word in seen:
-            raise DuplicateWord(f"word {word!r} already seen at line {seen[word]}", line=line_no)
-        seen[word] = line_no
+        first = seen.setdefault(word, line_no)
+        if first != line_no:
+            raise DuplicateWord(f"word {word!r} already seen at line {first}", line=line_no)
         entries.append((word, count))
     if not entries:
         raise EmptyDictionary("stream contains no entries")
-    return Dictionary(name, tuple(entries))
+    d = object.__new__(Dictionary)  # skips __post_init__: each line passed the checks above
+    d.__dict__.update(name=name, entries=_rank_order(entries),
+                      total_count=sum(map(itemgetter(1), entries)))
+    return d
 
 
 def serialize_frequency_list(d: Dictionary) -> str:

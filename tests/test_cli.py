@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from pwbandit import PasswordSet
-from pwbandit.cli import _load_password_lines, main
+import pwbandit.cli
+from pwbandit import GuessPolicy, InitPolicy, MixtureWeights, PasswordSet
+from pwbandit.cli import _OVERRIDES, _apply_overrides, _build_parser, _load_password_lines, main
 from pwbandit.config import (
     ExperimentConfig,
     load_config,
@@ -76,6 +77,52 @@ def test_config_round_trip_is_a_fixed_point(workdir):
     assert serialize_config(second) == text
     save_config(second, workdir / "copy.ini")
     assert load_config(workdir / "copy.ini") == first
+
+
+names_st = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,7}", fullmatch=True)
+paths_st = st.from_regex(r"[A-Za-z0-9_./][A-Za-z0-9_./-]{0,15}", fullmatch=True)
+
+
+@st.composite
+def configs_st(draw):
+    """A valid config, composed from proportions or read from a password file."""
+    names = draw(st.lists(names_st, min_size=1, max_size=4, unique=True))
+    dictionaries = tuple((name, draw(paths_st)) for name in names)
+    if draw(st.booleans()):
+        return ExperimentConfig(dictionaries, password_file=draw(paths_st))
+    weights = draw(st.lists(st.integers(0, 9), min_size=len(names), max_size=len(names))
+                   .filter(any))
+    return ExperimentConfig(
+        dictionaries, proportions=MixtureWeights([w / sum(weights) for w in weights]),
+        population=draw(st.integers(1, 10**6)), composition_seed=draw(st.integers(0, 10**6)))
+
+
+@st.composite
+def overrides_st(draw, command):
+    """Values for some of ``command``'s override flags, in range or not."""
+    values = {"seed": st.integers(-3, 10**6), "runs": st.integers(-3, 100),
+              "guesses": st.integers(-3, 1000), "out": paths_st,
+              "init": st.sampled_from([p.value for p in InitPolicy]),
+              "guess": st.sampled_from([p.value for p in GuessPolicy])}
+    return {flag: draw(values[flag]) for flag in _OVERRIDES[command] if draw(st.booleans())}
+
+
+@given(configs_st(), st.sampled_from(list(_OVERRIDES)), st.data())
+def test_config_round_trips_after_cli_overrides(cfg, command, data):
+    flags = data.draw(overrides_st(command))
+    argv = [command, "--config", "unused.ini"]
+    for flag, value in flags.items():
+        argv += [f"--{flag}", str(value)]
+    if command == "estimate":
+        argv.append("beta")
+    args = _build_parser().parse_args(argv)
+    lowest = {"seed": 0, "runs": 1, "guesses": 1}
+    if any(value < lowest[flag] for flag, value in flags.items() if flag in lowest):
+        with pytest.raises(ConfigError):
+            _apply_overrides(cfg, args)
+        return
+    overridden = _apply_overrides(cfg, args)
+    assert parse_config(serialize_config(overridden)) == overridden
 
 
 @pytest.mark.parametrize("mutation, field", [
@@ -319,6 +366,18 @@ def test_exit_codes(workdir, capsys):
         negative.write_text(text.replace(seed_line, "seed = -1\n"), encoding="utf-8")
         assert main(["attack", "--config", str(negative)]) == 2
         assert f"config error: {field}" in capsys.readouterr().err
+
+
+def test_internal_error_prints_its_traceback(workdir, capsys, monkeypatch):
+    def fail(cfg):
+        raise RuntimeError("invariant broken")
+
+    monkeypatch.setattr(pwbandit.cli, "cmd_baseline", fail)
+    assert main(["baseline", "--config", str(workdir / "experiment.ini")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert "RuntimeError: invariant broken" in err
+    assert err.splitlines()[-1] == "internal error: invariant broken"
 
 
 @pytest.mark.parametrize("kind", ["config", "dictionary", "passwords"])

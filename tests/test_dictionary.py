@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pwbandit import (
     Corpus,
@@ -19,6 +19,7 @@ from pwbandit.errors import (
     DuplicateWord,
     EmptyDictionary,
     EmptyInput,
+    FrequencyListError,
     MalformedLine,
     NonPositiveCount,
 )
@@ -66,6 +67,99 @@ def test_load_bad_lines(line, error):
     with pytest.raises(error) as exc:
         load_frequency_list("t", ["ok\t5", line])
     assert exc.value.line == 2
+
+
+def reference_load(name, source):
+    """The loader as it was when each line was checked twice: this loop, then
+    ``Dictionary`` validating the entries again. Returns the entries sorted by
+    the ``(-count, word)`` key, and their total."""
+    entries = []
+    seen = {}
+    for line_no, raw in enumerate(source, start=1):
+        line = raw.rstrip("\r\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise MalformedLine("expected `word<TAB>count`", line=line_no)
+        word, count_text = parts
+        try:
+            if not (count_text.isascii() and count_text.removeprefix("-").isdigit()):
+                raise ValueError
+            count = int(count_text)
+        except ValueError:
+            raise MalformedLine(f"count is not an integer: {count_text!r}", line=line_no) from None
+        if count <= 0:
+            raise NonPositiveCount(f"count must be positive, got {count}", line=line_no)
+        if not word or any(ch in word for ch in "\t\n\r"):
+            raise MalformedLine(f"invalid word {word!r}", line=line_no)
+        if word in seen:
+            raise DuplicateWord(f"word {word!r} already seen at line {seen[word]}", line=line_no)
+        seen[word] = line_no
+        entries.append((word, count))
+    if not entries:
+        raise EmptyDictionary("stream contains no entries")
+    Dictionary(name, tuple(entries))
+    return tuple(sorted(entries, key=lambda e: (-e[1], e[0]))), sum(c for _, c in entries)
+
+
+pool_st = st.sampled_from(["a", "b", "pass word", "\u00e9t\u00e9", "1"])
+count_st = (st.integers(1, 3) | st.integers(1, 10**6)).map(str)  # ties are common
+valid_line_st = st.builds("{}\t{}".format, pool_st | words_st, count_st)
+FAULTS = ("no tab", "two tabs", "count format", "count sign", "empty word", "newline", "return")
+
+
+@st.composite
+def faulty_line(draw):
+    """A line that breaks one or two of the format's rules at once, so that
+    the order of the checks shows."""
+    faults = draw(st.sets(st.sampled_from(FAULTS), min_size=1, max_size=2))
+    word = "" if "empty word" in faults else draw(pool_st)
+    if "newline" in faults:
+        word += "\n" + draw(pool_st)
+    if "return" in faults:
+        word = "\r" + word
+    count = draw(count_st)
+    if "count format" in faults:
+        count = draw(st.sampled_from(["", "+5", " 5", "5_0", "\u0665", "x"]))
+    if "count sign" in faults:
+        count = draw(st.sampled_from(["0", "00", "-0", "-3"]))
+    line = word + ("" if "no tab" in faults else "\t") + count
+    return line + "\t1" if "two tabs" in faults else line
+
+
+@st.composite
+def line_lists(draw):
+    """Valid and blank lines with up to two faulty ones among them, each
+    ending in LF, CRLF or nothing."""
+    lines = draw(st.lists(valid_line_st | st.just(""), max_size=12))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(faulty_line()))
+    return [line + draw(st.sampled_from(["", "\n", "\r\n"])) for line in lines]
+
+
+def outcome(load, lines):
+    try:
+        return load("t", lines)
+    except FrequencyListError as exc:
+        return type(exc), str(exc), exc.line
+
+
+@settings(max_examples=300)
+@given(line_lists())
+def test_load_matches_the_twice_checked_reference(lines):
+    loaded = outcome(load_frequency_list, lines)
+    if isinstance(loaded, Dictionary):
+        loaded = loaded.entries, loaded.total_count
+    assert loaded == outcome(reference_load, lines)
+
+
+@given(st.dictionaries(pool_st | words_st, count_st, min_size=1))
+def test_loaded_dictionary_equals_a_validated_one(counts):
+    d = load_frequency_list("t", [f"{word}\t{count}" for word, count in counts.items()])
+    again = Dictionary(d.name, d.entries)
+    assert again == d
+    assert (again.entries, again.total_count) == (d.entries, d.total_count)
 
 
 def test_load_empty_stream():
