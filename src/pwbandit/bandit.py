@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .dictionary import Corpus
-from .mixture import DescentConfig, GuessHistory, MixtureWeights, maximize
+from .mixture import DescentConfig, GuessHistory, HistoryArrays, MixtureWeights, maximize
 
 
 class InitPolicy(Enum):
@@ -54,8 +54,9 @@ def initialize_weights(policy: InitPolicy, n: int,
 class BanditState:
     """Everything one attack knows; ``record_observation`` grows it by one guess.
 
-    ``probs[:m]`` and ``counts[:m]`` are the m-guess history as the solver reads
-    it; later rows are spare. ``guessed`` masks ``corpus.union_vocabulary``, and
+    ``arrays`` holds the history as the solver reads it: one probability row
+    and success count per guess, and the solver's categories, each grown by
+    one row per guess. ``guessed`` masks ``corpus.union_vocabulary``, and
     ``cursors[i]`` is a rank position in dictionary i with every word above it guessed.
     """
 
@@ -64,8 +65,7 @@ class BanditState:
     rng: np.random.Generator
     guessed: np.ndarray
     cursors: list[int]
-    probs: np.ndarray
-    counts: np.ndarray
+    arrays: HistoryArrays
     previous_estimate: MixtureWeights | None = None
 
 
@@ -79,8 +79,7 @@ def new_state(corpus: Corpus, population: int, init: InitPolicy,
         rng=rng,
         guessed=np.zeros(len(corpus.union_vocabulary), dtype=bool),
         cursors=[0] * n,
-        probs=np.zeros((16, n)),  # doubled by record_observation when full
-        counts=np.zeros(16),
+        arrays=HistoryArrays(n, population),
     )
 
 
@@ -203,17 +202,11 @@ def record_observation(state: BanditState, word: str, successes: int,
     word highly.
     """
     state.history = state.history.extended(word, successes)
-    m = len(state.history)
-    if m > len(state.counts):
-        state.probs = np.concatenate([state.probs, np.zeros_like(state.probs)])
-        state.counts = np.concatenate([state.counts, np.zeros_like(state.counts)])
     v = corpus.vocab_index.get(word)
     if v is not None:
         state.guessed[v] = True
-        state.probs[m - 1] = corpus.vocab_probs[v]
-    state.counts[m - 1] = successes
+    state.arrays.append(None if v is None else corpus.vocab_probs[v], successes)
     state.previous_estimate = state.current_estimate
     start = initialize_weights(init, len(corpus), prev=state.previous_estimate, rng=state.rng)
-    state.current_estimate, _, _ = maximize(state.probs[:m], state.counts[:m],
-                                            state.history.population, np.asarray(start), cfg)
+    state.current_estimate, _, _ = maximize(state.arrays, np.asarray(start), cfg)
     return state

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from math import sqrt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -148,27 +149,87 @@ def mixture_probability(corpus: Corpus, weights, word: str) -> float:
     return float(corpus.probability_rows((word,))[0] @ q)
 
 
-def _history_arrays(corpus: Corpus, history: GuessHistory) -> tuple[np.ndarray, np.ndarray]:
-    probs = corpus.probability_rows(history.words)
-    counts = np.array([s for _, s in history.observations], dtype=float)
-    return probs, counts
+class HistoryArrays:
+    """One attack's guesses as the solver reads them, grown by :meth:`append`.
+
+    ``probs`` holds one row of per-dictionary probabilities per guess (zeros
+    for an unranked word) and ``counts`` its successes, out of ``population``
+    users. Beside them, in guess order, are the ``live`` word categories:
+    each guess with successes that some dictionary gives more than
+    ``PROBABILITY_FLOOR`` (any other guess is a constant of the floored
+    objective), with its count, the count's square root and its guess index.
+    A spare row after them takes each descent's rest category. Buffers
+    double when full, so a guess costs O(n) amortized, not an O(m) rebuild.
+    Package-internal: an attack's ``BanditState`` owns one.
+    """
+
+    def __init__(self, n: int, population: int):
+        self.population, self.size, self.live = population, 0, 0
+        self._probs, self._counts, self._rows = (
+            np.zeros((16, n)), np.zeros(16), np.zeros(16, dtype=np.intp))
+        self._cats, self._weight, self._root = np.zeros((17, n)), np.zeros(17), np.zeros(17)
+
+    @classmethod
+    def of(cls, corpus: Corpus, history: GuessHistory) -> "HistoryArrays":
+        arrays = cls(len(corpus), history.population)
+        for word, successes in history.observations:
+            v = corpus.vocab_index.get(word)
+            arrays.append(None if v is None else corpus.vocab_probs[v], successes)
+        return arrays
+
+    @property
+    def probs(self) -> np.ndarray:
+        return self._probs[:self.size]
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self._counts[:self.size]
+
+    def append(self, row: np.ndarray | None, successes: int) -> None:
+        """Add one guess: its probability row (None if unranked) and successes."""
+        m = self.size
+        if m == len(self._counts):
+            self._probs, self._counts, self._rows, self._cats, self._weight, self._root = (
+                np.concatenate([a, np.zeros((m,) + a.shape[1:], a.dtype)])
+                for a in (self._probs, self._counts, self._rows,
+                          self._cats, self._weight, self._root))
+        self._counts[m] = successes
+        if row is not None:
+            self._probs[m] = row
+            if successes > 0 and max(row.tolist()) > PROBABILITY_FLOOR:
+                k = self.live
+                self._cats[k], self._weight[k], self._root[k] = row, successes, sqrt(successes)
+                self._rows[k] = m
+                self.live = k + 1
+        self.size = m + 1
+
+    def categories(self, left: np.ndarray, rest) -> tuple[np.ndarray, ...]:
+        """The guess indices of the word categories, then the rows, counts
+        and square roots of the counts of every category: the rest, with
+        probabilities ``left`` and count ``rest``, comes last unless
+        ``rest`` is None."""
+        k = self.live
+        if rest is not None:
+            self._cats[k], self._weight[k], self._root[k] = left, rest, sqrt(rest)
+            k += 1
+        return self._rows[:self.live], self._cats[:k], self._weight[:k], self._root[:k]
 
 
-def _log_likelihood(probs, counts, population, q) -> float:
-    observed = probs @ q
-    remainder_count = population - counts.sum()
+def _log_likelihood(observed, counts, rest) -> float:
+    # observed = probs @ q and rest = population - counts.sum()
     remainder = max(1.0 - observed.sum(), PROBABILITY_FLOOR)
     return float(counts @ np.log(np.maximum(observed, PROBABILITY_FLOOR))
-                 + remainder_count * np.log(remainder))
+                 + rest * np.log(remainder))
 
 
-def _gradient(probs, counts, population, q) -> np.ndarray:
-    observed = probs @ q
+def _gradient(observed, probs, counts, rest, column) -> np.ndarray:
+    # observed = probs @ q, rest = population - counts.sum() and
+    # column = probs.sum(axis=0); the last two are constant within a descent.
     remainder = 1.0 - observed.sum()
     # A floored remainder is a constant term: it adds nothing to the gradient.
-    remainder_count = population - counts.sum() if remainder > PROBABILITY_FLOOR else 0
+    remainder_count = rest if remainder > PROBABILITY_FLOOR else 0
     return (probs.T @ (counts / np.maximum(observed, PROBABILITY_FLOOR))
-            - remainder_count * probs.sum(axis=0) / max(remainder, PROBABILITY_FLOOR))
+            - remainder_count * column / max(remainder, PROBABILITY_FLOOR))
 
 
 def log_likelihood(corpus: Corpus, weights, history: GuessHistory) -> float:
@@ -179,7 +240,9 @@ def log_likelihood(corpus: Corpus, weights, history: GuessHistory) -> float:
     rely on. Empty history gives exactly 0.
     """
     q = _weight_vector(weights, len(corpus))
-    return _log_likelihood(*_history_arrays(corpus, history), history.population, q)
+    arrays = HistoryArrays.of(corpus, history)
+    probs, counts = arrays.probs, arrays.counts
+    return _log_likelihood(probs @ q, counts, history.population - counts.sum())
 
 
 def gradient(corpus: Corpus, weights, history: GuessHistory) -> np.ndarray:
@@ -195,7 +258,10 @@ def gradient(corpus: Corpus, weights, history: GuessHistory) -> np.ndarray:
     constant and the second line is 0.
     """
     q = _weight_vector(weights, len(corpus))
-    return _gradient(*_history_arrays(corpus, history), history.population, q)
+    arrays = HistoryArrays.of(corpus, history)
+    probs, counts = arrays.probs, arrays.counts
+    return _gradient(probs @ q, probs, counts, history.population - counts.sum(),
+                     probs.sum(axis=0))
 
 
 def project_to_simplex(v: Sequence[float]) -> MixtureWeights:
@@ -245,7 +311,10 @@ def estimate(corpus: Corpus, history: GuessHistory, init: MixtureWeights,
     Stops once the Frank-Wolfe gap max_i g_i - g . q of :func:`gradient` is
     at most ``GAP_TOL * population`` nats: the log-likelihood is concave, so
     that gap bounds how far it is below its maximum. ``cfg.max_steps`` only
-    guards against a descent that does not get there.
+    guards against a descent that does not get there. Where there is no
+    category (no word with successes that some dictionary gives more than
+    the floor, and no users or no words left), the objective is constant and
+    the start is returned.
 
     Returns (weights, final log-likelihood, steps taken). The log-likelihood
     is that of ``init`` plus the gain of each step, summed from log1p terms
@@ -253,58 +322,51 @@ def estimate(corpus: Corpus, history: GuessHistory, init: MixtureWeights,
     ``init``. If given, ``on_step(index, weights, loglik)`` is called for the
     initial point (index 0) and after every step.
     """
-    return maximize(*_history_arrays(corpus, history), history.population,
-                    _weight_vector(init, len(corpus)), cfg, on_step)
+    return maximize(HistoryArrays.of(corpus, history), _weight_vector(init, len(corpus)),
+                    cfg, on_step)
 
 
-def maximize(probs: np.ndarray, counts: np.ndarray, population: int, w: np.ndarray,
-             cfg: DescentConfig = DescentConfig(),
+def maximize(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentConfig(),
              on_step: StepCallback | None = None) -> tuple[MixtureWeights, float, int]:
-    """:func:`estimate` on history arrays: ``probs`` holds one row of
-    per-dictionary probabilities per guessed word, ``counts`` its successes."""
-    # The m + 1 categories whose probability must stay above the floor: each
-    # guessed word with successes, and the rest, with probabilities
-    # 1 - sum_j p_i(k_j), while users remain; each only if some dictionary
-    # gives it more than the floor. Any other category is a constant of the
-    # floored objective. Where every such category is above the floor, the
+    """:func:`estimate` on an attack's :class:`HistoryArrays`."""
+    probs, counts = arrays.probs, arrays.counts
+    # Constant within a descent: the rest's count and each dictionary's
+    # probability of the guessed words. Not kept as running sums: numpy sums
+    # a single column pairwise, so with one dictionary they would round apart.
+    rest, column = arrays.population - counts.sum(), probs.sum(axis=0)
+    left = 1.0 - column
+    # The rest is a category while users remain and some dictionary gives it
+    # more than the floor. Where every category is above the floor, the
     # floored objective and its gradient are the unfloored ones; elsewhere
     # the objective counts as -inf.
-    # (Indices and float reductions, not boolean masks: numpy caches the
-    # buffers of small arrays by size, and masks sized by m would fill that
-    # cache with a buffer for every history length.)
-    rows = np.flatnonzero(counts)
-    reach = probs[rows].max(axis=1, initial=0.0)
-    if reach.min(initial=1.0) <= PROBABILITY_FLOOR:
-        rows = rows[reach > PROBABILITY_FLOOR]
-    cats, weight = probs[rows], counts[rows]
-    left, rest = 1.0 - probs.sum(axis=0), population - counts.sum()
     rest_live = rest > 0 and left.max() > PROBABILITY_FLOOR
-    if rest_live:
-        cats, weight = np.vstack([cats, left]), np.append(weight, rest)
+    rows, cats, weight, root = arrays.categories(left, rest if rest_live else None)
 
-    def value(q: np.ndarray) -> float:
+    def value(q: np.ndarray) -> tuple[float, np.ndarray]:
         observed = probs @ q
         if (observed[rows].min(initial=1.0) <= PROBABILITY_FLOOR
                 or (rest_live and 1.0 - observed.sum() <= PROBABILITY_FLOOR)):
-            return -np.inf
-        return _log_likelihood(probs, counts, population, q)
+            return -np.inf, observed
+        return _log_likelihood(observed, counts, rest), observed
 
-    current, steps = value(w), 0
+    (current, seen), steps = value(w), 0
     if on_step is not None:
         on_step(0, MixtureWeights(w), current)
     if current == -np.inf:
         w = 0.5 * (w + 1.0 / w.size)
-        current, steps = value(w), 1
+        (current, seen), steps = value(w), 1
         if on_step is not None:
             on_step(1, MixtureWeights(w), current)
         if current == -np.inf:  # the floor binds everywhere: nothing to climb
             return MixtureWeights(w), current, steps
-    tolerance, root = GAP_TOL * population, np.sqrt(weight)
+    if not weight.size:  # no category: the floored objective is constant
+        return MixtureWeights(w), current, steps
+    tolerance = GAP_TOL * arrays.population
     while steps < cfg.max_steps:
         # The public gradient, so that the gap certified here is the gap any
         # caller computes; it differs from the categories' by a multiple of
         # the all-ones vector, which moves neither the gap nor the step.
-        grad = _gradient(probs, counts, population, w)
+        grad = _gradient(seen, probs, counts, rest, column)
         lam = grad @ w
         if grad.max() - lam <= tolerance:
             break
@@ -316,9 +378,9 @@ def maximize(probs: np.ndarray, counts: np.ndarray, population: int, w: np.ndarr
             direction = -w
             direction[int(np.argmax(grad))] += 1.0
         # Ratio test: a step to the boundary sets the coordinates that reach it to 0.
-        shrinking = np.flatnonzero(direction < 0)
-        room = w[shrinking] / -direction[shrinking]
-        limit = room.min(initial=np.inf)
+        room = {i: x / -d for i, (x, d) in enumerate(zip(w.tolist(), direction.tolist()))
+                if d < 0}
+        limit = min(room.values(), default=np.inf)
         change = cats @ direction / observed  # relative change of each category per unit step
         step = _line_search(change, weight, limit, tolerance)
         slope = weight @ change
@@ -334,9 +396,10 @@ def maximize(probs: np.ndarray, counts: np.ndarray, population: int, w: np.ndarr
             break  # no representable step gains: the gap is at rounding level
         candidate = w + step * direction
         if step == limit:
-            candidate[shrinking[room <= limit]] = 0.0
+            candidate[[i for i, r in room.items() if r == limit]] = 0.0
         w, current = np.maximum(candidate, 0.0), current + gain
         steps += 1
+        seen = probs @ w
         if on_step is not None:
             on_step(steps, MixtureWeights(w), current)
     return MixtureWeights(w), current, steps
@@ -357,11 +420,13 @@ def _line_search(change: np.ndarray, weight: np.ndarray, limit: float,
     lo, hi, t, moved = 0.0, min(limit, pole), 0.0, np.inf
     edge = limit < pole  # the objective is finite at limit, so the step may end there
     for _ in range(100):
-        x = 1.0 + t * change
-        if not x.min() > 0:  # a pole that rounding placed at limit
+        # Rounding is monotone, so this is the least of 1 + t * change.
+        if not 1.0 + t * fastest > 0:  # a pole that rounding placed at or below t
             hi, edge, t = t, False, 0.5 * (lo + t)
+            if t == hi:  # no float lies between lo and the pole
+                return lo
             continue
-        ratio = change / x
+        ratio = change / (1.0 + t * change)
         rise, curvature = weight @ ratio, weight @ (ratio * ratio)
         if rise > 0:
             if t == limit:

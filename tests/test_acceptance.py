@@ -86,8 +86,9 @@ def ordering_data(mixed_instance):
     Frank-Wolfe gap, computed here from the model's formula."""
     corpus, ps = mixed_instance
 
-    def recording(probs, counts, population, w, *args):
-        weights, loglik, steps = maximize(probs, counts, population, w, *args)
+    def recording(arrays, w, *args):
+        weights, loglik, steps = maximize(arrays, w, *args)
+        probs, counts, population = arrays.probs, arrays.counts, arrays.population
         q = np.asarray(weights)
         observed = probs @ q
         hits = np.divide(counts, observed, out=np.zeros_like(counts), where=counts > 0)

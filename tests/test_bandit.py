@@ -1,3 +1,4 @@
+import copy
 from contextlib import contextmanager
 from unittest import mock
 
@@ -313,15 +314,19 @@ def test_dictionary_policies_enumerate_rank_order(counts):
 def test_state_arrays_are_the_history_one_row_per_guess():
     words = [f"w{i:02d}" for i in range(40)]
     c = Corpus((zipf_dictionary("d1", words), zipf_dictionary("d2", words[::-1])))
-    state = new_state(c, 1000, InitPolicy.AVERAGE, np.random.default_rng(0))
-    for word in words[:20] + ["not-ranked"]:
-        record_observation(state, word, 3, c, InitPolicy.AVERAGE, CHEAP)
-        m = len(state.history)
-        probs, counts = state.probs[:m], state.counts[:m]
-        assert probs.flags.c_contiguous and counts.flags.c_contiguous
-        assert np.array_equal(probs, c.probability_rows(state.history.words))
-        assert counts.tolist() == [3.0] * m
-        # The public estimate on the same history repeats the descent exactly.
-        replay, _, _ = estimate(c, state.history, MixtureWeights.uniform(2), CHEAP)
-        assert replay == state.current_estimate
-    assert state.guessed.sum() == 20
+    guesses = [(word, 3) for word in words[:20]] + [("w20", 0), ("not-ranked", 5), ("w21", 3)]
+    for init in InitPolicy:
+        state = new_state(c, 1000, init, np.random.default_rng(0))
+        for word, successes in guesses:
+            before = copy.deepcopy(state.rng)
+            record_observation(state, word, successes, c, init, CHEAP)
+            # the start record_observation drew, from a copy of the generator
+            start = initialize_weights(init, 2, prev=state.previous_estimate, rng=before)
+            probs, counts = state.arrays.probs, state.arrays.counts
+            assert probs.flags.c_contiguous and counts.flags.c_contiguous
+            assert np.array_equal(probs, c.probability_rows(state.history.words))
+            assert counts.tolist() == [s for _, s in state.history.observations]
+            # The public estimate on the same history repeats the descent exactly.
+            replay, _, _ = estimate(c, state.history, start, CHEAP)
+            assert replay == state.current_estimate
+        assert state.guessed.sum() == 22

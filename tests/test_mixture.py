@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pwbandit import (
     Corpus,
@@ -17,7 +17,13 @@ from pwbandit import (
     project_to_simplex,
 )
 from pwbandit.errors import DimensionMismatch, EmptyInput
-from pwbandit.mixture import GAP_TOL
+from pwbandit.mixture import (
+    GAP_TOL,
+    PROBABILITY_FLOOR,
+    HistoryArrays,
+    _line_search,
+    maximize,
+)
 
 from helpers import (
     central_difference_gradient,
@@ -318,6 +324,23 @@ def test_estimate_converges_once_every_word_is_guessed():
         assert loglik >= grid_max - 1e-3
 
 
+@pytest.mark.parametrize("observations", [
+    (("tiny", 1),),
+    (("w", 0), ("tiny", 1), ("unranked", 0)),
+])
+def test_estimate_returns_the_start_where_no_category_is_left(observations):
+    # Every user is cracked by a word no dictionary gives more than the floor
+    # (1e-13 here), so the floored objective is constant on the simplex.
+    c = Corpus((
+        Dictionary("d1", (("huge", 10**13), ("tiny", 1), ("w", 1))),
+        Dictionary("d2", (("w", 1),)),
+    ))
+    start = MixtureWeights((0.25, 0.75))
+    weights, loglik, steps = estimate(c, GuessHistory(1, observations), start)
+    assert weights == start and steps == 0
+    assert loglik == log_likelihood(c, start, GuessHistory(1, observations))
+
+
 def test_estimate_is_deterministic(two_dicts):
     h = GuessHistory(50, (("a", 20), ("b", 10)))
     init = MixtureWeights((0.25, 0.75))
@@ -338,3 +361,100 @@ def test_midpoint_concavity_sample():
         mid = log_likelihood(corpus, (w1 + w2) / 2, history)
         ends = (log_likelihood(corpus, w1, history) + log_likelihood(corpus, w2, history)) / 2
         assert mid >= ends - 1e-9
+
+
+def test_line_search_finds_the_two_category_maximizer():
+    # 3 ln(1 + t/2) + 2 ln(1 - t/4) peaks where 3 / (2 + t) = 2 / (4 - t): t = 1.6
+    change, weight, tolerance = np.array([0.5, -0.25]), np.array([3.0, 2.0]), 1e-12
+    t = _line_search(change, weight, np.inf, tolerance)
+    # The search stops once rise^2 <= tolerance * curvature, so within
+    # about sqrt(tolerance / curvature) of the maximizer.
+    curvature = weight @ (change / (1.0 + 1.6 * change)) ** 2
+    assert abs(t - 1.6) <= 2 * math.sqrt(tolerance / curvature)
+
+
+def test_line_search_returns_limit_while_still_rising():
+    change, weight = np.array([0.5, -0.25]), np.array([3.0, 2.0])
+    assert _line_search(change, weight, 1.0, 1e-12) == 1.0
+
+
+@pytest.mark.parametrize("fastest", [-5.0, -7.0, -9.0, -11.0])
+def test_line_search_stays_off_a_pole_that_rounding_places_at_limit(fastest):
+    # With almost no weight on the shrinking category, the maximizer lies
+    # within rounding of its pole, so the search runs into the pole.
+    change, weight = np.array([fastest, 1.0]), np.array([1e-300, 1.0])
+    limit = -1.0 / change.min()
+    assert not 1.0 + limit * change.min() > 0
+    t = _line_search(change, weight, limit, 1e-12)
+    assert 0 < t <= limit
+    assert (1.0 + t * change).min() > 0
+
+
+def reference_categories(probs, counts, population):
+    """The categories as each descent once rebuilt them from the m rows:
+    guess indices of the word categories, then rows, counts and roots."""
+    rows = np.flatnonzero(counts)
+    reach = probs[rows].max(axis=1, initial=0.0)
+    if reach.min(initial=1.0) <= PROBABILITY_FLOOR:
+        rows = rows[reach > PROBABILITY_FLOOR]
+    cats, weight = probs[rows], counts[rows]
+    left, rest = 1.0 - probs.sum(axis=0), population - counts.sum()
+    if rest > 0 and left.max() > PROBABILITY_FLOOR:
+        cats, weight = np.vstack([cats, left]), np.append(weight, rest)
+    return rows, cats, weight, np.sqrt(weight)
+
+
+@st.composite
+def growing_attacks(draw):
+    """A corpus, a population and guesses with successes. The guesses mix
+    zero-success guesses, unranked words with successes and a word that no
+    dictionary gives more than the floor; they may crack the last users and
+    may cover every word, and can give more than 16 categories."""
+    words = [f"w{i:02d}" for i in range(draw(st.integers(1, 40)))]
+    dictionaries = []
+    for i in range(draw(st.integers(1, 3))):
+        ranked = draw(st.permutations(words)) if i == 0 else draw(
+            st.lists(st.sampled_from(words), min_size=1, unique=True))
+        counts = draw(st.lists(st.integers(1, 1000), min_size=len(ranked), max_size=len(ranked)))
+        entries = tuple(zip(ranked, counts))
+        if i == 0:  # "tiny" has probability below 1e-13
+            entries += (("huge", 10**13), ("tiny", 1))
+        dictionaries.append(Dictionary(f"d{i}", entries))
+    corpus = Corpus(tuple(dictionaries))
+    pool = draw(st.permutations(corpus.union_vocabulary + ("unranked-a", "unranked-b")))
+    guesses = pool if draw(st.booleans()) else pool[:draw(st.integers(0, len(pool)))]
+    population = draw(st.integers(1, 10**6))
+    crack_the_rest = draw(st.booleans())
+    observations, left = [], population
+    for j, word in enumerate(guesses):
+        last = j == len(guesses) - 1
+        successes = left if last and crack_the_rest else draw(st.integers(0, min(left, 50)))
+        observations.append((word, successes))
+        left -= successes
+    return corpus, population, observations
+
+
+@settings(max_examples=200, deadline=None)
+@given(growing_attacks())
+def test_grown_arrays_equal_the_rebuilt_categories(attack):
+    corpus, population, observations = attack
+    n = len(corpus)
+    grown, history = HistoryArrays(n, population), GuessHistory(population)
+    for word, successes in observations:
+        v = corpus.vocab_index.get(word)
+        grown.append(None if v is None else corpus.vocab_probs[v], successes)
+        history = history.extended(word, successes)
+        built = HistoryArrays.of(corpus, history)
+        probs = corpus.probability_rows(history.words)
+        counts = np.array([s for _, s in history.observations], dtype=float)
+        want = reference_categories(probs, counts, population)
+        for arrays in (grown, built):
+            assert np.array_equal(arrays.probs, probs)
+            assert np.array_equal(arrays.counts, counts)
+            left, rest = 1.0 - probs.sum(axis=0), population - counts.sum()
+            live = rest > 0 and left.max() > PROBABILITY_FLOOR
+            got = arrays.categories(left, rest if live else None)
+            for part, reference in zip(got, want, strict=True):
+                assert part.shape == reference.shape and np.array_equal(part, reference)
+        start = np.full(n, 1.0 / n)
+        assert maximize(grown, start.copy()) == maximize(built, start.copy())
