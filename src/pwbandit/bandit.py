@@ -8,13 +8,14 @@ highest estimated mixture probability).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .dictionary import Corpus
-from .mixture import DescentConfig, GuessHistory, HistoryArrays, MixtureWeights, maximize
+from .mixture import (DescentConfig, GuessHistory, HistoryArrays, MixtureWeights,
+                      check_observation, maximize)
 
 
 class InitPolicy(Enum):
@@ -54,19 +55,25 @@ def initialize_weights(policy: InitPolicy, n: int,
 class BanditState:
     """Everything one attack knows; ``record_observation`` grows it by one guess.
 
+    ``observed`` maps each guessed word to its successes, in guess order.
     ``arrays`` holds the history as the solver reads it: one probability row
     and success count per guess, and the solver's categories, each grown by
     one row per guess. ``guessed`` masks ``corpus.union_vocabulary``, and
     ``cursors[i]`` is a rank position in dictionary i with every word above it guessed.
     """
 
-    history: GuessHistory
     current_estimate: MixtureWeights
     rng: np.random.Generator
     guessed: np.ndarray
     cursors: list[int]
     arrays: HistoryArrays
+    observed: dict[str, int] = field(default_factory=dict)
     previous_estimate: MixtureWeights | None = None
+
+    @property
+    def history(self) -> GuessHistory:
+        """The guesses so far, as a new :class:`GuessHistory` on each read (O(m))."""
+        return GuessHistory(self.arrays.population, tuple(self.observed.items()))
 
 
 def new_state(corpus: Corpus, population: int, init: InitPolicy,
@@ -74,7 +81,6 @@ def new_state(corpus: Corpus, population: int, init: InitPolicy,
     """Fresh state before any guess; the first estimate comes from ``init``."""
     n = len(corpus)
     return BanditState(
-        history=GuessHistory(population),
         current_estimate=initialize_weights(init, n, prev=None, rng=rng),
         rng=rng,
         guessed=np.zeros(len(corpus.union_vocabulary), dtype=bool),
@@ -199,14 +205,19 @@ def record_observation(state: BanditState, word: str, successes: int,
 
     Zero-success guesses still update the estimate: the remainder term of
     the likelihood shifts mass away from dictionaries that ranked the failed
-    word highly.
+    word highly. An invalid observation (a repeated word, successes that are
+    not a non-negative integer or exceed the users left) raises ValueError
+    and leaves the state as it was.
     """
-    state.history = state.history.extended(word, successes)
+    arrays = state.arrays
+    successes = check_observation(word, successes, state.observed,
+                                  arrays.population - int(arrays.counts.sum()))
+    state.observed[word] = successes
     v = corpus.vocab_index.get(word)
     if v is not None:
         state.guessed[v] = True
-    state.arrays.append(None if v is None else corpus.vocab_probs[v], successes)
+    arrays.append(None if v is None else corpus.vocab_probs[v], successes)
     state.previous_estimate = state.current_estimate
     start = initialize_weights(init, len(corpus), prev=state.previous_estimate, rng=state.rng)
-    state.current_estimate, _, _ = maximize(state.arrays, np.asarray(start), cfg)
+    state.current_estimate, _, _ = maximize(arrays, np.asarray(start), cfg)
     return state

@@ -20,7 +20,7 @@ import dataclasses
 import sys
 import traceback
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -80,9 +80,11 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _open_csv(path: Path):
-    handle = open(path, "w", encoding="utf-8", newline="")
-    return handle, csv.writer(handle, lineterminator="\n")
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_compose(cfg: ExperimentConfig) -> None:
@@ -110,26 +112,20 @@ def cmd_compose(cfg: ExperimentConfig) -> None:
 
 
 def _write_trace_csv(path: Path, traces: Sequence[AttackTrace], n: int) -> None:
-    handle, writer = _open_csv(path)
-    with handle:
-        writer.writerow(["run", "guess_index", "word", "successes", "cumulative"]
-                        + [f"qhat_{i + 1}" for i in range(n)])
-        for run, trace in enumerate(traces, start=1):
-            for j, record in enumerate(trace.records, start=1):
-                writer.writerow(
-                    [run, j, record.word, record.successes, record.cumulative]
-                    + [_fmt(q) for q in record.estimate]
-                )
+    rows = ([run, j, word, successes, cumulative] + [_fmt(q) for q in estimate]
+            for run, trace in enumerate(traces, start=1)
+            for j, (word, (successes, cumulative), estimate)
+            in enumerate(zip(trace.words, trace.counts.tolist(), trace.estimates.tolist()), 1))
+    _write_csv(path, ["run", "guess_index", "word", "successes", "cumulative"]
+               + [f"qhat_{i + 1}" for i in range(n)], rows)
 
 
 def _write_summary_csv(path: Path, traces: Sequence[AttackTrace],
                        baseline: Sequence[int]) -> None:
     mean_curve = pad_curve(average_traces(traces), len(baseline))
-    handle, writer = _open_csv(path)
-    with handle:
-        writer.writerow(["guess_index", "mean_cumulative", "optimal_baseline"])
-        for j, (mean, best) in enumerate(zip(mean_curve, baseline), start=1):
-            writer.writerow([j, _fmt(mean), best])
+    _write_csv(path, ["guess_index", "mean_cumulative", "optimal_baseline"],
+               ([j, _fmt(mean), best]
+                for j, (mean, best) in enumerate(zip(mean_curve, baseline), start=1)))
 
 
 def cmd_attack(cfg: ExperimentConfig) -> None:
@@ -164,11 +160,9 @@ def cmd_estimate(cfg: ExperimentConfig, guesses: Sequence[str]) -> None:
     estimate(corpus, history, init, on_step=lambda step, w, loglik: rows.append((step, w, loglik)))
     out = _out_dir(cfg)
     path = out / "estimate.csv"
-    handle, writer = _open_csv(path)
-    with handle:
-        writer.writerow(["step"] + [f"qhat_{i + 1}" for i in range(len(corpus))] + ["loglik"])
-        for step, weights, loglik in rows:
-            writer.writerow([step] + [_fmt(q) for q in weights] + [_fmt(loglik)])
+    _write_csv(path, ["step"] + [f"qhat_{i + 1}" for i in range(len(corpus))] + ["loglik"],
+               ([step] + [_fmt(q) for q in weights] + [_fmt(loglik)]
+                for step, weights, loglik in rows))
     final = rows[-1][1]
     print(f"estimated weights after {len(guesses)} guesses: "
           + ", ".join(_fmt(q) for q in final) + f" -> {path}")
@@ -180,11 +174,7 @@ def cmd_baseline(cfg: ExperimentConfig) -> None:
     curve = optimal_baseline(ps, cfg.guess_budget)
     out = _out_dir(cfg)
     path = out / "baseline.csv"
-    handle, writer = _open_csv(path)
-    with handle:
-        writer.writerow(["guess_index", "cumulative"])
-        for j, value in enumerate(curve, start=1):
-            writer.writerow([j, value])
+    _write_csv(path, ["guess_index", "cumulative"], enumerate(curve, start=1))
     print(f"optimal baseline reaches {curve[-1]} of {ps.size} users "
           f"at guess {cfg.guess_budget} -> {path}")
 

@@ -22,10 +22,10 @@ concave objective (Jaggi 2013), is at most ``GAP_TOL`` nats per user.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
-from typing import Callable, Sequence
+from numbers import Integral
+from typing import Callable, Container, Sequence
 
 import numpy as np
 
@@ -76,49 +76,49 @@ class MixtureWeights:
         return iter(self.q)
 
 
+def check_observation(word: str, successes, guessed: Container[str], remaining) -> int:
+    """The successes of guessing ``word``, as an int, if that observation may
+    follow guesses of the words in ``guessed`` with ``remaining`` users left
+    uncompromised; ValueError otherwise."""
+    if word in guessed:
+        raise DuplicateGuess(f"{word!r} was already guessed")
+    if isinstance(successes, bool) or not isinstance(successes, Integral):
+        raise ValueError(f"successes for {word!r} must be an integer, got {successes!r}")
+    successes = int(successes)
+    if successes < 0:
+        raise ValueError(f"negative successes for {word!r}")
+    if successes > remaining:
+        raise SuccessExceedsPopulation(
+            f"{successes} successes for {word!r}, only {remaining} users uncompromised"
+        )
+    return successes
+
+
 @dataclass(frozen=True)
 class GuessHistory:
     """Observed guesses against a population of N users.
 
     Each observation pairs a guessed word with the number of users it
-    compromised. Words never repeat; total successes cannot exceed the
-    population. ``words`` and ``total_successes`` are kept alongside, so
-    that :meth:`extended` checks only the observation it appends.
+    compromised, an integer. Words never repeat; total successes cannot
+    exceed the population. The constructor checks every observation.
     """
 
     population: int
     observations: tuple[tuple[str, int], ...] = ()
-    words: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    total_successes: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.population < 1:
             raise ValueError(f"population must be >= 1, got {self.population}")
-        observations = self.observations
-        self.__dict__.update(observations=(), words=(), total_successes=0)
-        for word, successes in observations:
-            self._append(str(word), int(successes))
+        observed, left = {}, self.population
+        for word, successes in self.observations:
+            word = str(word)
+            observed[word] = check_observation(word, successes, observed, left)
+            left -= observed[word]
+        object.__setattr__(self, "observations", tuple(observed.items()))
 
-    def _append(self, word: str, successes: int) -> None:
-        # Checks one observation and appends it in place, on an unshared instance.
-        if word in self.words:
-            raise DuplicateGuess(f"{word!r} was already guessed")
-        if successes < 0:
-            raise ValueError(f"negative successes for {word!r}")
-        remaining = self.population - self.total_successes
-        if successes > remaining:
-            raise SuccessExceedsPopulation(
-                f"{successes} successes for {word!r}, only {remaining} users uncompromised"
-            )
-        self.__dict__.update(observations=self.observations + ((word, successes),),
-                             words=self.words + (word,),
-                             total_successes=self.total_successes + successes)
-
-    def extended(self, word: str, successes: int) -> "GuessHistory":
-        """New history with one more observation appended (only that one is checked)."""
-        grown = copy.copy(self)
-        grown._append(str(word), int(successes))
-        return grown
+    @property
+    def words(self) -> tuple[str, ...]:
+        return tuple(word for word, _ in self.observations)
 
     def __len__(self) -> int:
         return len(self.observations)

@@ -183,23 +183,18 @@ def run_attack(corpus: Corpus, ps: PasswordSet, init: InitPolicy, guess: GuessPo
         raise ValueError(f"guess budget must be >= 1, got {m}")
     rng = np.random.default_rng(seed)
     state = new_state(corpus, ps.size, init, rng)
-    words: list[str] = []
-    counts = np.zeros((m, 2), dtype=np.int64)
     estimates = np.zeros((m, len(corpus)))
-    cumulative = 0
     for j in range(m):
         word = select_guess(guess, corpus, state)
         if word is None:
             break
-        successes = oracle_count(ps, word)
-        record_observation(state, word, successes, corpus, init, cfg)
-        cumulative += successes
-        words.append(word)
-        counts[j] = successes, cumulative
+        record_observation(state, word, oracle_count(ps, word), corpus, init, cfg)
         estimates[j] = state.current_estimate.q
-    if len(words) < m:
-        counts, estimates = counts[:len(words)].copy(), estimates[:len(words)].copy()
-    return AttackTrace.from_columns(tuple(words), counts, estimates, init, guess, seed, m)
+    successes = np.fromiter(state.observed.values(), dtype=np.int64, count=len(state.observed))
+    if len(successes) < m:
+        estimates = estimates[:len(successes)].copy()
+    counts = np.column_stack([successes, np.cumsum(successes)])
+    return AttackTrace.from_columns(tuple(state.observed), counts, estimates, init, guess, seed, m)
 
 
 def optimal_baseline(ps: PasswordSet, m: int) -> tuple[int, ...]:

@@ -83,11 +83,8 @@ def random_history(rng: np.random.Generator, corpus: Corpus, population: int = 1
     n_words = int(rng.integers(1, min(max_words, len(vocab)) + 1))
     words = rng.choice(len(vocab), size=n_words, replace=False)
     budget = population // 2
-    history = GuessHistory(population)
-    for v in words:
-        successes = int(rng.integers(0, budget // n_words + 1))
-        history = history.extended(vocab[int(v)], successes)
-    return history
+    return GuessHistory(population, tuple(
+        (vocab[int(v)], int(rng.integers(0, budget // n_words + 1))) for v in words))
 
 
 def random_interior_point(rng: np.random.Generator, n: int,

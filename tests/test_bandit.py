@@ -10,6 +10,7 @@ from pwbandit import (
     Corpus,
     DescentConfig,
     Dictionary,
+    GuessHistory,
     GuessPolicy,
     InitPolicy,
     MixtureWeights,
@@ -208,20 +209,40 @@ def test_random_dictionary_skips_exhausted_sources(overlap_pair):
     assert select_guess(GuessPolicy.RANDOM_DICTIONARY, overlap_pair, state) is None
 
 
+def assert_rejected(corpus, state, word, successes, error):
+    """``record_observation`` raises ``error`` naming ``word`` and leaves the
+    state as it was."""
+    history, size, guessed = state.history, state.arrays.size, state.guessed.copy()
+    estimate = state.current_estimate
+    with pytest.raises(error, match=repr(word)):
+        record_observation(state, word, successes, corpus, InitPolicy.AVERAGE, CHEAP)
+    assert state.history == history and state.arrays.size == size
+    assert np.array_equal(state.guessed, guessed) and state.current_estimate is estimate
+
+
 def test_record_observation_rejects_duplicates(overlap_pair):
-    state = new_state(overlap_pair, 100, InitPolicy.AVERAGE, np.random.default_rng(0))
-    record_observation(state, "b", 10, overlap_pair, InitPolicy.AVERAGE, CHEAP)
-    with pytest.raises(DuplicateGuess):
-        record_observation(state, "b", 1, overlap_pair, InitPolicy.AVERAGE, CHEAP)
+    for word in ("b", "unranked"):
+        state = new_state(overlap_pair, 100, InitPolicy.AVERAGE, np.random.default_rng(0))
+        record_observation(state, word, 10, overlap_pair, InitPolicy.AVERAGE, CHEAP)
+        assert_rejected(overlap_pair, state, word, 1, DuplicateGuess)
+        # the next valid guess still works
+        record_observation(state, "c", 1, overlap_pair, InitPolicy.AVERAGE, CHEAP)
+        assert state.history.observations == ((word, 10), ("c", 1))
+        assert state.arrays.size == 2
 
 
 def test_record_observation_rejects_overcount(overlap_pair):
     state = new_state(overlap_pair, 100, InitPolicy.AVERAGE, np.random.default_rng(0))
     record_observation(state, "b", 90, overlap_pair, InitPolicy.AVERAGE, CHEAP)
-    with pytest.raises(SuccessExceedsPopulation):
-        record_observation(state, "a", 11, overlap_pair, InitPolicy.AVERAGE, CHEAP)
-    with pytest.raises(ValueError):
-        record_observation(state, "a", -1, overlap_pair, InitPolicy.AVERAGE, CHEAP)
+    assert_rejected(overlap_pair, state, "a", 11, SuccessExceedsPopulation)
+    for successes in (-1, 2.5, 2.0, np.float64(2.0), True, np.True_, "2", None):
+        assert_rejected(overlap_pair, state, "a", successes, ValueError)
+    # numpy integers are integers; the next valid guess cracks the last users
+    record_observation(state, "a", np.int64(10), overlap_pair, InitPolicy.AVERAGE, CHEAP)
+    assert state.history.observations == (("b", 90), ("a", 10))
+    assert type(state.history.observations[1][1]) is int
+    assert state.arrays.counts.tolist() == [90, 10]
+    assert state.guessed.tolist() == [True, True, False]
 
 
 def test_record_observation_updates_state(overlap_pair):
@@ -317,9 +338,11 @@ def test_state_arrays_are_the_history_one_row_per_guess():
     guesses = [(word, 3) for word in words[:20]] + [("w20", 0), ("not-ranked", 5), ("w21", 3)]
     for init in InitPolicy:
         state = new_state(c, 1000, init, np.random.default_rng(0))
+        snapshots = []
         for word, successes in guesses:
             before = copy.deepcopy(state.rng)
             record_observation(state, word, successes, c, init, CHEAP)
+            snapshots.append(state.history)
             # the start record_observation drew, from a copy of the generator
             start = initialize_weights(init, 2, prev=state.previous_estimate, rng=before)
             probs, counts = state.arrays.probs, state.arrays.counts
@@ -330,3 +353,6 @@ def test_state_arrays_are_the_history_one_row_per_guess():
             replay, _, _ = estimate(c, state.history, start, CHEAP)
             assert replay == state.current_estimate
         assert state.guessed.sum() == 22
+        # each history read is a copy that later guesses leave as it was
+        for j, snapshot in enumerate(snapshots, start=1):
+            assert snapshot == GuessHistory(1000, tuple(guesses[:j]))

@@ -64,18 +64,13 @@ def test_guess_history_validation():
         GuessHistory(10, (("a", 7), ("b", 4)))  # exceeds population
     with pytest.raises(ValueError):
         GuessHistory(10, (("a", -1),))
-    h = GuessHistory(10, (("a", 5),)).extended("b", 3)
-    assert h.words == ("a", "b")
-    assert h.total_successes == 8
-    assert h == GuessHistory(10, (("a", 5), ("b", 3)))
-    with pytest.raises(ValueError):
-        h.extended("a", 1)  # repeated word
-    with pytest.raises(ValueError):
-        h.extended("c", -1)
-    with pytest.raises(ValueError):
-        h.extended("c", 3)  # 11 of 10 users
-    assert h.extended("c", 2).total_successes == 10
-    assert h.observations == (("a", 5), ("b", 3))  # extending leaves h as it was
+    for successes in (2.7, 2.0, np.float64(2.0), True, np.True_, "2", None):
+        with pytest.raises(ValueError, match="'b'"):
+            GuessHistory(10, (("a", 5), ("b", successes)))
+    h = GuessHistory(10, (("a", 5), ("b", np.int64(3)), ("c", 2)))
+    assert h.words == ("a", "b", "c")
+    assert h.observations == (("a", 5), ("b", 3), ("c", 2))
+    assert type(h.observations[1][1]) is int
 
 
 def test_descent_config_validation():
@@ -439,11 +434,11 @@ def growing_attacks(draw):
 def test_grown_arrays_equal_the_rebuilt_categories(attack):
     corpus, population, observations = attack
     n = len(corpus)
-    grown, history = HistoryArrays(n, population), GuessHistory(population)
-    for word, successes in observations:
+    grown = HistoryArrays(n, population)
+    for j, (word, successes) in enumerate(observations, start=1):
         v = corpus.vocab_index.get(word)
         grown.append(None if v is None else corpus.vocab_probs[v], successes)
-        history = history.extended(word, successes)
+        history = GuessHistory(population, tuple(observations[:j]))
         built = HistoryArrays.of(corpus, history)
         probs = corpus.probability_rows(history.words)
         counts = np.array([s for _, s in history.observations], dtype=float)
