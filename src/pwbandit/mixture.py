@@ -23,7 +23,6 @@ concave objective (Jaggi 2013), is at most ``GAP_TOL`` nats per user.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 from numbers import Integral
 from typing import Callable, Container, Sequence
 
@@ -154,27 +153,37 @@ class HistoryArrays:
 
     ``probs`` holds one row of per-dictionary probabilities per guess (zeros
     for an unranked word) and ``counts`` its successes, out of ``population``
-    users. Beside them, in guess order, are the ``live`` word categories:
-    each guess with successes that some dictionary gives more than
-    ``PROBABILITY_FLOOR`` (any other guess is a constant of the floored
-    objective), with its count, the count's square root and its guess index.
-    A spare row after them takes each descent's rest category. Buffers
-    double when full, so a guess costs O(n) amortized, not an O(m) rebuild.
-    Package-internal: an attack's ``BanditState`` owns one.
+    users. Beside them, in guess order, are the rows and counts of the
+    ``live`` word categories: each guess with successes that some dictionary
+    gives more than ``PROBABILITY_FLOOR`` (any other guess is a constant of
+    the floored objective). A spare row after them takes each descent's rest
+    category. Buffers double when full, so a guess costs O(n) amortized, not
+    an O(m) rebuild. Package-internal: an attack's ``BanditState`` owns one.
     """
 
     def __init__(self, n: int, population: int):
         self.population, self.size, self.live = population, 0, 0
-        self._probs, self._counts, self._rows = (
-            np.zeros((16, n)), np.zeros(16), np.zeros(16, dtype=np.intp))
-        self._cats, self._weight, self._root = np.zeros((17, n)), np.zeros(17), np.zeros(17)
+        self._probs, self._counts = np.zeros((16, n)), np.zeros(16)
+        self._cats, self._weight = np.zeros((17, n)), np.zeros(17)
 
     @classmethod
     def of(cls, corpus: Corpus, history: GuessHistory) -> "HistoryArrays":
+        """The arrays that appending each observation of ``history`` in turn
+        would leave, buffers included, built with one index over the
+        vocabulary rows."""
         arrays = cls(len(corpus), history.population)
-        for word, successes in history.observations:
-            v = corpus.vocab_index.get(word)
-            arrays.append(None if v is None else corpus.vocab_probs[v], successes)
+        m = len(history.observations)
+        arrays._reserve(m)
+        index = corpus.vocab_index
+        rows = np.array([index.get(word, -1) for word, _ in history.observations], dtype=np.intp)
+        probs = corpus.vocab_probs[rows]
+        probs[rows < 0] = 0.0  # an unranked word
+        counts = np.array([successes for _, successes in history.observations], dtype=float)
+        live = (counts > 0) & (probs.max(axis=1) > PROBABILITY_FLOOR)
+        k = int(live.sum())
+        arrays._probs[:m], arrays._counts[:m] = probs, counts
+        arrays._cats[:k], arrays._weight[:k] = probs[live], counts[live]
+        arrays.size, arrays.live = m, k
         return arrays
 
     @property
@@ -185,51 +194,38 @@ class HistoryArrays:
     def counts(self) -> np.ndarray:
         return self._counts[:self.size]
 
+    def _reserve(self, m: int) -> None:
+        """Double the buffers until they hold ``m`` guesses."""
+        capacity = len(self._counts)
+        while capacity < m:
+            capacity *= 2
+        grow = capacity - len(self._counts)
+        if grow:
+            self._probs, self._counts, self._cats, self._weight = (
+                np.concatenate([a, np.zeros((grow,) + a.shape[1:])])
+                for a in (self._probs, self._counts, self._cats, self._weight))
+
     def append(self, row: np.ndarray | None, successes: int) -> None:
         """Add one guess: its probability row (None if unranked) and successes."""
         m = self.size
-        if m == len(self._counts):
-            self._probs, self._counts, self._rows, self._cats, self._weight, self._root = (
-                np.concatenate([a, np.zeros((m,) + a.shape[1:], a.dtype)])
-                for a in (self._probs, self._counts, self._rows,
-                          self._cats, self._weight, self._root))
+        self._reserve(m + 1)
         self._counts[m] = successes
         if row is not None:
             self._probs[m] = row
             if successes > 0 and max(row.tolist()) > PROBABILITY_FLOOR:
-                k = self.live
-                self._cats[k], self._weight[k], self._root[k] = row, successes, sqrt(successes)
-                self._rows[k] = m
-                self.live = k + 1
+                self._cats[self.live], self._weight[self.live] = row, successes
+                self.live += 1
         self.size = m + 1
 
-    def categories(self, left: np.ndarray, rest) -> tuple[np.ndarray, ...]:
-        """The guess indices of the word categories, then the rows, counts
-        and square roots of the counts of every category: the rest, with
-        probabilities ``left`` and count ``rest``, comes last unless
-        ``rest`` is None."""
+    def categories(self, left: np.ndarray, rest) -> tuple[np.ndarray, np.ndarray]:
+        """The rows and counts of every category: the rest, with
+        probabilities ``left`` and count ``rest``, comes last unless ``rest``
+        is None."""
         k = self.live
         if rest is not None:
-            self._cats[k], self._weight[k], self._root[k] = left, rest, sqrt(rest)
+            self._cats[k], self._weight[k] = left, rest
             k += 1
-        return self._rows[:self.live], self._cats[:k], self._weight[:k], self._root[:k]
-
-
-def _log_likelihood(observed, counts, rest) -> float:
-    # observed = probs @ q and rest = population - counts.sum()
-    remainder = max(1.0 - observed.sum(), PROBABILITY_FLOOR)
-    return float(counts @ np.log(np.maximum(observed, PROBABILITY_FLOOR))
-                 + rest * np.log(remainder))
-
-
-def _gradient(observed, probs, counts, rest, column) -> np.ndarray:
-    # observed = probs @ q, rest = population - counts.sum() and
-    # column = probs.sum(axis=0); the last two are constant within a descent.
-    remainder = 1.0 - observed.sum()
-    # A floored remainder is a constant term: it adds nothing to the gradient.
-    remainder_count = rest if remainder > PROBABILITY_FLOOR else 0
-    return (probs.T @ (counts / np.maximum(observed, PROBABILITY_FLOOR))
-            - remainder_count * column / max(remainder, PROBABILITY_FLOOR))
+        return self._cats[:k], self._weight[:k]
 
 
 def log_likelihood(corpus: Corpus, weights, history: GuessHistory) -> float:
@@ -242,7 +238,10 @@ def log_likelihood(corpus: Corpus, weights, history: GuessHistory) -> float:
     q = _weight_vector(weights, len(corpus))
     arrays = HistoryArrays.of(corpus, history)
     probs, counts = arrays.probs, arrays.counts
-    return _log_likelihood(probs @ q, counts, history.population - counts.sum())
+    observed = probs @ q
+    remainder = max(1.0 - observed.sum(), PROBABILITY_FLOOR)
+    return float(counts @ np.log(np.maximum(observed, PROBABILITY_FLOOR))
+                 + (history.population - counts.sum()) * np.log(remainder))
 
 
 def gradient(corpus: Corpus, weights, history: GuessHistory) -> np.ndarray:
@@ -253,15 +252,20 @@ def gradient(corpus: Corpus, weights, history: GuessHistory) -> np.ndarray:
         sum_j N_j * p_i(k_j) / Q_{k_j}
             - (N - sum_j N_j) * sum_j p_i(k_j) / (1 - sum_j Q_{k_j})
 
-    with the same epsilon floors as the objective; where the remainder is
-    floored (every dictionary's words are all guessed), its term is a
-    constant and the second line is 0.
+    with the same epsilon floors as the objective. A term the floor binds,
+    a guessed word with Q_{k_j} at most ``PROBABILITY_FLOOR`` or a remainder
+    at most it (every dictionary's words are all guessed), is a constant of
+    the objective and adds nothing here.
     """
     q = _weight_vector(weights, len(corpus))
     arrays = HistoryArrays.of(corpus, history)
     probs, counts = arrays.probs, arrays.counts
-    return _gradient(probs @ q, probs, counts, history.population - counts.sum(),
-                     probs.sum(axis=0))
+    observed = probs @ q
+    remainder = 1.0 - observed.sum()
+    rest = history.population - counts.sum() if remainder > PROBABILITY_FLOOR else 0
+    counts = np.where(observed > PROBABILITY_FLOOR, counts, 0.0)
+    return (probs.T @ (counts / np.maximum(observed, PROBABILITY_FLOOR))
+            - rest * probs.sum(axis=0) / max(remainder, PROBABILITY_FLOOR))
 
 
 def project_to_simplex(v: Sequence[float]) -> MixtureWeights:
@@ -295,26 +299,32 @@ def estimate(corpus: Corpus, history: GuessHistory, init: MixtureWeights,
              on_step: StepCallback | None = None) -> tuple[MixtureWeights, float, int]:
     """Maximize the log-likelihood from ``init`` by active-set Newton ascent.
 
-    Each step solves the Newton system on the face of the simplex the
-    iterate lies on, widened by the empty coordinates whose gradient beats
-    g . q, keeping the sum of the weights. A direction that does not ascend
-    is replaced by a Frank-Wolfe step towards the best vertex. The step
-    length maximizes the likelihood along the direction up to the simplex
-    boundary (a safeguarded Newton line search; coordinates that reach the
-    boundary become exactly 0) and is halved while it gains less than
+    The descent reads only its categories: each guessed word with successes
+    that some dictionary gives more than ``PROBABILITY_FLOOR``, and the rest
+    while users remain and some dictionary gives it more than the floor.
+    Every other term of the objective is a constant, and adds nothing to
+    its gradient. Each step solves the Newton system on the face of the
+    simplex the iterate lies on, widened by the empty coordinates whose
+    gradient beats g . q, keeping the sum of the weights. A direction that
+    does not ascend is replaced by a Frank-Wolfe step towards the best
+    vertex. The step length maximizes the likelihood along the direction up
+    to the simplex boundary: a safeguarded Newton line search that starts
+    at the unit step, or at the boundary when that is nearer, and keeps it
+    when it already meets the stopping test (coordinates that reach the
+    boundary become exactly 0). It is halved while it gains less than
     ``ARMIJO`` times its first-order prediction. The objective counts as
-    -inf wherever an observed word, or the rest while users remain, has
-    probability at or below ``PROBABILITY_FLOOR``, so no step ends on a face
-    where an observed word has probability 0; a start on such a face is
-    first moved halfway to the uniform point, which counts as a step.
+    -inf wherever a category has probability at or below
+    ``PROBABILITY_FLOOR``, so no step ends on a face where an observed word
+    has probability 0; a start on such a face is first moved halfway to the
+    uniform point, which counts as a step.
 
-    Stops once the Frank-Wolfe gap max_i g_i - g . q of :func:`gradient` is
-    at most ``GAP_TOL * population`` nats: the log-likelihood is concave, so
-    that gap bounds how far it is below its maximum. ``cfg.max_steps`` only
-    guards against a descent that does not get there. Where there is no
-    category (no word with successes that some dictionary gives more than
-    the floor, and no users or no words left), the objective is constant and
-    the start is returned.
+    Stops once the Frank-Wolfe gap max_i g_i - g . q is at most
+    ``GAP_TOL * population`` nats: the log-likelihood is concave, so that
+    gap bounds how far it is below its maximum. The categories' gradient
+    differs from that of :func:`gradient` by a multiple of the all-ones
+    vector, which moves neither the gap nor the step. ``cfg.max_steps``
+    only guards against a descent that does not get there. Where there is
+    no category, the objective is constant and the start is returned.
 
     Returns (weights, final log-likelihood, steps taken). The log-likelihood
     is that of ``init`` plus the gain of each step, summed from log1p terms
@@ -329,32 +339,31 @@ def estimate(corpus: Corpus, history: GuessHistory, init: MixtureWeights,
 def maximize(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentConfig(),
              on_step: StepCallback | None = None) -> tuple[MixtureWeights, float, int]:
     """:func:`estimate` on an attack's :class:`HistoryArrays`."""
-    probs, counts = arrays.probs, arrays.counts
-    # Constant within a descent: the rest's count and each dictionary's
-    # probability of the guessed words. Not kept as running sums: numpy sums
-    # a single column pairwise, so with one dictionary they would round apart.
-    rest, column = arrays.population - counts.sum(), probs.sum(axis=0)
-    left = 1.0 - column
+    # Each dictionary's probability of the rest, constant within a descent.
+    # Not kept as a running sum: numpy sums a single column pairwise, so with
+    # one dictionary it would round apart.
+    left = 1.0 - arrays.probs.sum(axis=0)
+    rest = arrays.population - arrays.counts.sum()
     # The rest is a category while users remain and some dictionary gives it
     # more than the floor. Where every category is above the floor, the
-    # floored objective and its gradient are the unfloored ones; elsewhere
-    # the objective counts as -inf.
-    rest_live = rest > 0 and left.max() > PROBABILITY_FLOOR
-    rows, cats, weight, root = arrays.categories(left, rest if rest_live else None)
+    # floored objective is the unfloored one; elsewhere it counts as -inf.
+    cats, weight = arrays.categories(
+        left, rest if rest > 0 and left.max() > PROBABILITY_FLOOR else None)
+    # The floored terms: every user outside the categories counts ln(floor).
+    constant = (arrays.population - weight.sum()) * np.log(PROBABILITY_FLOOR)
 
     def value(q: np.ndarray) -> tuple[float, np.ndarray]:
-        observed = probs @ q
-        if (observed[rows].min(initial=1.0) <= PROBABILITY_FLOOR
-                or (rest_live and 1.0 - observed.sum() <= PROBABILITY_FLOOR)):
+        observed = cats @ q
+        if observed.min(initial=1.0) <= PROBABILITY_FLOOR:
             return -np.inf, observed
-        return _log_likelihood(observed, counts, rest), observed
+        return float(weight @ np.log(observed) + constant), observed
 
-    (current, seen), steps = value(w), 0
+    (current, observed), steps = value(w), 0
     if on_step is not None:
         on_step(0, MixtureWeights(w), current)
     if current == -np.inf:
         w = 0.5 * (w + 1.0 / w.size)
-        (current, seen), steps = value(w), 1
+        (current, observed), steps = value(w), 1
         if on_step is not None:
             on_step(1, MixtureWeights(w), current)
         if current == -np.inf:  # the floor binds everywhere: nothing to climb
@@ -363,27 +372,23 @@ def maximize(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentC
         return MixtureWeights(w), current, steps
     tolerance = GAP_TOL * arrays.population
     while steps < cfg.max_steps:
-        # The public gradient, so that the gap certified here is the gap any
-        # caller computes; it differs from the categories' by a multiple of
-        # the all-ones vector, which moves neither the gap nor the step.
-        grad = _gradient(seen, probs, counts, rest, column)
-        lam = grad @ w
+        ratio = weight / observed
+        grad = cats.T @ ratio
+        lam = float(grad @ w)
         if grad.max() - lam <= tolerance:
             break
-        observed = cats @ w
-        scaled = cats * (root / observed)[:, None]
         # minus the Hessian: sum_c C_c a_c a_c^T / (a_c . q)^2
-        direction = _newton_direction(scaled.T @ scaled, grad, w, (w > 0) | (grad > lam))
-        if direction is None or not grad @ direction > 0:
+        direction = _newton_direction((cats.T * (ratio / observed)) @ cats, grad, w, lam)
+        if direction is None or not (slope := grad @ direction) > 0:
             direction = -w
             direction[int(np.argmax(grad))] += 1.0
+            slope = grad @ direction
         # Ratio test: a step to the boundary sets the coordinates that reach it to 0.
         room = {i: x / -d for i, (x, d) in enumerate(zip(w.tolist(), direction.tolist()))
                 if d < 0}
         limit = min(room.values(), default=np.inf)
         change = cats @ direction / observed  # relative change of each category per unit step
         step = _line_search(change, weight, limit, tolerance)
-        slope = weight @ change
         # Armijo backtrack. The gain is a sum of log1p terms, exact to rounding
         # of itself, where a difference of two values would lose to rounding
         # the gains of the last steps.
@@ -399,7 +404,7 @@ def maximize(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentC
             candidate[[i for i, r in room.items() if r == limit]] = 0.0
         w, current = np.maximum(candidate, 0.0), current + gain
         steps += 1
-        seen = probs @ w
+        observed = cats @ w
         if on_step is not None:
             on_step(steps, MixtureWeights(w), current)
     return MixtureWeights(w), current, steps
@@ -410,14 +415,18 @@ def _line_search(change: np.ndarray, weight: np.ndarray, limit: float,
     """The t in (0, limit] that maximizes sum_c weight_c ln(1 + t change_c),
     to within ``tolerance``.
 
-    Newton's method on the derivative from t = 0, kept inside a bracket of
+    Starts at the unit step, or at ``limit`` or the logarithm's pole where
+    either is nearer, and returns it at once if the stopping test holds
+    there or it is ``limit`` with the objective still rising. Otherwise
+    Newton's method on the derivative from there, kept inside a bracket of
     the maximizer: a step that leaves the bracket, or that fails to halve
     the step before it (Newton's steps double next to a logarithm's pole),
     is replaced by bisection.
     """
     fastest = change.min()
     pole = -1.0 / fastest if fastest < 0 else np.inf
-    lo, hi, t, moved = 0.0, min(limit, pole), 0.0, np.inf
+    lo, hi, moved = 0.0, min(limit, pole), np.inf
+    t = min(1.0, hi)
     edge = limit < pole  # the objective is finite at limit, so the step may end there
     for _ in range(100):
         # Rounding is monotone, so this is the least of 1 + t * change.
@@ -434,7 +443,7 @@ def _line_search(change: np.ndarray, weight: np.ndarray, limit: float,
             lo = t
         else:
             hi, edge = t, False
-        if t > 0 and rise * rise <= tolerance * curvature:
+        if rise * rise <= tolerance * curvature:
             break
         new = t + rise / curvature
         if edge and new >= hi:
@@ -446,9 +455,11 @@ def _line_search(change: np.ndarray, weight: np.ndarray, limit: float,
 
 
 def _newton_direction(curvature: np.ndarray, grad: np.ndarray, w: np.ndarray,
-                      free: np.ndarray) -> np.ndarray | None:
-    """Newton step of the quadratic model on the coordinates ``free``, with
-    the others fixed and the sum kept; None when fewer than two are free.
+                      lam: float) -> np.ndarray | None:
+    """Newton step of the quadratic model on the free coordinates, the
+    nonzero ones and the empty ones whose gradient beats ``lam`` = g . q,
+    with the others fixed and the sum kept; None when fewer than two are
+    free.
 
     ``curvature`` is minus the Hessian. The step d is written as d = Z u,
     where the last free coordinate balances the others, and u solves the
@@ -461,7 +472,7 @@ def _newton_direction(curvature: np.ndarray, grad: np.ndarray, w: np.ndarray,
     code pages).
     """
     c, g, q = curvature.tolist(), grad.tolist(), w.tolist()
-    index = [i for i, f in enumerate(free.tolist()) if f]
+    index = [i for i, (x, y) in enumerate(zip(q, g)) if x > 0 or y > lam]
     while len(index) >= 2:
         *head, last = index
         matrix = [[c[i][j] - c[i][last] - c[last][j] + c[last][last] for j in head]

@@ -20,7 +20,7 @@ from pwbandit import GuessPolicy, InitPolicy, MixtureWeights, compose_password_s
 
 from helpers import overlap_corpus
 
-DIGEST = "76e7cebd454831d2d8f73e995981a3d39a797408b0c9a01fb85e878895a3fe4a"
+DIGEST = "effa0a38aebf071e6452677f8e501620343bf14da9de3a4e23f350ded18a25e3"
 
 
 def attack_digest() -> str:

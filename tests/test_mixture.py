@@ -2,21 +2,26 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pwbandit import (
     Corpus,
     DescentConfig,
     Dictionary,
     GuessHistory,
+    GuessPolicy,
+    InitPolicy,
     MixtureWeights,
+    compose_password_set,
     estimate,
     gradient,
     log_likelihood,
     mixture_probability,
     project_to_simplex,
+    run_attack,
 )
 from pwbandit.errors import DimensionMismatch, EmptyInput
+from pwbandit import mixture
 from pwbandit.mixture import (
     GAP_TOL,
     PROBABILITY_FLOOR,
@@ -30,6 +35,7 @@ from helpers import (
     grid_loglik_max,
     random_corpus,
     random_history,
+    overlap_corpus,
     random_interior_point,
     simplex_grid,
 )
@@ -336,6 +342,23 @@ def test_estimate_returns_the_start_where_no_category_is_left(observations):
     assert loglik == log_likelihood(c, start, GuessHistory(1, observations))
 
 
+def test_estimate_certifies_past_a_guessed_word_below_the_floor():
+    # y cracked 30 users, but only dictionary a ranks it, at 1e-13: its term
+    # is a constant of the floored objective, so it adds nothing to the
+    # gradient, and the gap there certifies the maximizer.
+    c = Corpus((
+        Dictionary("a", (("x", 10**13), ("y", 1), ("w", 10**12))),
+        Dictionary("b", (("z", 5), ("w", 3), ("v", 2))),
+        Dictionary("c", (("z", 1), ("v", 4), ("u", 5))),
+    ))
+    h = GuessHistory(1000, (("y", 30), ("z", 200), ("w", 100), ("v", 50)))
+    weights, loglik, _ = estimate(c, h, MixtureWeights.uniform(3))
+    assert fw_gap(c, weights, h) <= GAP_TOL * h.population
+    assert np.allclose(weights.q, (0.679501, 0.320499, 0.0), atol=1e-6)
+    grid_max, _ = grid_loglik_max(c, h, pitch=0.01)
+    assert loglik >= grid_max - 1e-3
+
+
 def test_estimate_is_deterministic(two_dicts):
     h = GuessHistory(50, (("a", 20), ("b", 10)))
     init = MixtureWeights((0.25, 0.75))
@@ -385,9 +408,62 @@ def test_line_search_stays_off_a_pole_that_rounding_places_at_limit(fastest):
     assert (1.0 + t * change).min() > 0
 
 
+class CountedWeights(np.ndarray):
+    """Counts the products taken with it: the line search takes two per
+    evaluation of its objective."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            CountedWeights.products += 1
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+def evaluations(change, weight, limit, tolerance=1e-12):
+    """The line search's step and how many points it evaluated."""
+    CountedWeights.products = 0
+    t = _line_search(np.asarray(change, dtype=float),
+                     np.asarray(weight, dtype=float).view(CountedWeights), limit, tolerance)
+    return t, CountedWeights.products // 2
+
+
+def test_line_search_returns_a_unit_step_that_meets_the_stop_test_after_one_evaluation():
+    # ln(1 + t) + ln(1 - t/3) peaks at t = 1.
+    assert evaluations([1.0, -1.0 / 3.0], [1.0, 1.0], np.inf) == (1.0, 1)
+
+
+@pytest.mark.parametrize("limit", [0.3, 1.0])
+def test_line_search_returns_a_limit_below_the_unit_step_after_one_evaluation(limit):
+    # Rising all the way to limit: the maximizer is t = 1.6.
+    assert evaluations([0.5, -0.25], [3.0, 2.0], limit) == (limit, 1)
+
+
+@pytest.mark.parametrize("scale", [1 / 16, 160.0])
+def test_line_search_finds_a_maximizer_away_from_the_unit_step(scale):
+    # Scaling the changes of the t* = 1.6 case by k moves its maximizer to
+    # 1.6 / k: 25.6 and 0.01.
+    change, weight, tolerance = scale * np.array([0.5, -0.25]), np.array([3.0, 2.0]), 1e-12
+    best = 1.6 / scale
+    t, _ = evaluations(change, weight, np.inf, tolerance)
+    curvature = weight @ (change / (1.0 + best * change)) ** 2
+    assert abs(t - best) <= 2 * math.sqrt(tolerance / curvature)
+
+
+@pytest.mark.parametrize("shrinking, best", [(0.1, 0.6 / 4.4), (1e-6, (1 - 4e-6) / (4 + 4e-6))])
+def test_line_search_never_crosses_a_pole_below_the_unit_step(shrinking, best):
+    # shrinking ln(1 - 4t) + ln(1 + t): a pole at t = 0.25, below the unit
+    # step, and a maximizer below it, within about 2e-6 of it in the second case.
+    change, weight, tolerance = np.array([-4.0, 1.0]), np.array([shrinking, 1.0]), 1e-12
+    t, _ = evaluations(change, weight, np.inf, tolerance)
+    assert 0 < t < 0.25 and (1.0 + t * change).min() > 0
+    curvature = weight @ (change / (1.0 + best * change)) ** 2
+    assert abs(t - best) <= 2 * math.sqrt(tolerance / curvature)
+
+
 def reference_categories(probs, counts, population):
     """The categories as each descent once rebuilt them from the m rows:
-    guess indices of the word categories, then rows, counts and roots."""
+    their rows, then their counts."""
     rows = np.flatnonzero(counts)
     reach = probs[rows].max(axis=1, initial=0.0)
     if reach.min(initial=1.0) <= PROBABILITY_FLOOR:
@@ -396,7 +472,7 @@ def reference_categories(probs, counts, population):
     left, rest = 1.0 - probs.sum(axis=0), population - counts.sum()
     if rest > 0 and left.max() > PROBABILITY_FLOOR:
         cats, weight = np.vstack([cats, left]), np.append(weight, rest)
-    return rows, cats, weight, np.sqrt(weight)
+    return cats, weight
 
 
 @st.composite
@@ -453,3 +529,95 @@ def test_grown_arrays_equal_the_rebuilt_categories(attack):
                 assert part.shape == reference.shape and np.array_equal(part, reference)
         start = np.full(n, 1.0 / n)
         assert maximize(grown, start.copy()) == maximize(built, start.copy())
+
+
+def appended(corpus, history):
+    """The arrays built one ``append`` per guess: the reference for ``of``."""
+    arrays = HistoryArrays(len(corpus), history.population)
+    for word, successes in history.observations:
+        v = corpus.vocab_index.get(word)
+        arrays.append(None if v is None else corpus.vocab_probs[v], successes)
+    return arrays
+
+
+def assert_same_buffers(built, reference):
+    assert vars(built).keys() == vars(reference).keys()
+    for name, value in vars(reference).items():
+        if isinstance(value, np.ndarray):
+            got = getattr(built, name)
+            assert got.dtype == value.dtype and got.shape == value.shape, name
+            assert got.tobytes() == value.tobytes(), name
+        else:
+            assert getattr(built, name) == value, name
+
+
+@settings(max_examples=200, deadline=None)
+@given(growing_attacks())
+def test_arrays_built_at_once_are_the_appended_arrays_byte_for_byte(attack):
+    corpus, population, observations = attack
+    for history in (GuessHistory(population), GuessHistory(population, tuple(observations))):
+        assert_same_buffers(HistoryArrays.of(corpus, history), appended(corpus, history))
+
+
+@st.composite
+def category_instances(draw):
+    """A small corpus, a history and a point inside the simplex. Dictionary
+    d0 ranks only "huge" and "tiny" (probability 1e-13, below the floor),
+    and d1's words are all guessed; the guesses also take in an unranked
+    word and zero-success guesses."""
+    words = [f"w{i}" for i in range(8)]
+    small = draw(st.lists(st.sampled_from(words), min_size=1, max_size=2, unique=True))
+    dictionaries = [Dictionary("d0", (("huge", 10**13), ("tiny", 1))),
+                    Dictionary("d1", tuple((w, draw(st.integers(1, 50))) for w in small))]
+    for i in range(2, draw(st.integers(2, 4))):
+        ranked = draw(st.lists(st.sampled_from(words), min_size=1, unique=True))
+        dictionaries.append(Dictionary(f"d{i}", tuple(
+            (w, draw(st.integers(1, 50))) for w in ranked)))
+    extra = draw(st.lists(st.sampled_from([w for w in words if w not in small]
+                                          + ["tiny", "unranked"]), unique=True))
+    guesses = draw(st.permutations(small + extra))
+    population = draw(st.integers(100, 10**6))
+    observations, left = [], population
+    for word in guesses:
+        successes = draw(st.integers(0, min(left, 50)))
+        observations.append((word, successes))
+        left -= successes
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=len(dictionaries),
+                        max_size=len(dictionaries)))
+    point = np.array(raw) / sum(raw)
+    return Corpus(tuple(dictionaries)), GuessHistory(population, tuple(observations)), point
+
+
+@settings(max_examples=300, deadline=None)
+@given(category_instances())
+def test_category_gap_is_the_public_gap(instance):
+    corpus, history, q = instance
+    arrays = HistoryArrays.of(corpus, history)
+    left = 1.0 - arrays.probs.sum(axis=0)
+    rest = history.population - arrays.counts.sum()
+    cats, weight = arrays.categories(left, rest if rest > 0 and left.max() > PROBABILITY_FLOOR
+                                     else None)
+    observed = cats @ q
+    assume(observed.min(initial=1.0) > PROBABILITY_FLOOR)  # where a descent can be
+    g = cats.T @ (weight / observed)
+    public = gradient(corpus, q, history)
+    assert g.max() - g @ q == pytest.approx(public.max() - public @ q, rel=1e-9)
+    weights, loglik, _ = estimate(corpus, history, MixtureWeights(q))
+    assert loglik == pytest.approx(log_likelihood(corpus, weights, history), rel=1e-9)
+
+
+def test_warm_started_line_searches_take_the_unit_step(monkeypatch):
+    # A 1,000-guess best-init by-q attack on the acceptance instance: almost
+    # every warm-started search keeps min(1, limit) after one evaluation.
+    corpus = overlap_corpus(3, 1000, 400, exponent=0.4, seed=1000)
+    ps = compose_password_set(corpus, MixtureWeights((0.6, 0.3, 0.1)), 10_000, seed=42)
+    search, unit = mixture._line_search, []
+
+    def recorded(change, weight, limit, tolerance):
+        t = search(change, weight, limit, tolerance)
+        unit.append(t == min(1.0, limit))
+        return t
+
+    monkeypatch.setattr(mixture, "_line_search", recorded)
+    run_attack(corpus, ps, InitPolicy.BEST, GuessPolicy.BY_Q, 1000, seed=0)
+    assert len(unit) > 1000 and sum(unit) >= 0.95 * len(unit)
