@@ -26,7 +26,6 @@ from .mixture import (
     estimate,
     gradient,
     log_likelihood,
-    mixture_probability,
     project_to_simplex,
 )
 from .simulator import (
@@ -68,7 +67,6 @@ __all__ = [
     "load_frequency_file",
     "load_frequency_list",
     "log_likelihood",
-    "mixture_probability",
     "new_state",
     "optimal_baseline",
     "oracle_count",

@@ -120,9 +120,8 @@ def _write_trace_csv(path: Path, traces: Sequence[AttackTrace], n: int) -> None:
                + [f"qhat_{i + 1}" for i in range(n)], rows)
 
 
-def _write_summary_csv(path: Path, traces: Sequence[AttackTrace],
+def _write_summary_csv(path: Path, mean_curve: Sequence[float],
                        baseline: Sequence[int]) -> None:
-    mean_curve = pad_curve(average_traces(traces), len(baseline))
     _write_csv(path, ["guess_index", "mean_cumulative", "optimal_baseline"],
                ([j, _fmt(mean), best]
                 for j, (mean, best) in enumerate(zip(mean_curve, baseline), start=1)))
@@ -139,10 +138,10 @@ def cmd_attack(cfg: ExperimentConfig) -> None:
     out = _out_dir(cfg)
     baseline = optimal_baseline(ps, cfg.guess_budget)
     _write_trace_csv(out / "trace.csv", traces, len(corpus))
-    _write_summary_csv(out / "summary.csv", traces, baseline)
-    final = pad_curve(average_traces(traces), cfg.guess_budget)[-1]
+    mean_curve = pad_curve(average_traces(traces), cfg.guess_budget)
+    _write_summary_csv(out / "summary.csv", mean_curve, baseline)
     print(f"{cfg.runs} runs of {cfg.guess_policy.value}/{cfg.init_policy.value}: "
-          f"mean {final:.1f} of {ps.size} users at guess {cfg.guess_budget} "
+          f"mean {mean_curve[-1]:.1f} of {ps.size} users at guess {cfg.guess_budget} "
           f"(optimal {baseline[-1]}) -> {out / 'trace.csv'}, {out / 'summary.csv'}")
 
 

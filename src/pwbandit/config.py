@@ -37,18 +37,34 @@ import configparser
 import dataclasses
 import os
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 
 from .bandit import GuessPolicy, InitPolicy
 from .errors import ConfigError
 from .mixture import MixtureWeights
 
-_SECTIONS = {
-    "dictionaries": None,  # free-form name = path entries
-    "composition": {"proportions", "users", "seed", "passwords"},
-    "attack": {"init", "guess", "guesses", "runs", "seed"},
-    "output": {"dir"},
+
+def _proportions(text: str) -> MixtureWeights:
+    return MixtureWeights([float(part) for part in text.split(",")])
+
+
+# The schema, in file order: "section.key" -> (field of ExperimentConfig,
+# parser of the key's text, least integer value or None). The free-form
+# [dictionaries] section is not in it.
+_KEYS = {
+    "composition.passwords": ("password_file", str, None),
+    "composition.proportions": ("proportions", _proportions, None),
+    "composition.users": ("population", int, 1),
+    "composition.seed": ("composition_seed", int, 0),
+    "attack.init": ("init_policy", InitPolicy, None),
+    "attack.guess": ("guess_policy", GuessPolicy, None),
+    "attack.guesses": ("guess_budget", int, 1),
+    "attack.runs": ("runs", int, 1),
+    "attack.seed": ("attack_seed", int, 0),
+    "output.dir": ("output_dir", str, None),
 }
+_SECTIONS = {key.partition(".")[0] for key in _KEYS}
 
 
 @dataclass
@@ -68,14 +84,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.dictionaries:
             raise ConfigError("at least one dictionary is required", field="dictionaries")
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1", field="attack.runs")
-        if self.guess_budget < 1:
-            raise ConfigError("guesses must be >= 1", field="attack.guesses")
-        if self.attack_seed < 0:
-            raise ConfigError("seed must be >= 0", field="attack.seed")
-        if self.composition_seed < 0:
-            raise ConfigError("seed must be >= 0", field="composition.seed")
+        for key, (field, _, least) in _KEYS.items():
+            value = getattr(self, field)
+            if least is not None and value is not None and value < least:
+                raise ConfigError(f"must be >= {least}", field=key)
         if self.password_file is None:
             if self.proportions is None or self.population is None:
                 raise ConfigError(
@@ -88,26 +100,10 @@ class ExperimentConfig:
                     f"{len(self.dictionaries)} dictionaries",
                     field="composition.proportions",
                 )
-            if self.population < 1:
-                raise ConfigError("users must be >= 1", field="composition.users")
         elif self.proportions is not None or self.population is not None:
             raise ConfigError(
                 "`passwords` excludes `proportions`/`users`", field="composition"
             )
-
-
-def _to_int(text: str, where: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"not an integer: {text!r}", field=where) from None
-
-
-def _to_float(text: str, where: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"not a number: {text!r}", field=where) from None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -119,86 +115,47 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from None
 
+    fields = {}
     for section in parser.sections():
-        allowed = _SECTIONS.get(section, ...)
-        if allowed is ...:
+        if section == "dictionaries":
+            continue
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]", field=section)
-        if allowed is not None:
-            for key in parser[section]:
-                if key not in allowed:
-                    raise ConfigError(f"unknown key {key!r}", field=f"{section}.{key}")
+        for key, value in parser[section].items():
+            where = f"{section}.{key}"
+            if where not in _KEYS:
+                raise ConfigError(f"unknown key {key!r}", field=where)
+            field, parse, _ = _KEYS[where]
+            try:
+                fields[field] = parse(value)
+            except ValueError as exc:
+                raise ConfigError(str(exc), field=where) from None
+    dictionaries = (tuple(parser.items("dictionaries"))
+                    if parser.has_section("dictionaries") else ())
+    return ExperimentConfig(dictionaries, **fields)
 
-    if not parser.has_section("dictionaries") or not parser.items("dictionaries"):
-        raise ConfigError("missing [dictionaries] section", field="dictionaries")
-    dictionaries = tuple(parser.items("dictionaries"))
 
-    comp = parser["composition"] if parser.has_section("composition") else {}
-    proportions = None
-    if "proportions" in comp:
-        parts = [p for p in comp["proportions"].split(",")]
-        values = [_to_float(p.strip(), "composition.proportions") for p in parts]
-        try:
-            proportions = MixtureWeights(values)
-        except ValueError as exc:
-            raise ConfigError(str(exc), field="composition.proportions") from None
-    population = _to_int(comp["users"], "composition.users") if "users" in comp else None
-    composition_seed = _to_int(comp["seed"], "composition.seed") if "seed" in comp else 0
-    password_file = comp.get("passwords")
-
-    attack = parser["attack"] if parser.has_section("attack") else {}
-    try:
-        init_policy = InitPolicy(attack.get("init", "average"))
-    except ValueError:
-        raise ConfigError(f"unknown init policy {attack['init']!r}", field="attack.init") from None
-    try:
-        guess_policy = GuessPolicy(attack.get("guess", "by-q"))
-    except ValueError:
-        raise ConfigError(f"unknown guess policy {attack['guess']!r}", field="attack.guess") from None
-    guess_budget = _to_int(attack.get("guesses", "100"), "attack.guesses")
-    runs = _to_int(attack.get("runs", "50"), "attack.runs")
-    attack_seed = _to_int(attack.get("seed", "0"), "attack.seed")
-
-    output = parser["output"] if parser.has_section("output") else {}
-    output_dir = output.get("dir", "out")
-
-    return ExperimentConfig(
-        dictionaries=dictionaries,
-        proportions=proportions,
-        population=population,
-        composition_seed=composition_seed,
-        password_file=password_file,
-        init_policy=init_policy,
-        guess_policy=guess_policy,
-        guess_budget=guess_budget,
-        runs=runs,
-        attack_seed=attack_seed,
-        output_dir=output_dir,
-    )
+def _text(value) -> str:
+    """A field's value as the config file writes it."""
+    if isinstance(value, MixtureWeights):
+        return ", ".join(repr(q) for q in value)
+    return str(value.value if isinstance(value, Enum) else value)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; parsing it back reproduces ``cfg`` exactly."""
     lines = ["[dictionaries]"]
     lines += [f"{name} = {path}" for name, path in cfg.dictionaries]
-    lines += ["", "[composition]"]
-    if cfg.password_file is not None:
-        lines.append(f"passwords = {cfg.password_file}")
-    else:
-        lines.append("proportions = " + ", ".join(repr(q) for q in cfg.proportions))
-        lines.append(f"users = {cfg.population}")
-    lines.append(f"seed = {cfg.composition_seed}")  # with a password file too, for round trips
-    lines += [
-        "",
-        "[attack]",
-        f"init = {cfg.init_policy.value}",
-        f"guess = {cfg.guess_policy.value}",
-        f"guesses = {cfg.guess_budget}",
-        f"runs = {cfg.runs}",
-        f"seed = {cfg.attack_seed}",
-        "",
-        "[output]",
-        f"dir = {cfg.output_dir}",
-    ]
+    section = "dictionaries"
+    for key, (field, _, _) in _KEYS.items():
+        value = getattr(cfg, field)
+        if value is None:
+            continue
+        head, _, name = key.partition(".")
+        if head != section:
+            lines += ["", f"[{head}]"]
+            section = head
+        lines.append(f"{name} = {_text(value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -142,12 +142,6 @@ def _weight_vector(weights, n: int) -> np.ndarray:
     return q
 
 
-def mixture_probability(corpus: Corpus, weights, word: str) -> float:
-    """Probability of seeing ``word`` under the weighted dictionary mixture."""
-    q = _weight_vector(weights, len(corpus))
-    return float(corpus.probability_rows((word,))[0] @ q)
-
-
 class HistoryArrays:
     """One attack's guesses as the solver reads them, grown by :meth:`append`.
 

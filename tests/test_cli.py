@@ -135,12 +135,25 @@ def test_config_round_trips_after_cli_overrides(cfg, command, data):
     ("[composition]\nproportions = nan\nusers = 10\n", "composition.proportions"),
     ("[composition]\nproportions = 1.0\nusers = 10\nseed = -1\n", "composition.seed"),
     ("[composition]\nproportions = 1.0\nusers = 10\n[attack]\nseed = -1\n", "attack.seed"),
+    ("[composition]\nproportions = 1.0\nusers = ten\n", "composition.users"),
+    ("[composition]\nproportions = 1.0\nusers = 0\n", "composition.users"),
+    ("[composition]\nproportions = 1.0\nusers = 10\n[attack]\nguesses = 0\n", "attack.guesses"),
+    ("[composition]\nproportions = 1.0\nusers = 10\n[attack]\nguess = fastest\n", "attack.guess"),
+    ("[composition]\nproportions = 0.5, x\nusers = 10\n", "composition.proportions"),
+    ("[composition]\nproportions = 1.0\nusers = 10\n[output]\nbogus = 1\n", "output.bogus"),
 ])
 def test_parse_config_rejects_bad_input(tmp_path, mutation, field):
     text = "[dictionaries]\nd1 = x.tsv\n\n" + mutation
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert err.value.field == field
+
+
+def test_absent_keys_keep_the_dataclass_defaults():
+    cfg = parse_config("[dictionaries]\nd1 = x.tsv\n\n"
+                       "[composition]\nproportions = 1.0\nusers = 10\n")
+    assert cfg == ExperimentConfig((("d1", "x.tsv"),), proportions=MixtureWeights((1.0,)),
+                                   population=10)
 
 
 def test_config_requires_exactly_one_composition_source(tmp_path):

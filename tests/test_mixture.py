@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pwbandit import (
     Corpus,
@@ -16,7 +16,6 @@ from pwbandit import (
     estimate,
     gradient,
     log_likelihood,
-    mixture_probability,
     project_to_simplex,
     run_attack,
 )
@@ -84,28 +83,13 @@ def test_descent_config_validation():
         DescentConfig(max_steps=0)
 
 
-def test_mixture_probability_single_dictionary():
-    c = Corpus((Dictionary("d1", (("a", 8), ("b", 2))),))
-    assert mixture_probability(c, MixtureWeights((1.0,)), "a") == pytest.approx(0.8)
-
-
-def test_mixture_probability_symmetric(two_dicts):
-    w = MixtureWeights((0.5, 0.5))
-    assert mixture_probability(two_dicts, w, "a") == pytest.approx(0.5)
-
-
-def test_mixture_probability_absent_word_contributes_zero():
-    c = Corpus((
-        Dictionary("d1", (("a", 8), ("b", 2))),
-        Dictionary("d2", (("c", 1),)),
-    ))
-    # 0.25 * 0 + 0.75 * 1, evaluated by hand
-    assert mixture_probability(c, MixtureWeights((0.25, 0.75)), "c") == pytest.approx(0.75)
-
-
-def test_mixture_probability_dimension_mismatch(two_dicts):
+def test_weights_of_the_wrong_dimension_are_rejected(two_dicts):
+    h = GuessHistory(10, (("a", 1),))
+    for call in (log_likelihood, gradient):
+        with pytest.raises(DimensionMismatch):
+            call(two_dicts, [1.0], h)
     with pytest.raises(DimensionMismatch):
-        mixture_probability(two_dicts, [1.0], "a")
+        estimate(two_dicts, h, [1.0])
 
 
 def test_log_likelihood_empty_history(two_dicts):
@@ -359,6 +343,27 @@ def test_estimate_certifies_past_a_guessed_word_below_the_floor():
     assert loglik >= grid_max - 1e-3
 
 
+def test_a_step_that_loses_is_halved_until_it_gains():
+    # d3 is d0 plus a rare word. After 5 steps the gap is 1.25e-9 nats per
+    # user, and the line search returns a step within its tolerance of the
+    # line's maximum but past it, 4.7e-6 nats below the start. Halving that
+    # step until it gains moves the weights, and the gap there certifies.
+    head = (("x0", 2869257), ("w9", 434415), ("w13", 203235), ("w8", 149955),
+            ("w14", 117040), ("w3", 103918))
+    c = Corpus((
+        Dictionary("d0", head),
+        Dictionary("d1", (("x1", 2323908), ("w9", 143765))),
+        Dictionary("d2", (("x2", 366505),)),
+        Dictionary("d3", head + (("w5", 1),)),
+    ))
+    h = GuessHistory(35913, (("w9", 2956), ("w14", 373), ("w3", 418), ("w13", 499),
+                             ("w15", 0), ("w8", 197)))
+    start = MixtureWeights((0.6249752497373776, 0.13162739410826502,
+                            0.00397752442136761, 0.23941983173298972))
+    weights, _, _ = estimate(c, h, start)
+    assert fw_gap(c, weights, h) <= GAP_TOL * h.population
+
+
 def test_estimate_is_deterministic(two_dicts):
     h = GuessHistory(50, (("a", 20), ("b", 10)))
     init = MixtureWeights((0.25, 0.75))
@@ -590,6 +595,9 @@ def category_instances(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(category_instances())
+@example((Corpus((Dictionary("d0", (("huge", 10**13), ("tiny", 1))),
+                  Dictionary("d1", (("w0", 1),)))),
+          GuessHistory(9855, (("w0", 0),)), np.array([3 / 7, 4 / 7])))
 def test_category_gap_is_the_public_gap(instance):
     corpus, history, q = instance
     arrays = HistoryArrays.of(corpus, history)
@@ -603,7 +611,11 @@ def test_category_gap_is_the_public_gap(instance):
     public = gradient(corpus, q, history)
     assert g.max() - g @ q == pytest.approx(public.max() - public @ q, rel=1e-9)
     weights, loglik, _ = estimate(corpus, history, MixtureWeights(q))
-    assert loglik == pytest.approx(log_likelihood(corpus, weights, history), rel=1e-9)
+    # The returned value is the start's plus the gains, so its rounding error
+    # grows with the start's value: in the example, it is -8,350 nats and the
+    # maximum is 0.
+    slack = 1e-9 * abs(log_likelihood(corpus, q, history))
+    assert loglik == pytest.approx(log_likelihood(corpus, weights, history), rel=1e-9, abs=slack)
 
 
 def test_warm_started_line_searches_take_the_unit_step(monkeypatch):
