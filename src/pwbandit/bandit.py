@@ -211,7 +211,7 @@ def record_observation(state: BanditState, word: str, successes: int,
     """
     arrays = state.arrays
     successes = check_observation(word, successes, state.observed,
-                                  arrays.population - int(arrays.counts.sum()))
+                                  arrays.population - arrays.successes)
     state.observed[word] = successes
     v = corpus.vocab_index.get(word)
     if v is not None:

@@ -151,14 +151,19 @@ class HistoryArrays:
     ``live`` word categories: each guess with successes that some dictionary
     gives more than ``PROBABILITY_FLOOR`` (any other guess is a constant of
     the floored objective). A spare row after them takes each descent's rest
-    category. Buffers double when full, so a guess costs O(n) amortized, not
-    an O(m) rebuild. Package-internal: an attack's ``BanditState`` owns one.
+    category. Three running totals, each grown by one term per guess, spare a
+    descent any sum over the history: ``prob_totals``, the column totals of
+    ``probs``; ``successes``, the total count; and ``live_successes``, the
+    total count of the live categories. Buffers double when full, so a guess
+    costs O(n) amortized, not an O(m) rebuild. Package-internal: an attack's
+    ``BanditState`` owns one.
     """
 
     def __init__(self, n: int, population: int):
         self.population, self.size, self.live = population, 0, 0
         self._probs, self._counts = np.zeros((16, n)), np.zeros(16)
         self._cats, self._weight = np.zeros((17, n)), np.zeros(17)
+        self.prob_totals, self.successes, self.live_successes = np.zeros(n), 0, 0
 
     @classmethod
     def of(cls, corpus: Corpus, history: GuessHistory) -> "HistoryArrays":
@@ -178,6 +183,11 @@ class HistoryArrays:
         arrays._probs[:m], arrays._counts[:m] = probs, counts
         arrays._cats[:k], arrays._weight[:k] = probs[live], counts[live]
         arrays.size, arrays.live = m, k
+        if m:
+            # cumsum adds the rows in turn, as append does; sum(axis=0) does
+            # too for n >= 2, but sums a single column pairwise.
+            arrays.prob_totals = np.cumsum(probs, axis=0)[-1].copy()
+        arrays.successes, arrays.live_successes = int(counts.sum()), int(arrays._weight[:k].sum())
         return arrays
 
     @property
@@ -204,11 +214,14 @@ class HistoryArrays:
         m = self.size
         self._reserve(m + 1)
         self._counts[m] = successes
+        self.successes += successes
         if row is not None:
             self._probs[m] = row
+            self.prob_totals += row
             if successes > 0 and max(row.tolist()) > PROBABILITY_FLOOR:
                 self._cats[self.live], self._weight[self.live] = row, successes
                 self.live += 1
+                self.live_successes += successes
         self.size = m + 1
 
     def categories(self, left: np.ndarray, rest) -> tuple[np.ndarray, np.ndarray]:
@@ -333,18 +346,20 @@ def estimate(corpus: Corpus, history: GuessHistory, init: MixtureWeights,
 def maximize(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentConfig(),
              on_step: StepCallback | None = None) -> tuple[MixtureWeights, float, int]:
     """:func:`estimate` on an attack's :class:`HistoryArrays`."""
-    # Each dictionary's probability of the rest, constant within a descent.
-    # Not kept as a running sum: numpy sums a single column pairwise, so with
-    # one dictionary it would round apart.
-    left = 1.0 - arrays.probs.sum(axis=0)
-    rest = arrays.population - arrays.counts.sum()
+    # Each dictionary's probability of the rest, constant within a descent,
+    # from the running column totals, which add the rows in turn. For n >= 2
+    # numpy's probs.sum(axis=0) adds them in the same order, to the same bits;
+    # with one dictionary it sums the column pairwise, which may round apart.
+    left = 1.0 - arrays.prob_totals
+    rest = arrays.population - arrays.successes
     # The rest is a category while users remain and some dictionary gives it
     # more than the floor. Where every category is above the floor, the
     # floored objective is the unfloored one; elsewhere it counts as -inf.
-    cats, weight = arrays.categories(
-        left, rest if rest > 0 and left.max() > PROBABILITY_FLOOR else None)
+    rest_live = rest > 0 and left.max() > PROBABILITY_FLOOR
+    cats, weight = arrays.categories(left, rest if rest_live else None)
     # The floored terms: every user outside the categories counts ln(floor).
-    constant = (arrays.population - weight.sum()) * np.log(PROBABILITY_FLOOR)
+    outside = (arrays.successes if rest_live else arrays.population) - arrays.live_successes
+    constant = outside * np.log(PROBABILITY_FLOOR)
 
     def value(q: np.ndarray) -> tuple[float, np.ndarray]:
         observed = cats @ q
@@ -365,21 +380,24 @@ def maximize(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentC
     if not weight.size:  # no category: the floored objective is constant
         return MixtureWeights(w), current, steps
     tolerance = GAP_TOL * arrays.population
+    cats_t = cats.T
     while steps < cfg.max_steps:
         ratio = weight / observed
-        grad = cats.T @ ratio
+        grad = cats_t @ ratio
         lam = float(grad @ w)
-        if grad.max() - lam <= tolerance:
+        g, q = grad.tolist(), w.tolist()
+        if max(g) - lam <= tolerance:
             break
         # minus the Hessian: sum_c C_c a_c a_c^T / (a_c . q)^2
-        direction = _newton_direction((cats.T * (ratio / observed)) @ cats, grad, w, lam)
+        d = _newton_direction(((cats_t * (ratio / observed)) @ cats).tolist(), g, q, lam)
+        direction = None if d is None else np.array(d)
         if direction is None or not (slope := grad @ direction) > 0:
             direction = -w
             direction[int(np.argmax(grad))] += 1.0
             slope = grad @ direction
+            d = direction.tolist()
         # Ratio test: a step to the boundary sets the coordinates that reach it to 0.
-        room = {i: x / -d for i, (x, d) in enumerate(zip(w.tolist(), direction.tolist()))
-                if d < 0}
+        room = {i: x / -di for i, (x, di) in enumerate(zip(q, d)) if di < 0}
         limit = min(room.values(), default=np.inf)
         change = cats @ direction / observed  # relative change of each category per unit step
         step = _line_search(change, weight, limit, tolerance)
@@ -401,7 +419,7 @@ def maximize(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentC
         observed = cats @ w
         if on_step is not None:
             on_step(steps, MixtureWeights(w), current)
-    return MixtureWeights(w), current, steps
+    return MixtureWeights(w.tolist()), current, steps
 
 
 def _line_search(change: np.ndarray, weight: np.ndarray, limit: float,
@@ -448,43 +466,49 @@ def _line_search(change: np.ndarray, weight: np.ndarray, limit: float,
     return t
 
 
-def _newton_direction(curvature: np.ndarray, grad: np.ndarray, w: np.ndarray,
-                      lam: float) -> np.ndarray | None:
+def _newton_direction(c: list[list[float]], g: list[float], q: list[float],
+                      lam: float) -> list[float] | None:
     """Newton step of the quadratic model on the free coordinates, the
     nonzero ones and the empty ones whose gradient beats ``lam`` = g . q,
     with the others fixed and the sum kept; None when fewer than two are
     free.
 
-    ``curvature`` is minus the Hessian. The step d is written as d = Z u,
-    where the last free coordinate balances the others, and u solves the
-    reduced system Z^T curvature Z u = Z^T grad. An empty coordinate the
-    step would push negative is fixed at 0 and the step solved again.
+    ``c`` is minus the Hessian, ``g`` the gradient and ``q`` the point. The
+    step d is written as d = Z u, where the last free coordinate balances
+    the others, and u solves the reduced system Z^T c Z u = Z^T g. An empty
+    coordinate the step would push negative is fixed at 0 and the step
+    solved again.
 
     n is the number of dictionaries, a handful, so this works on Python
     lists: at that size they cost less than numpy's calls, and no LAPACK
     routine is loaded (``numpy.linalg.eigh`` alone added 0.8 MB of resident
     code pages).
     """
-    c, g, q = curvature.tolist(), grad.tolist(), w.tolist()
     index = [i for i, (x, y) in enumerate(zip(q, g)) if x > 0 or y > lam]
     while len(index) >= 2:
         *head, last = index
-        matrix = [[c[i][j] - c[i][last] - c[last][j] + c[last][last] for j in head]
-                  for i in head]
-        u = _solve_semidefinite(matrix, [g[i] - g[last] for i in head])
+        c_last, g_last = c[last], g[last]
+        c_ll = c_last[last]
+        matrix = []
+        for i in head:
+            row = c[i]
+            row_last = row[last]
+            matrix.append([row[j] - row_last - c_last[j] + c_ll for j in head])
+        u = _solve_semidefinite(matrix, [g[i] - g_last for i in head])
         direction = [0.0] * len(q)
         for i, x in zip(head, u):
             direction[i] = x
         direction[last] = -sum(u)
-        pushed = {i for i in index if q[i] == 0 and direction[i] < 0}
-        if not pushed:
-            return np.array(direction)
-        index = [i for i in index if i not in pushed]
+        free = [i for i in index if q[i] != 0 or not direction[i] < 0]
+        if len(free) == len(index):
+            return direction
+        index = free
     return None
 
 
-def _solve_semidefinite(matrix: list[list[float]], rhs: list[float]) -> list[float]:
-    """A solution u of matrix @ u = rhs for a positive semidefinite matrix.
+def _solve_semidefinite(a: list[list[float]], b: list[float]) -> list[float]:
+    """A solution u of a @ u = b for a positive semidefinite matrix ``a``;
+    overwrites ``a`` and ``b``.
 
     Symmetric elimination, pivoting on the largest remaining diagonal entry
     (pivoted Cholesky). Pivots below 1e-12 of the largest count as zero: their
@@ -492,23 +516,28 @@ def _solve_semidefinite(matrix: list[list[float]], rhs: list[float]) -> list[flo
     direction, where the maximizer is not unique) still gives a solution
     when the system has one, as it does for a Newton step.
     """
-    a, b = [row[:] for row in matrix], rhs[:]
     remaining, order = list(range(len(b))), []
-    threshold = 1e-12 * max((a[i][i] for i in remaining), default=0.0)
+    diagonal = [row[i] for i, row in enumerate(a)]
+    threshold = 1e-12 * max(diagonal, default=0.0)
     while remaining:
-        p = max(remaining, key=lambda i: a[i][i])
-        if not a[p][p] > threshold:
+        # the first of the largest remaining diagonal entries
+        p = remaining[diagonal.index(max(diagonal))]
+        row_p = a[p]
+        pivot, b_p = row_p[p], b[p]
+        if not pivot > threshold:
             break
         remaining.remove(p)
         order.append(p)
         for i in remaining:
-            f = a[i][p] / a[p][p]
-            row_i, row_p = a[i], a[p]
+            row_i = a[i]
+            f = row_i[p] / pivot
             for j in remaining:
                 row_i[j] -= f * row_p[j]
-            b[i] -= f * b[p]
+            b[i] -= f * b_p
+        diagonal = [a[i][i] for i in remaining]
     u = [0.0] * len(b)
     for k in range(len(order) - 1, -1, -1):
         p = order[k]
-        u[p] = (b[p] - sum(a[p][j] * u[j] for j in order[k + 1:])) / a[p][p]
+        row_p = a[p]
+        u[p] = (b[p] - sum([row_p[j] * u[j] for j in order[k + 1:]])) / row_p[p]
     return u

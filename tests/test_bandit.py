@@ -22,10 +22,11 @@ from pwbandit import (
     record_observation,
     select_guess,
 )
-from pwbandit import bandit
+from pwbandit import bandit, log_likelihood, run_attack
 from pwbandit.errors import DuplicateGuess, SuccessExceedsPopulation
+from pwbandit.mixture import HistoryArrays
 
-from helpers import zipf_dictionary
+from helpers import overlap_corpus, zipf_dictionary
 from test_dictionary import entries_st
 
 CHEAP = DescentConfig(max_steps=20)
@@ -356,3 +357,22 @@ def test_state_arrays_are_the_history_one_row_per_guess():
         # each history read is a copy that later guesses leave as it was
         for j, snapshot in enumerate(snapshots, start=1):
             assert snapshot == GuessHistory(1000, tuple(guesses[:j]))
+
+
+def test_an_attack_sums_nothing_over_its_history(monkeypatch):
+    # record_observation and maximize work from the running totals, so a
+    # guess costs the same however long the history is: neither reads the
+    # m rows or counts. The public functions still sum over them.
+    reads = []
+    for name in ("probs", "counts"):
+        def counted(arrays, read=getattr(HistoryArrays, name).fget, name=name):
+            reads.append(name)
+            return read(arrays)
+        monkeypatch.setattr(HistoryArrays, name, property(counted))
+    corpus = overlap_corpus(3, 1000, 400, exponent=0.4, seed=1000)
+    ps = compose_password_set(corpus, MixtureWeights((0.6, 0.3, 0.1)), 10_000, seed=42)
+    trace = run_attack(corpus, ps, InitPolicy.BEST, GuessPolicy.BY_Q, 1000, seed=0)
+    assert len(trace.words) == 1000 and reads == []
+    history = GuessHistory(ps.size, tuple(zip(trace.words, trace.counts[:, 0].tolist())))
+    log_likelihood(corpus, trace.estimates[-1], history)
+    assert set(reads) == {"probs", "counts"}

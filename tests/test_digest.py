@@ -3,15 +3,19 @@
 One sha256 over every attack's words, the bytes of its ``counts`` column
 and the bytes of its ``estimates`` column pins the last bit of each
 estimate, which ``golden_outputs.json`` (9 significant digits on an 8-word
-vocabulary) cannot see. It covers all nine init x guess configs at seeds 0
-and 1 with 100 guesses, and the three ``best``-init configs at seed 0 with
-1,000 guesses. The digest pins this platform's numpy rounding: another BLAS,
-CPU or numpy version may round differently and change it with no change to
-the code. To write it again after a deliberate output change, run
+vocabulary) cannot see. ``DIGEST`` covers all nine init x guess configs at
+seeds 0 and 1 with 100 guesses, and the three ``best``-init configs at seed
+0 with 1,000 guesses, on three dictionaries. ``OTHER_SIZES_DIGEST`` covers
+two and four dictionaries, where the solver's reduced Newton systems are
+1 x 1 and 3 x 3: all nine configs at seed 0 with 100 guesses, and one
+``best``/``by-q`` attack of 500 guesses, on each corpus. The digests pin
+this platform's numpy rounding: another BLAS, CPU or numpy version may
+round differently and change them with no change to the code. To write
+them again after a deliberate output change, run
 
     PYTHONPATH=src python tests/test_digest.py
 
-and paste the printed digest into ``DIGEST``.
+and paste the printed digests into ``DIGEST`` and ``OTHER_SIZES_DIGEST``.
 """
 
 import hashlib
@@ -21,14 +25,11 @@ from pwbandit import GuessPolicy, InitPolicy, MixtureWeights, compose_password_s
 from helpers import overlap_corpus
 
 DIGEST = "effa0a38aebf071e6452677f8e501620343bf14da9de3a4e23f350ded18a25e3"
+OTHER_SIZES_DIGEST = "489e855ed012c53c7c90980ab6cb7b3371cc68479b91a9e5387dceb2e1a39b02"
 
 
-def attack_digest() -> str:
-    corpus = overlap_corpus(3, 1000, 400, exponent=0.4, seed=1000)
-    ps = compose_password_set(corpus, MixtureWeights((0.6, 0.3, 0.1)), 10_000, seed=42)
-    runs = [(init, guess, seed, 100)
-            for init in InitPolicy for guess in GuessPolicy for seed in (0, 1)]
-    runs += [(InitPolicy.BEST, guess, 0, 1000) for guess in GuessPolicy]
+def attacks_digest(corpus, weights, runs) -> str:
+    ps = compose_password_set(corpus, MixtureWeights(weights), 10_000, seed=42)
     digest = hashlib.sha256()
     for init, guess, seed, budget in runs:
         trace = run_attack(corpus, ps, init, guess, budget, seed=seed)
@@ -38,9 +39,32 @@ def attack_digest() -> str:
     return digest.hexdigest()
 
 
+def attack_digest() -> str:
+    runs = [(init, guess, seed, 100)
+            for init in InitPolicy for guess in GuessPolicy for seed in (0, 1)]
+    runs += [(InitPolicy.BEST, guess, 0, 1000) for guess in GuessPolicy]
+    return attacks_digest(overlap_corpus(3, 1000, 400, exponent=0.4, seed=1000),
+                          (0.6, 0.3, 0.1), runs)
+
+
+def other_sizes_digest() -> str:
+    runs = [(init, guess, 0, 100) for init in InitPolicy for guess in GuessPolicy]
+    runs.append((InitPolicy.BEST, GuessPolicy.BY_Q, 0, 500))
+    digest = hashlib.sha256()
+    for weights in ((0.7, 0.3), (0.4, 0.3, 0.2, 0.1)):
+        corpus = overlap_corpus(len(weights), 1000, 400, exponent=0.4, seed=1000)
+        digest.update(attacks_digest(corpus, weights, runs).encode("ascii"))
+    return digest.hexdigest()
+
+
 def test_attack_outputs_are_bit_identical():
     assert attack_digest() == DIGEST
 
 
+def test_attack_outputs_with_two_and_four_dictionaries_are_bit_identical():
+    assert other_sizes_digest() == OTHER_SIZES_DIGEST
+
+
 if __name__ == "__main__":
     print(attack_digest())
+    print(other_sizes_digest())

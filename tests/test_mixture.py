@@ -481,14 +481,15 @@ def reference_categories(probs, counts, population):
 
 
 @st.composite
-def growing_attacks(draw):
-    """A corpus, a population and guesses with successes. The guesses mix
-    zero-success guesses, unranked words with successes and a word that no
-    dictionary gives more than the floor; they may crack the last users and
-    may cover every word, and can give more than 16 categories."""
+def growing_attacks(draw, sizes=st.integers(1, 3)):
+    """A corpus of ``sizes`` dictionaries, a population and guesses with
+    successes. The guesses mix zero-success guesses, unranked words with
+    successes and a word that no dictionary gives more than the floor; they
+    may crack the last users and may cover every word, and can give more
+    than 16 categories."""
     words = [f"w{i:02d}" for i in range(draw(st.integers(1, 40)))]
     dictionaries = []
-    for i in range(draw(st.integers(1, 3))):
+    for i in range(draw(sizes)):
         ranked = draw(st.permutations(words)) if i == 0 else draw(
             st.lists(st.sampled_from(words), min_size=1, unique=True))
         counts = draw(st.lists(st.integers(1, 1000), min_size=len(ranked), max_size=len(ranked)))
@@ -532,6 +533,15 @@ def test_grown_arrays_equal_the_rebuilt_categories(attack):
             got = arrays.categories(left, rest if live else None)
             for part, reference in zip(got, want, strict=True):
                 assert part.shape == reference.shape and np.array_equal(part, reference)
+            # The running totals are the sums over the history, in the same
+            # rounding: numpy's sum(axis=0) adds the rows in turn too, but
+            # sums a single column pairwise.
+            totals = arrays.prob_totals
+            assert totals.tobytes() == np.cumsum(probs, axis=0)[-1].tobytes()
+            if n >= 2:
+                assert totals.tobytes() == probs.sum(axis=0).tobytes()
+            assert arrays.successes == int(counts.sum())
+            assert arrays.live_successes == int(arrays.categories(left, None)[1].sum())
         start = np.full(n, 1.0 / n)
         assert maximize(grown, start.copy()) == maximize(built, start.copy())
 
@@ -562,6 +572,26 @@ def test_arrays_built_at_once_are_the_appended_arrays_byte_for_byte(attack):
     corpus, population, observations = attack
     for history in (GuessHistory(population), GuessHistory(population, tuple(observations))):
         assert_same_buffers(HistoryArrays.of(corpus, history), appended(corpus, history))
+
+
+@settings(max_examples=200, deadline=None)
+@given(growing_attacks(sizes=st.just(1)))
+def test_one_dictionary_estimate_is_the_vertex_with_the_public_value(attack):
+    corpus, population, observations = attack
+    history = GuessHistory(population, tuple(observations))
+    # The rest's probability is 1 less the sum of the m guessed words'. The
+    # descent adds them in turn (a running total) where log_likelihood sums
+    # the column pairwise; each rounding is within m eps of the exact sum, so
+    # the two logs of the rest differ by at most drift / (the rest's
+    # probability), a lot where that probability cancels down near the floor.
+    rest = population - sum(successes for _, successes in observations)
+    left = 1.0 - corpus.probability_rows(history.words).sum()
+    drift = 2 * len(observations) * np.finfo(float).eps
+    slack = rest * drift / max(left - drift, PROBABILITY_FLOOR)
+    public = log_likelihood(corpus, (1.0,), history)
+    weights, loglik, steps = estimate(corpus, history, MixtureWeights((1.0,)))
+    assert weights.q == (1.0,) and steps == 0
+    assert loglik == pytest.approx(public, rel=1e-9, abs=slack + 1e-9 * abs(public))
 
 
 @st.composite
