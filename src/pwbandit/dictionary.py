@@ -184,11 +184,10 @@ class Corpus:
                      for d in self.dictionaries)
 
     def probability_rows(self, words: Iterable[str]) -> np.ndarray:
-        """Matrix of per-dictionary probabilities, one row per word (zeros if unranked)."""
-        words = list(words)
-        rows = np.zeros((len(words), len(self.dictionaries)))
-        for j, word in enumerate(words):
-            v = self.vocab_index.get(word)
-            if v is not None:
-                rows[j] = self.vocab_probs[v]
-        return rows
+        """Matrix of per-dictionary probabilities, one row per word (zeros if
+        unranked), taken from ``vocab_probs`` with one index."""
+        index = self.vocab_index
+        rows = np.array([index.get(word, -1) for word in words], dtype=np.intp)
+        probs = self.vocab_probs[rows]
+        probs[rows < 0] = 0.0  # an unranked word
+        return probs

@@ -13,11 +13,13 @@ log-likelihood is concave on the simplex. ``log_likelihood`` and
 ``gradient`` floor both logs at ``PROBABILITY_FLOOR`` so they are finite on
 the whole simplex.
 
-``estimate`` maximizes it by active-set Newton ascent on the faces of the
-simplex (Bertsekas 1982), counting it as -inf where an observed word has
-probability at or below the floor. It stops once the Frank-Wolfe duality gap
-max_i g_i - g . q, an upper bound on the distance to the maximum for a
-concave objective (Jaggi 2013), is at most ``GAP_TOL`` nats per user.
+``estimate`` maximizes it by damped active-set Newton ascent on the faces of
+the simplex (Bertsekas 1982; Boyd and Vandenberghe 2004, section 9.5), with a
+pairwise Frank-Wolfe step where the Newton step does not gain (Lacoste-Julien
+and Jaggi 2015), counting it as -inf where an observed word has probability at
+or below the floor. It stops once the Frank-Wolfe duality gap max_i g_i - g . q,
+an upper bound on the distance to the maximum for a concave objective (Jaggi
+2013), is at most ``GAP_TOL`` nats per user.
 """
 
 from __future__ import annotations
@@ -168,15 +170,12 @@ class HistoryArrays:
     @classmethod
     def of(cls, corpus: Corpus, history: GuessHistory) -> "HistoryArrays":
         """The arrays that appending each observation of ``history`` in turn
-        would leave, buffers included, built with one index over the
-        vocabulary rows."""
+        would leave, buffers included, built from one
+        :meth:`Corpus.probability_rows` lookup."""
         arrays = cls(len(corpus), history.population)
         m = len(history.observations)
         arrays._reserve(m)
-        index = corpus.vocab_index
-        rows = np.array([index.get(word, -1) for word, _ in history.observations], dtype=np.intp)
-        probs = corpus.vocab_probs[rows]
-        probs[rows < 0] = 0.0  # an unranked word
+        probs = corpus.probability_rows(word for word, _ in history.observations)
         counts = np.array([successes for _, successes in history.observations], dtype=float)
         live = (counts > 0) & (probs.max(axis=1) > PROBABILITY_FLOOR)
         k = int(live.sum())
@@ -312,18 +311,18 @@ def estimate(corpus: Corpus, history: GuessHistory, init: MixtureWeights,
     Every other term of the objective is a constant, and adds nothing to
     its gradient. Each step solves the Newton system on the face of the
     simplex the iterate lies on, widened by the empty coordinates whose
-    gradient beats g . q, keeping the sum of the weights. A direction that
-    does not ascend is replaced by a Frank-Wolfe step towards the best
-    vertex. The step length maximizes the likelihood along the direction up
-    to the simplex boundary: a safeguarded Newton line search that starts
-    at the unit step, or at the boundary when that is nearer, and keeps it
-    when it already meets the stopping test (coordinates that reach the
-    boundary become exactly 0). It is halved while it gains less than
-    ``ARMIJO`` times its first-order prediction. The objective counts as
-    -inf wherever a category has probability at or below
-    ``PROBABILITY_FLOOR``, so no step ends on a face where an observed word
+    gradient beats g . q, keeping the sum of the weights. Where fewer than
+    two coordinates are free, or the Newton direction does not ascend or
+    gains nothing, the step is a pairwise Frank-Wolfe step instead: towards the best vertex and away from
+    the worst vertex in the support. Every step is damped the same way: it
+    starts at the unit step, or at the simplex boundary when that is nearer
+    (coordinates that reach the boundary become exactly 0), and is halved
+    until the point it reaches leaves every category above
+    ``PROBABILITY_FLOOR`` and gains at least ``ARMIJO`` times its
+    first-order prediction. So no step ends on a face where an observed word
     has probability 0; a start on such a face is first moved halfway to the
-    uniform point, which counts as a step.
+    uniform point, which counts as a step. Where neither direction gains,
+    the descent stops, with the gap it has.
 
     Stops once the Frank-Wolfe gap max_i g_i - g . q is at most
     ``GAP_TOL * population`` nats: the log-likelihood is concave, so that
@@ -390,80 +389,51 @@ def maximize(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentC
             break
         # minus the Hessian: sum_c C_c a_c a_c^T / (a_c . q)^2
         d = _newton_direction(((cats_t * (ratio / observed)) @ cats).tolist(), g, q, lam)
-        direction = None if d is None else np.array(d)
-        if direction is None or not (slope := grad @ direction) > 0:
-            direction = -w
-            direction[int(np.argmax(grad))] += 1.0
-            slope = grad @ direction
-            d = direction.tolist()
-        # Ratio test: a step to the boundary sets the coordinates that reach it to 0.
-        room = {i: x / -di for i, (x, di) in enumerate(zip(q, d)) if di < 0}
-        limit = min(room.values(), default=np.inf)
-        change = cats @ direction / observed  # relative change of each category per unit step
-        step = _line_search(change, weight, limit, tolerance)
-        # Armijo backtrack. The gain is a sum of log1p terms, exact to rounding
-        # of itself, where a difference of two values would lose to rounding
-        # the gains of the last steps.
-        for _ in range(64):
-            gain = float(weight @ np.log1p(step * change))
-            if gain >= ARMIJO * step * slope:
-                break
-            step *= 0.5
-        if not gain > 0:
-            break  # no representable step gains: the gap is at rounding level
-        candidate = w + step * direction
-        if step == limit:
-            candidate[[i for i, r in room.items() if r == limit]] = 0.0
-        w, current = np.maximum(candidate, 0.0), current + gain
+        moved = None
+        if d is not None and (slope := float(grad @ (direction := np.array(d)))) > 0:
+            moved = _step(w, direction, slope, cats, weight, observed)
+        if moved is None:
+            # Pairwise Frank-Wolfe: towards the best vertex, away from the
+            # worst one in the support. Its slope is at least the gap.
+            best = g.index(max(g))
+            worst = min((i for i, x in enumerate(q) if x > 0), key=g.__getitem__)
+            direction = np.zeros(w.size)
+            direction[best], direction[worst] = 1.0, -1.0
+            moved = _step(w, direction, g[best] - g[worst], cats, weight, observed)
+        if moved is None:
+            break  # neither direction gains
+        w, observed, gain = moved
+        current += gain
         steps += 1
-        observed = cats @ w
         if on_step is not None:
             on_step(steps, MixtureWeights(w), current)
     return MixtureWeights(w.tolist()), current, steps
 
 
-def _line_search(change: np.ndarray, weight: np.ndarray, limit: float,
-                 tolerance: float) -> float:
-    """The t in (0, limit] that maximizes sum_c weight_c ln(1 + t change_c),
-    to within ``tolerance``.
-
-    Starts at the unit step, or at ``limit`` or the logarithm's pole where
-    either is nearer, and returns it at once if the stopping test holds
-    there or it is ``limit`` with the objective still rising. Otherwise
-    Newton's method on the derivative from there, kept inside a bracket of
-    the maximizer: a step that leaves the bracket, or that fails to halve
-    the step before it (Newton's steps double next to a logarithm's pole),
-    is replaced by bisection.
+def _step(w: np.ndarray, direction: np.ndarray, slope: float, cats: np.ndarray,
+          weight: np.ndarray, observed: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """The damped step of :func:`estimate` from ``w`` along ``direction``,
+    whose product with the gradient is ``slope``: the point reached, its
+    category probabilities and its gain; None if 64 halvings find no step
+    that gains. The gain is a sum of log1p terms, exact to its own rounding,
+    where a difference of two values would lose the gains of the last steps.
     """
-    fastest = change.min()
-    pole = -1.0 / fastest if fastest < 0 else np.inf
-    lo, hi, moved = 0.0, min(limit, pole), np.inf
-    t = min(1.0, hi)
-    edge = limit < pole  # the objective is finite at limit, so the step may end there
-    for _ in range(100):
-        # Rounding is monotone, so this is the least of 1 + t * change.
-        if not 1.0 + t * fastest > 0:  # a pole that rounding placed at or below t
-            hi, edge, t = t, False, 0.5 * (lo + t)
-            if t == hi:  # no float lies between lo and the pole
-                return lo
-            continue
-        ratio = change / (1.0 + t * change)
-        rise, curvature = weight @ ratio, weight @ (ratio * ratio)
-        if rise > 0:
-            if t == limit:
-                break
-            lo = t
-        else:
-            hi, edge = t, False
-        if rise * rise <= tolerance * curvature:
-            break
-        new = t + rise / curvature
-        if edge and new >= hi:
-            new = hi
-        elif not lo < new < hi or abs(new - t) > 0.5 * moved:
-            new = 0.5 * (lo + hi)
-        moved, t = abs(new - t), new
-    return t
+    room = {i: x / -di for i, (x, di) in enumerate(zip(w.tolist(), direction.tolist())) if di < 0}
+    limit = min(room.values(), default=np.inf)
+    change = cats @ direction / observed  # relative change of each category per unit step
+    step = min(1.0, limit)
+    for _ in range(64):
+        point = w + step * direction
+        if step == limit:
+            point[[i for i, r in room.items() if r == limit]] = 0.0
+        point = np.maximum(point, 0.0)
+        new = cats @ point
+        if new.min() > PROBABILITY_FLOOR:
+            gain = float(weight @ np.log1p(step * change))
+            if gain >= ARMIJO * step * slope:
+                return point, new, gain
+        step *= 0.5
+    return None
 
 
 def _newton_direction(c: list[list[float]], g: list[float], q: list[float],

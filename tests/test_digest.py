@@ -24,8 +24,8 @@ from pwbandit import GuessPolicy, InitPolicy, MixtureWeights, compose_password_s
 
 from helpers import overlap_corpus
 
-DIGEST = "effa0a38aebf071e6452677f8e501620343bf14da9de3a4e23f350ded18a25e3"
-OTHER_SIZES_DIGEST = "489e855ed012c53c7c90980ab6cb7b3371cc68479b91a9e5387dceb2e1a39b02"
+DIGEST = "bd1465e0c5c8b95a66df13e64b3e340fa416c4c741f2dc2efbaac0e25f182e46"
+OTHER_SIZES_DIGEST = "efd1eea0ed7a67c45fca073b296ba8a3559afb6cd6cac3fc33a8b3a9e199f682"
 
 
 def attacks_digest(corpus, weights, runs) -> str:

@@ -25,7 +25,6 @@ from pwbandit.mixture import (
     GAP_TOL,
     PROBABILITY_FLOOR,
     HistoryArrays,
-    _line_search,
     maximize,
 )
 
@@ -344,10 +343,10 @@ def test_estimate_certifies_past_a_guessed_word_below_the_floor():
 
 
 def test_a_step_that_loses_is_halved_until_it_gains():
-    # d3 is d0 plus a rare word. After 5 steps the gap is 1.25e-9 nats per
-    # user, and the line search returns a step within its tolerance of the
-    # line's maximum but past it, 4.7e-6 nats below the start. Halving that
-    # step until it gains moves the weights, and the gap there certifies.
+    # d3 is d0 plus a rare word. After 8 steps the Newton direction gains
+    # nothing, and the pairwise step loses at every length it tries before
+    # the 27th halving of its first, 0.71. That short step moves the
+    # weights, and the gap there certifies.
     head = (("x0", 2869257), ("w9", 434415), ("w13", 203235), ("w8", 149955),
             ("w14", 117040), ("w3", 103918))
     c = Corpus((
@@ -362,6 +361,28 @@ def test_a_step_that_loses_is_halved_until_it_gains():
                             0.00397752442136761, 0.23941983173298972))
     weights, _, _ = estimate(c, h, start)
     assert fw_gap(c, weights, h) <= GAP_TOL * h.population
+
+
+def test_a_stalled_newton_direction_falls_back_to_a_pairwise_step():
+    # d1 is d0 plus a rare word, so the reduced Newton system is singular
+    # along e0 - e1 and its direction soon gains nothing. Stopping there
+    # leaves the weights 5.4e-3 nats below the maximum (a gap of 1.8e-7 per
+    # user), and so does a Frank-Wolfe step towards the best vertex, which
+    # runs to the step cap. A pairwise step, towards the best vertex and away
+    # from the worst one in the support, moves d1's weight to d0.
+    c = Corpus((
+        Dictionary("d0", (("w9", 22996), ("w22", 63373), ("rest0", 2253319))),
+        Dictionary("d1", (("w9", 22996), ("w22", 63373), ("r1_0", 1), ("rest1", 2253321))),
+        Dictionary("d2", (("w14", 66458), ("rest2", 2242070))),
+        Dictionary("d3", (("w22", 7348), ("w14", 28786), ("w9", 187842), ("rest3", 3626626))),
+    ))
+    h = GuessHistory(29533, (("w9", 493), ("w22", 494), ("w14", 250), ("r1_0", 0)))
+    start = MixtureWeights((0.1642670821384264, 0.4239132086346427,
+                            0.00031831000180768126, 0.4115013992251232))
+    weights, _, steps = estimate(c, h, start)
+    assert fw_gap(c, weights, h) <= GAP_TOL * h.population
+    assert steps < DescentConfig().max_steps
+    assert np.allclose(weights.q, (0.563514, 0.0, 0.217119, 0.219367), atol=1e-6)
 
 
 def test_estimate_is_deterministic(two_dicts):
@@ -384,86 +405,6 @@ def test_midpoint_concavity_sample():
         mid = log_likelihood(corpus, (w1 + w2) / 2, history)
         ends = (log_likelihood(corpus, w1, history) + log_likelihood(corpus, w2, history)) / 2
         assert mid >= ends - 1e-9
-
-
-def test_line_search_finds_the_two_category_maximizer():
-    # 3 ln(1 + t/2) + 2 ln(1 - t/4) peaks where 3 / (2 + t) = 2 / (4 - t): t = 1.6
-    change, weight, tolerance = np.array([0.5, -0.25]), np.array([3.0, 2.0]), 1e-12
-    t = _line_search(change, weight, np.inf, tolerance)
-    # The search stops once rise^2 <= tolerance * curvature, so within
-    # about sqrt(tolerance / curvature) of the maximizer.
-    curvature = weight @ (change / (1.0 + 1.6 * change)) ** 2
-    assert abs(t - 1.6) <= 2 * math.sqrt(tolerance / curvature)
-
-
-def test_line_search_returns_limit_while_still_rising():
-    change, weight = np.array([0.5, -0.25]), np.array([3.0, 2.0])
-    assert _line_search(change, weight, 1.0, 1e-12) == 1.0
-
-
-@pytest.mark.parametrize("fastest", [-5.0, -7.0, -9.0, -11.0])
-def test_line_search_stays_off_a_pole_that_rounding_places_at_limit(fastest):
-    # With almost no weight on the shrinking category, the maximizer lies
-    # within rounding of its pole, so the search runs into the pole.
-    change, weight = np.array([fastest, 1.0]), np.array([1e-300, 1.0])
-    limit = -1.0 / change.min()
-    assert not 1.0 + limit * change.min() > 0
-    t = _line_search(change, weight, limit, 1e-12)
-    assert 0 < t <= limit
-    assert (1.0 + t * change).min() > 0
-
-
-class CountedWeights(np.ndarray):
-    """Counts the products taken with it: the line search takes two per
-    evaluation of its objective."""
-
-    products = 0
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul:
-            CountedWeights.products += 1
-        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
-
-
-def evaluations(change, weight, limit, tolerance=1e-12):
-    """The line search's step and how many points it evaluated."""
-    CountedWeights.products = 0
-    t = _line_search(np.asarray(change, dtype=float),
-                     np.asarray(weight, dtype=float).view(CountedWeights), limit, tolerance)
-    return t, CountedWeights.products // 2
-
-
-def test_line_search_returns_a_unit_step_that_meets_the_stop_test_after_one_evaluation():
-    # ln(1 + t) + ln(1 - t/3) peaks at t = 1.
-    assert evaluations([1.0, -1.0 / 3.0], [1.0, 1.0], np.inf) == (1.0, 1)
-
-
-@pytest.mark.parametrize("limit", [0.3, 1.0])
-def test_line_search_returns_a_limit_below_the_unit_step_after_one_evaluation(limit):
-    # Rising all the way to limit: the maximizer is t = 1.6.
-    assert evaluations([0.5, -0.25], [3.0, 2.0], limit) == (limit, 1)
-
-
-@pytest.mark.parametrize("scale", [1 / 16, 160.0])
-def test_line_search_finds_a_maximizer_away_from_the_unit_step(scale):
-    # Scaling the changes of the t* = 1.6 case by k moves its maximizer to
-    # 1.6 / k: 25.6 and 0.01.
-    change, weight, tolerance = scale * np.array([0.5, -0.25]), np.array([3.0, 2.0]), 1e-12
-    best = 1.6 / scale
-    t, _ = evaluations(change, weight, np.inf, tolerance)
-    curvature = weight @ (change / (1.0 + best * change)) ** 2
-    assert abs(t - best) <= 2 * math.sqrt(tolerance / curvature)
-
-
-@pytest.mark.parametrize("shrinking, best", [(0.1, 0.6 / 4.4), (1e-6, (1 - 4e-6) / (4 + 4e-6))])
-def test_line_search_never_crosses_a_pole_below_the_unit_step(shrinking, best):
-    # shrinking ln(1 - 4t) + ln(1 + t): a pole at t = 0.25, below the unit
-    # step, and a maximizer below it, within about 2e-6 of it in the second case.
-    change, weight, tolerance = np.array([-4.0, 1.0]), np.array([shrinking, 1.0]), 1e-12
-    t, _ = evaluations(change, weight, np.inf, tolerance)
-    assert 0 < t < 0.25 and (1.0 + t * change).min() > 0
-    curvature = weight @ (change / (1.0 + best * change)) ** 2
-    assert abs(t - best) <= 2 * math.sqrt(tolerance / curvature)
 
 
 def reference_categories(probs, counts, population):
@@ -513,6 +454,15 @@ def growing_attacks(draw, sizes=st.integers(1, 3)):
 
 @settings(max_examples=200, deadline=None)
 @given(growing_attacks())
+# From the uniform start, the first step's limit is where d0's weight reaches
+# 0, which is also where huge, the one category only d0 gives, has its pole:
+# rounding leaves 1 + limit * change just above 0 there, while the point
+# reached, with d0's weight set to 0, gives huge probability 0.
+@example((Corpus((Dictionary("d0", (("huge", 10**13), ("tiny", 1))
+                             + tuple((f"w0{i}", 1) for i in range(6))),
+                  Dictionary("d1", (("w00", 1),)),
+                  Dictionary("d2", (("w00", 1),)))),
+          173, [("huge", 1)]))
 def test_grown_arrays_equal_the_rebuilt_categories(attack):
     corpus, population, observations = attack
     n = len(corpus)
@@ -648,18 +598,20 @@ def test_category_gap_is_the_public_gap(instance):
     assert loglik == pytest.approx(log_likelihood(corpus, weights, history), rel=1e-9, abs=slack)
 
 
-def test_warm_started_line_searches_take_the_unit_step(monkeypatch):
+def test_warm_started_steps_keep_the_unit_step(monkeypatch):
     # A 1,000-guess best-init by-q attack on the acceptance instance: almost
-    # every warm-started search keeps min(1, limit) after one evaluation.
+    # every warm-started step keeps min(1, limit), the first length it tries.
     corpus = overlap_corpus(3, 1000, 400, exponent=0.4, seed=1000)
     ps = compose_password_set(corpus, MixtureWeights((0.6, 0.3, 0.1)), 10_000, seed=42)
-    search, unit = mixture._line_search, []
+    step, unit = mixture._step, []
 
-    def recorded(change, weight, limit, tolerance):
-        t = search(change, weight, limit, tolerance)
-        unit.append(t == min(1.0, limit))
-        return t
+    def recorded(w, direction, slope, cats, weight, observed):
+        moved = step(w, direction, slope, cats, weight, observed)
+        limit = min((x / -d for x, d in zip(w, direction) if d < 0), default=np.inf)
+        first = min(1.0, limit) * (cats @ direction / observed)
+        unit.append(moved is not None and moved[2] == float(weight @ np.log1p(first)))
+        return moved
 
-    monkeypatch.setattr(mixture, "_line_search", recorded)
+    monkeypatch.setattr(mixture, "_step", recorded)
     run_attack(corpus, ps, InitPolicy.BEST, GuessPolicy.BY_Q, 1000, seed=0)
     assert len(unit) > 1000 and sum(unit) >= 0.95 * len(unit)
