@@ -41,6 +41,7 @@ SIMPLEX_TOL = 1e-9
 PROBABILITY_FLOOR = 1e-12
 GAP_TOL = 1e-9
 ARMIJO = 1e-4
+_LOG_FLOOR = np.log(PROBABILITY_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -354,15 +355,15 @@ def maximize(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentC
     # The rest is a category while users remain and some dictionary gives it
     # more than the floor. Where every category is above the floor, the
     # floored objective is the unfloored one; elsewhere it counts as -inf.
-    rest_live = rest > 0 and left.max() > PROBABILITY_FLOOR
+    rest_live = rest > 0 and np.maximum.reduce(left) > PROBABILITY_FLOOR
     cats, weight = arrays.categories(left, rest if rest_live else None)
     # The floored terms: every user outside the categories counts ln(floor).
     outside = (arrays.successes if rest_live else arrays.population) - arrays.live_successes
-    constant = outside * np.log(PROBABILITY_FLOOR)
+    constant = outside * _LOG_FLOOR
 
     def value(q: np.ndarray) -> tuple[float, np.ndarray]:
         observed = cats @ q
-        if observed.min(initial=1.0) <= PROBABILITY_FLOOR:
+        if np.minimum.reduce(observed, initial=1.0) <= PROBABILITY_FLOOR:
             return -np.inf, observed
         return float(weight @ np.log(observed) + constant), observed
 
@@ -418,18 +419,27 @@ def _step(w: np.ndarray, direction: np.ndarray, slope: float, cats: np.ndarray,
     that gains. The gain is a sum of log1p terms, exact to its own rounding,
     where a difference of two values would lose the gains of the last steps.
     """
-    room = {i: x / -di for i, (x, di) in enumerate(zip(w.tolist(), direction.tolist())) if di < 0}
-    limit = min(room.values(), default=np.inf)
+    # The ratio test: the longest step keeping w >= 0, and where it binds.
+    limit, hits = np.inf, []
+    for i, (x, di) in enumerate(zip(w.tolist(), direction.tolist())):
+        if di < 0:
+            r = x / -di
+            if r < limit:
+                limit, hits = r, [i]
+            elif r == limit:
+                hits.append(i)
     change = cats @ direction / observed  # relative change of each category per unit step
     step = min(1.0, limit)
     for _ in range(64):
-        point = w + step * direction
+        # A product with 1.0 is exact, so the unit step skips it.
+        point = w + direction if step == 1.0 else w + step * direction
         if step == limit:
-            point[[i for i, r in room.items() if r == limit]] = 0.0
-        point = np.maximum(point, 0.0)
+            for i in hits:
+                point[i] = 0.0
+        np.maximum(point, 0.0, out=point)
         new = cats @ point
-        if new.min() > PROBABILITY_FLOOR:
-            gain = float(weight @ np.log1p(step * change))
+        if np.minimum.reduce(new) > PROBABILITY_FLOOR:
+            gain = float(weight @ np.log1p(change if step == 1.0 else step * change))
             if gain >= ARMIJO * step * slope:
                 return point, new, gain
         step *= 0.5
@@ -445,26 +455,63 @@ def _newton_direction(c: list[list[float]], g: list[float], q: list[float],
 
     ``c`` is minus the Hessian, ``g`` the gradient and ``q`` the point. The
     step d is written as d = Z u, where the last free coordinate balances
-    the others, and u solves the reduced system Z^T c Z u = Z^T g. An empty
-    coordinate the step would push negative is fixed at 0 and the step
-    solved again.
+    the others, and u solves the reduced system a u = b, a = Z^T c Z and
+    b = Z^T g. An empty coordinate the step would push negative is fixed at
+    0 and the step solved again.
+
+    The positive semidefinite ``a`` is eliminated in place, pivoting on the
+    first of the largest remaining diagonal entries (pivoted Cholesky). A
+    pivot at or below 1e-12 of the largest counts as zero (its part of u is
+    0) only where the likelihood is flat: its eliminated right-hand side is
+    at most 1e-12 * max|g|, the rounding scale of b's entries, differences
+    g_i - g_last that cancel; or the whole diagonal is 0. Any other is kept,
+    floored at the threshold, so a near-flat direction, such as two nearly
+    equal dictionaries give, becomes a long step clipped at the boundary.
 
     n is the number of dictionaries, a handful, so this works on Python
     lists: at that size they cost less than numpy's calls, and no LAPACK
     routine is loaded (``numpy.linalg.eigh`` alone added 0.8 MB of resident
     code pages).
     """
-    index = [i for i, (x, y) in enumerate(zip(q, g)) if x > 0 or y > lam]
+    index = [i for i, x in enumerate(q) if x > 0 or g[i] > lam]
     while len(index) >= 2:
         *head, last = index
         c_last, g_last = c[last], g[last]
         c_ll = c_last[last]
-        matrix = []
+        a, b = [], []
         for i in head:
             row = c[i]
             row_last = row[last]
-            matrix.append([row[j] - row_last - c_last[j] + c_ll for j in head])
-        u = _solve_semidefinite(matrix, [g[i] - g_last for i in head])
+            a.append([row[j] - row_last - c_last[j] + c_ll for j in head])
+            b.append(g[i] - g_last)
+        remaining, order = list(range(len(b))), []
+        threshold = 1e-12 * max([row[k] for k, row in enumerate(a)])
+        while remaining:
+            p = remaining[0]
+            pivot = a[p][p]
+            for i in remaining:
+                if a[i][i] > pivot:
+                    p, pivot = i, a[i][i]
+            remaining.remove(p)
+            if not pivot > threshold:
+                if not (threshold > 0 and abs(b[p]) > 1e-12 * max(map(abs, g))):
+                    continue
+                pivot = a[p][p] = threshold
+            order.append(p)
+            row_p, b_p = a[p], b[p]
+            for i in remaining:
+                row_i = a[i]
+                f = row_i[p] / pivot
+                for j in remaining:
+                    row_i[j] -= f * row_p[j]
+                b[i] -= f * b_p
+        u = [0.0] * len(b)
+        for k in range(len(order) - 1, -1, -1):
+            p = order[k]
+            row_p, total = a[p], 0
+            for j in order[k + 1:]:
+                total += row_p[j] * u[j]
+            u[p] = (b[p] - total) / row_p[p]
         direction = [0.0] * len(q)
         for i, x in zip(head, u):
             direction[i] = x
@@ -474,40 +521,3 @@ def _newton_direction(c: list[list[float]], g: list[float], q: list[float],
             return direction
         index = free
     return None
-
-
-def _solve_semidefinite(a: list[list[float]], b: list[float]) -> list[float]:
-    """A solution u of a @ u = b for a positive semidefinite matrix ``a``;
-    overwrites ``a`` and ``b``.
-
-    Symmetric elimination, pivoting on the largest remaining diagonal entry
-    (pivoted Cholesky). Pivots below 1e-12 of the largest count as zero: their
-    components of u are 0, so a singular matrix (a likelihood flat along some
-    direction, where the maximizer is not unique) still gives a solution
-    when the system has one, as it does for a Newton step.
-    """
-    remaining, order = list(range(len(b))), []
-    diagonal = [row[i] for i, row in enumerate(a)]
-    threshold = 1e-12 * max(diagonal, default=0.0)
-    while remaining:
-        # the first of the largest remaining diagonal entries
-        p = remaining[diagonal.index(max(diagonal))]
-        row_p = a[p]
-        pivot, b_p = row_p[p], b[p]
-        if not pivot > threshold:
-            break
-        remaining.remove(p)
-        order.append(p)
-        for i in remaining:
-            row_i = a[i]
-            f = row_i[p] / pivot
-            for j in remaining:
-                row_i[j] -= f * row_p[j]
-            b[i] -= f * b_p
-        diagonal = [a[i][i] for i in remaining]
-    u = [0.0] * len(b)
-    for k in range(len(order) - 1, -1, -1):
-        p = order[k]
-        row_p = a[p]
-        u[p] = (b[p] - sum([row_p[j] * u[j] for j in order[k + 1:]])) / row_p[p]
-    return u

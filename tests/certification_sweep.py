@@ -18,7 +18,8 @@ estimate is at most ``GAP_TOL`` per user. Run
 
     PYTHONPATH=src python tests/certification_sweep.py [histories] [out.json]
 
-to print the uncertified and capped counts, and optionally write one record
+to print the uncertified and capped counts, the largest gap, and the mean,
+median and 99th percentile of the steps, and optionally write one record
 per history (its steps, gap per user, log-likelihood and estimate) to
 compare two trees descent by descent.
 """
@@ -84,7 +85,8 @@ if __name__ == "__main__":
     if len(sys.argv) > 2:
         with open(sys.argv[2], "w", encoding="utf-8") as handle:
             json.dump(records, handle)
-    cap = DescentConfig().max_steps
+    cap, steps = DescentConfig().max_steps, [r["steps"] for r in records]
     print(f"uncertified {sum(r['gap'] > GAP_TOL for r in records)} of {len(records)}, "
-          f"at the step cap {sum(r['steps'] >= cap for r in records)}, "
-          f"largest gap per user {max(r['gap'] for r in records):.3g}")
+          f"at the step cap {sum(s >= cap for s in steps)}, "
+          f"largest gap per user {max(r['gap'] for r in records):.3g}; steps mean "
+          f"{np.mean(steps):.1f}, median {np.median(steps):g}, 99th percentile {np.percentile(steps, 99):g}")

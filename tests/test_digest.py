@@ -8,14 +8,17 @@ seeds 0 and 1 with 100 guesses, and the three ``best``-init configs at seed
 0 with 1,000 guesses, on three dictionaries. ``OTHER_SIZES_DIGEST`` covers
 two and four dictionaries, where the solver's reduced Newton systems are
 1 x 1 and 3 x 3: all nine configs at seed 0 with 100 guesses, and one
-``best``/``by-q`` attack of 500 guesses, on each corpus. The digests pin
+``best``/``by-q`` attack of 500 guesses, on each corpus.
+``SIX_DICTIONARIES_DIGEST`` covers the same attacks on six dictionaries,
+where the reduced systems reach 5 x 5. The digests pin
 this platform's numpy rounding: another BLAS, CPU or numpy version may
 round differently and change them with no change to the code. To write
 them again after a deliberate output change, run
 
     PYTHONPATH=src python tests/test_digest.py
 
-and paste the printed digests into ``DIGEST`` and ``OTHER_SIZES_DIGEST``.
+and paste the printed digests into ``DIGEST``, ``OTHER_SIZES_DIGEST`` and
+``SIX_DICTIONARIES_DIGEST``.
 """
 
 import hashlib
@@ -26,6 +29,7 @@ from helpers import overlap_corpus
 
 DIGEST = "bd1465e0c5c8b95a66df13e64b3e340fa416c4c741f2dc2efbaac0e25f182e46"
 OTHER_SIZES_DIGEST = "efd1eea0ed7a67c45fca073b296ba8a3559afb6cd6cac3fc33a8b3a9e199f682"
+SIX_DICTIONARIES_DIGEST = "0c8d96617633dbd65d040147369b30e7bb00b7cd11e4ab9faa6f57f84d25bb17"
 
 
 def attacks_digest(corpus, weights, runs) -> str:
@@ -47,14 +51,24 @@ def attack_digest() -> str:
                           (0.6, 0.3, 0.1), runs)
 
 
-def other_sizes_digest() -> str:
+def size_digest(weights) -> str:
+    """The digest of the attacks that pin a corpus size, on
+    ``overlap_corpus`` with one dictionary per weight."""
     runs = [(init, guess, 0, 100) for init in InitPolicy for guess in GuessPolicy]
     runs.append((InitPolicy.BEST, GuessPolicy.BY_Q, 0, 500))
+    corpus = overlap_corpus(len(weights), 1000, 400, exponent=0.4, seed=1000)
+    return attacks_digest(corpus, weights, runs)
+
+
+def other_sizes_digest() -> str:
     digest = hashlib.sha256()
     for weights in ((0.7, 0.3), (0.4, 0.3, 0.2, 0.1)):
-        corpus = overlap_corpus(len(weights), 1000, 400, exponent=0.4, seed=1000)
-        digest.update(attacks_digest(corpus, weights, runs).encode("ascii"))
+        digest.update(size_digest(weights).encode("ascii"))
     return digest.hexdigest()
+
+
+def six_dictionaries_digest() -> str:
+    return size_digest((0.3, 0.25, 0.2, 0.12, 0.08, 0.05))
 
 
 def test_attack_outputs_are_bit_identical():
@@ -65,6 +79,11 @@ def test_attack_outputs_with_two_and_four_dictionaries_are_bit_identical():
     assert other_sizes_digest() == OTHER_SIZES_DIGEST
 
 
+def test_attack_outputs_with_six_dictionaries_are_bit_identical():
+    assert six_dictionaries_digest() == SIX_DICTIONARIES_DIGEST
+
+
 if __name__ == "__main__":
     print(attack_digest())
     print(other_sizes_digest())
+    print(six_dictionaries_digest())

@@ -343,10 +343,25 @@ def test_estimate_certifies_past_a_guessed_word_below_the_floor():
 
 
 def test_a_step_that_loses_is_halved_until_it_gains():
-    # d3 is d0 plus a rare word. After 8 steps the Newton direction gains
-    # nothing, and the pairwise step loses at every length it tries before
-    # the 27th halving of its first, 0.71. That short step moves the
-    # weights, and the gap there certifies.
+    # Two categories, 2 and 100 users, each given by one dictionary: from
+    # (0.01, 0.99) the step towards the first has slope 99, but the maximum
+    # along it is only 0.0096 away. Its first length, the boundary at 0.99,
+    # leaves the second category at probability 0; the next five lose; the
+    # sixth halving, 0.99 / 64, is the first that gains.
+    cats, weight = np.eye(2), np.array([2.0, 100.0])
+    w, direction = np.array([0.01, 0.99]), np.array([1.0, -1.0])
+    observed = cats @ w
+    slope = float(cats.T @ (weight / observed) @ direction)
+    point, new, gain = mixture._step(w, direction, slope, cats, weight, observed)
+    assert point.tolist() == (w + 0.99 / 64 * direction).tolist()
+    assert new.tolist() == (cats @ point).tolist()
+    assert gain >= mixture.ARMIJO * 0.99 / 64 * slope
+    assert float(weight @ np.log((cats @ (w + 0.99 / 32 * direction)) / observed)) < 0
+    # d3 is d0 plus a rare word. While near-flat pivots counted as zero,
+    # the Newton direction here gained nothing after 8 steps, and the
+    # descent certified only through a pairwise step that gained after 27
+    # halvings; kept, floored at the threshold, they let 8 Newton steps
+    # certify it.
     head = (("x0", 2869257), ("w9", 434415), ("w13", 203235), ("w8", 149955),
             ("w14", 117040), ("w3", 103918))
     c = Corpus((
@@ -363,13 +378,32 @@ def test_a_step_that_loses_is_halved_until_it_gains():
     assert fw_gap(c, weights, h) <= GAP_TOL * h.population
 
 
-def test_a_stalled_newton_direction_falls_back_to_a_pairwise_step():
-    # d1 is d0 plus a rare word, so the reduced Newton system is singular
-    # along e0 - e1 and its direction soon gains nothing. Stopping there
-    # leaves the weights 5.4e-3 nats below the maximum (a gap of 1.8e-7 per
-    # user), and so does a Frank-Wolfe step towards the best vertex, which
-    # runs to the step cap. A pairwise step, towards the best vertex and away
-    # from the worst one in the support, moves d1's weight to d0.
+def test_a_stalled_newton_direction_falls_back_to_a_pairwise_step(monkeypatch):
+    # d1 is d0 plus a rare word, guessed without success, so the likelihood
+    # is nearly linear along e0 - e1 and the maximum is the vertex e0. From
+    # (0.6, 0.4) the 1 x 1 reduced Hessian rounds to exactly 0, so the
+    # direction counts as flat and is zero, and the step is the pairwise
+    # one, towards the best vertex and away from the worst one in the
+    # support, which ends there.
+    step, directions = mixture._step, []
+
+    def recorded(w, direction, *args):
+        directions.append(direction.tolist())
+        return step(w, direction, *args)
+
+    monkeypatch.setattr(mixture, "_step", recorded)
+    c = Corpus((Dictionary("d0", (("w21", 96187), ("rest0", 82118049))),
+                Dictionary("d1", (("w21", 96187), ("rest0", 82118049), ("r1_0", 1)))))
+    h = GuessHistory(38170, (("r1_0", 0), ("w21", 36)))
+    weights, _, steps = estimate(c, h, MixtureWeights((0.6, 0.4)))
+    assert directions == [[1.0, -1.0]]
+    assert weights.q == (1.0, 0.0) and steps == 1
+    assert fw_gap(c, weights, h) <= GAP_TOL * h.population
+    # Sweep history 2200: here the reduced system is nearly singular along
+    # e0 - e1. When such pivots counted as zero, the Newton direction soon
+    # gained nothing and only the pairwise step reached the maximum; kept,
+    # floored at the threshold, they let the Newton steps reach it alone.
+    monkeypatch.undo()
     c = Corpus((
         Dictionary("d0", (("w9", 22996), ("w22", 63373), ("rest0", 2253319))),
         Dictionary("d1", (("w9", 22996), ("w22", 63373), ("r1_0", 1), ("rest1", 2253321))),
@@ -383,6 +417,70 @@ def test_a_stalled_newton_direction_falls_back_to_a_pairwise_step():
     assert fw_gap(c, weights, h) <= GAP_TOL * h.population
     assert steps < DescentConfig().max_steps
     assert np.allclose(weights.q, (0.563514, 0.0, 0.217119, 0.219367), atol=1e-6)
+
+
+def test_the_first_sweep_descents_all_certify():
+    # The first 300 histories of tests/certification_sweep.py: corpora with
+    # near-duplicate dictionaries, where 36 of these descents ran to the step
+    # cap when every pivot below 1e-12 of the largest counted as zero.
+    from certification_sweep import sweep
+
+    records = sweep(300)
+    assert max(r["gap"] for r in records) <= GAP_TOL
+    assert max(r["steps"] for r in records) < DescentConfig().max_steps
+
+
+def test_a_near_duplicate_instance_certifies_from_every_start():
+    # d4 is d3 plus one unguessed word, and d2 is part of d1, so the MLE
+    # puts d4's weight on d3. When near-flat pivots counted as zero, 11 of
+    # these 20 starts ran to the step cap uncertified.
+    c = Corpus((
+        Dictionary("d0", (("w3", 96), ("w5", 75), ("w6", 67), ("w0", 59), ("w1", 39),
+                          ("w4", 34), ("w2", 28))),
+        Dictionary("d1", (("w4", 97258), ("w0", 56660), ("w5", 54570), ("w3", 1376))),
+        Dictionary("d2", (("w0", 56660), ("w5", 54570))),
+        Dictionary("d3", (("w3", 864027),)),
+        Dictionary("d4", (("w3", 864027), ("w0", 1))),
+    ))
+    h = GuessHistory(883_572, (("w3", 413773), ("w5", 139964), ("w2", 23301), ("w4", 90460),
+                               ("w1", 32262), ("w6", 54976)))
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        start = rng.standard_exponential(5)
+        weights, _, steps = estimate(c, h, MixtureWeights(start / start.sum()))
+        assert fw_gap(c, weights, h) <= GAP_TOL * h.population
+        assert steps < DescentConfig().max_steps
+        assert weights[3] == pytest.approx(0.37763, abs=1e-5) and weights[4] == 0.0
+
+
+def test_newton_direction_keeps_the_sum_and_solves_the_reduced_system():
+    # Random positive semidefinite c = B B^T, some of rank below n, with
+    # positive gradients like the objective's and points with empty
+    # coordinates.
+    rng = np.random.default_rng(5)
+    for _ in range(600):
+        n = int(rng.integers(2, 8))
+        rank = int(rng.integers(1, n)) if rng.random() < 0.3 else n
+        b = rng.standard_normal((n, rank)) * 10.0 ** rng.uniform(-3, 6)
+        c = b @ b.T
+        g = rng.standard_exponential(n) * 10.0 ** rng.uniform(-3, 6)
+        q = rng.dirichlet(np.ones(n))
+        q[rng.permutation(n)[:int(rng.integers(0, n - 1))]] = 0.0
+        q /= q.sum()
+        lam = float(g @ q)
+        d = np.array(mixture._newton_direction(c.tolist(), g.tolist(), q.tolist(), lam))
+        assert abs(d.sum()) <= 1e-12 * np.abs(d).max(initial=1.0)
+        assert not d[(q == 0) & (g <= lam)].any()
+        assert (d[q == 0] >= 0).all()
+        # The free coordinates, the last of which balances the others: d on
+        # them is Z u, and where Z^T c Z is nonsingular, u solves it.
+        free = np.flatnonzero((q > 0) | (d != 0))
+        z = np.vstack([np.eye(free.size - 1), -np.ones(free.size - 1)])
+        a, rhs, u = z.T @ c[np.ix_(free, free)] @ z, z.T @ g[free], d[free][:-1]
+        eigenvalues = np.linalg.eigvalsh(a)
+        if eigenvalues.min() > 1e-8 * eigenvalues.max():
+            assert np.linalg.norm(a @ u - rhs) <= 1e-9 * (
+                np.linalg.norm(a) * np.linalg.norm(u) + np.linalg.norm(rhs))
 
 
 def test_estimate_is_deterministic(two_dicts):
