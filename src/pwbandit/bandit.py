@@ -167,10 +167,18 @@ def _best_by_q(corpus: Corpus, state: BanditState) -> int | None:
     np.putmask(scores, guessed[rows], -np.inf)
     # A product over fewer rows may round a score differently from the full
     # one, by less than the slack. So a winner clear of the rest by more than
-    # the slack is the full product's winner too; near ties (such as words
-    # with equal probability rows) go to the full product.
-    top = rows[scores >= scores.max() * (1.0 - slack)]
-    return int(top[0]) if top.min() == top.max() else _best_of_all_rows(probs, guessed, q)
+    # the slack is the full product's winner too. A row that at most one
+    # dictionary ranks scores fl(p_i q_i) in any product, its zero terms
+    # being exact; so where every near tie is such a row, the lowest row of
+    # the best score is the full product's pick. Other near ties (such as
+    # shared words with equal probability rows) go to the full product.
+    best = scores.max()
+    top = rows[scores >= best * (1.0 - slack)]
+    if top.min() == top.max():
+        return int(top[0])
+    if np.count_nonzero(probs[top], axis=1).max() <= 1:
+        return int(rows[scores == best].min())
+    return _best_of_all_rows(probs, guessed, q)
 
 
 def select_guess(policy: GuessPolicy, corpus: Corpus, state: BanditState) -> str | None:

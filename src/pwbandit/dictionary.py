@@ -1,7 +1,7 @@
 """Word-frequency dictionaries and the corpus that indexes their words.
 
 A dictionary is a named word-frequency distribution kept in rank order: a
-word's rank is its position in ``Dictionary.entries``, most frequent first,
+word's rank is its position in ``Dictionary.words``, most frequent first,
 ties in frequency broken by ascending lexicographic order of the word so
 that every load of the same data yields the same ranks. Per-word
 probabilities live in ``Corpus``, the one index from words to rows.
@@ -12,9 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,33 +30,38 @@ from .errors import (
 _FORBIDDEN_CHARS = ("\t", "\n", "\r")
 
 
-def _rank_order(entries: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
-    """Count descending, ties by ascending word: two stable sorts."""
-    ranked = sorted(entries, key=itemgetter(0))
-    ranked.sort(key=itemgetter(1), reverse=True)
-    return tuple(ranked)
+def _rank_order(words: Sequence[str], counts: Sequence[int]
+                ) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """Both columns in rank order, count descending, ties by ascending word:
+    two stable sorts of the positions."""
+    order = sorted(range(len(words)), key=words.__getitem__)
+    order.sort(key=counts.__getitem__, reverse=True)
+    return tuple(map(words.__getitem__, order)), tuple(map(counts.__getitem__, order))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Dictionary:
     """A named word-frequency distribution in popularity order.
 
-    ``entries`` is normalized on construction: sorted by count descending,
-    ties by ascending word order, so a word's rank is its position in
-    ``entries`` (0-based). Duplicate words are rejected. Per-word
-    probabilities live in :class:`Corpus`.
+    ``Dictionary(name, entries)`` takes ``(word, count)`` pairs in any order
+    and keeps them as two columns in rank order, ``words`` and ``counts``:
+    sorted by count descending, ties by ascending word order, so a word's
+    rank is its position in ``words`` (0-based). Duplicate words are
+    rejected. Per-word probabilities live in :class:`Corpus`.
     """
 
     name: str
-    entries: tuple[tuple[str, int], ...]
-    total_count: int = field(init=False, compare=False, repr=False)
+    words: tuple[str, ...]
+    counts: tuple[int, ...]
+    total_count: int = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        entries = _rank_order(self.entries)
-        if not entries:
+    def __init__(self, name: str, entries: Iterable[tuple[str, int]]):
+        pairs = tuple(entries)
+        words, counts = _rank_order([word for word, _ in pairs], [count for _, count in pairs])
+        if not words:
             raise EmptyDictionary("dictionary has no entries")
         seen: set[str] = set()
-        for word, count in entries:
+        for word, count in zip(words, counts):
             if not word or any(ch in word for ch in _FORBIDDEN_CHARS):
                 raise ValueError(f"invalid word {word!r}")
             if not isinstance(count, int) or isinstance(count, bool):
@@ -67,10 +71,15 @@ class Dictionary:
             if word in seen:
                 raise DuplicateWord(f"duplicate word {word!r}")
             seen.add(word)
-        self.__dict__.update(entries=entries, total_count=sum(map(itemgetter(1), entries)))
+        self.__dict__.update(name=name, words=words, counts=counts, total_count=sum(counts))
+
+    @property
+    def entries(self) -> tuple[tuple[str, int], ...]:
+        """The ``(word, count)`` pairs in rank order, built on each read (O(m))."""
+        return tuple(zip(self.words, self.counts))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.words)
 
 
 def from_password_multiset(name: str, passwords: Iterable[str]) -> Dictionary:
@@ -91,7 +100,8 @@ def load_frequency_list(name: str, source: Iterable[str]) -> Dictionary:
     NonPositiveCount, DuplicateWord or EmptyDictionary; each carries the
     offending 1-based line number.
     """
-    entries: list[tuple[str, int]] = []
+    words: list[str] = []
+    counts: list[int] = []
     seen: dict[str, int] = {}
     for line_no, raw in enumerate(source, start=1):
         line = raw.rstrip("\r\n")
@@ -113,18 +123,21 @@ def load_frequency_list(name: str, source: Iterable[str]) -> Dictionary:
         first = seen.setdefault(word, line_no)
         if first != line_no:
             raise DuplicateWord(f"word {word!r} already seen at line {first}", line=line_no)
-        entries.append((word, count))
-    if not entries:
+        words.append(word)
+        counts.append(count)
+    if not words:
         raise EmptyDictionary("stream contains no entries")
-    d = object.__new__(Dictionary)  # skips __post_init__: each line passed the checks above
-    d.__dict__.update(name=name, entries=_rank_order(entries),
-                      total_count=sum(map(itemgetter(1), entries)))
+    del seen  # frees its line numbers, an int object each, before the sort
+    d = object.__new__(Dictionary)  # skips __init__: each line passed the checks above
+    ranked_words, ranked_counts = _rank_order(words, counts)
+    d.__dict__.update(name=name, words=ranked_words, counts=ranked_counts,
+                      total_count=sum(counts))
     return d
 
 
 def serialize_frequency_list(d: Dictionary) -> str:
     """Render a dictionary in the file format, entries in rank order."""
-    return "".join(f"{word}\t{count}\n" for word, count in d.entries)
+    return "".join(f"{word}\t{count}\n" for word, count in zip(d.words, d.counts))
 
 
 def load_frequency_file(name: str, path: str | Path) -> Dictionary:
@@ -161,7 +174,7 @@ class Corpus:
     @cached_property
     def union_vocabulary(self) -> tuple[str, ...]:
         """Every word appearing in any dictionary, deduplicated, sorted."""
-        return tuple(sorted({word for d in self.dictionaries for word, _ in d.entries}))
+        return tuple(sorted(set().union(*(d.words for d in self.dictionaries))))
 
     @cached_property
     def vocab_index(self) -> dict[str, int]:
@@ -173,14 +186,14 @@ class Corpus:
         """Row v, column i: dictionary i's probability of vocabulary word v."""
         matrix = np.zeros((len(self.union_vocabulary), len(self.dictionaries)))
         for i, (d, rows) in enumerate(zip(self.dictionaries, self.ranked_rows)):
-            matrix[rows, i] = [count / d.total_count for _, count in d.entries]
+            matrix[rows, i] = [count / d.total_count for count in d.counts]
         return matrix
 
     @cached_property
     def ranked_rows(self) -> tuple[np.ndarray, ...]:
         """Array i: the ``vocab_probs`` row of each word of dictionary i, in rank order."""
         index = self.vocab_index
-        return tuple(np.array([index[word] for word, _ in d.entries], dtype=np.intp)
+        return tuple(np.array([index[word] for word in d.words], dtype=np.intp)
                      for d in self.dictionaries)
 
     def probability_rows(self, words: Iterable[str]) -> np.ndarray:

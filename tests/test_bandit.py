@@ -157,7 +157,17 @@ def test_by_q_walk_equals_the_whole_vocabulary_formula(case):
             mark_guessed(corpus, state, expected)
 
 
-def test_by_q_walk_picks_every_guess_of_an_attack_on_a_large_vocabulary(monkeypatch):
+@pytest.fixture
+def full_scores(monkeypatch):
+    """Counts by-q's calls of the whole-vocabulary product."""
+    calls = []
+    score_all = bandit._best_of_all_rows
+    monkeypatch.setattr(bandit, "_best_of_all_rows",
+                        lambda *args: calls.append(1) or score_all(*args))
+    return calls
+
+
+def test_by_q_walk_picks_every_guess_of_an_attack_on_a_large_vocabulary(full_scores):
     # Three overlapping 20,000-word lists: the walk keeps a few dozen of about
     # 29,000 rows per guess, so every guess takes the pruned path, and none
     # scores the whole vocabulary.
@@ -167,10 +177,6 @@ def test_by_q_walk_picks_every_guess_of_an_attack_on_a_large_vocabulary(monkeypa
                                           exponent=0.9) for i in range(3)))
     assert corpus.vocab_probs.size > bandit._FULL_SCORE_ENTRIES
     ps = compose_password_set(corpus, MixtureWeights((0.5, 0.3, 0.2)), 20_000, seed=3)
-    full_scores = []
-    score_all = bandit._best_of_all_rows
-    monkeypatch.setattr(bandit, "_best_of_all_rows",
-                        lambda *args: full_scores.append(1) or score_all(*args))
     state = new_state(corpus, ps.size, InitPolicy.RANDOM, np.random.default_rng(9))
     for _ in range(200):
         word = select_guess(GuessPolicy.BY_Q, corpus, state)
@@ -178,6 +184,37 @@ def test_by_q_walk_picks_every_guess_of_an_attack_on_a_large_vocabulary(monkeypa
         record_observation(state, word, oracle_count(ps, word), corpus, InitPolicy.RANDOM)
     assert not full_scores
     assert len(set(state.history.words)) == 200
+
+
+def test_by_q_settles_ties_between_one_dictionary_words_without_the_full_product(full_scores):
+    # Two 20,000-word lists with the same counts and no word in common: at
+    # q = (0.5, 0.5) the two words of each rank tie exactly, and each is
+    # ranked by one dictionary alone, so the walk's scores are exact.
+    corpus = Corpus((zipf_dictionary("d1", [f"b{j:05d}" for j in range(20_000)]),
+                     zipf_dictionary("d2", [f"a{j:05d}" for j in range(20_000)])))
+    assert corpus.vocab_probs.size > bandit._FULL_SCORE_ENTRIES
+    state = new_state(corpus, 100, InitPolicy.AVERAGE, np.random.default_rng(0))
+    words = []
+    for _ in range(6):
+        words.append(select_guess(GuessPolicy.BY_Q, corpus, state))
+        assert words[-1] == by_q_reference(corpus, state)
+        mark_guessed(corpus, state, words[-1])
+    assert words == ["a00000", "b00000", "a00001", "b00001", "a00002", "b00002"]
+    assert not full_scores
+
+
+def test_by_q_settles_a_near_tie_with_a_shared_word_by_the_full_product(full_scores):
+    # The same lists plus a word s that both rank, with half the head's
+    # count: at q = (0.5, 0.5) s scores as the heads do up to rounding, and
+    # the order of its two terms may round it either way.
+    d1 = zipf_dictionary("d1", [f"b{j:05d}" for j in range(20_000)])
+    d2 = zipf_dictionary("d2", [f"a{j:05d}" for j in range(20_000)])
+    corpus = Corpus((Dictionary("d1", d1.entries + (("s", 500_000),)),
+                     Dictionary("d2", d2.entries + (("s", 500_000),))))
+    state = new_state(corpus, 100, InitPolicy.AVERAGE, np.random.default_rng(0))
+    assert select_guess(GuessPolicy.BY_Q, corpus, state) == "a00000"
+    assert by_q_reference(corpus, state) == "a00000"
+    assert len(full_scores) == 1
 
 
 def test_best_dictionary_follows_weights_and_breaks_ties_low(overlap_pair):

@@ -1,5 +1,6 @@
 import io
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -157,9 +158,35 @@ def test_load_matches_the_twice_checked_reference(lines):
 @given(st.dictionaries(pool_st | words_st, count_st, min_size=1))
 def test_loaded_dictionary_equals_a_validated_one(counts):
     d = load_frequency_list("t", [f"{word}\t{count}" for word, count in counts.items()])
+    built = Dictionary("t", ((word, int(count)) for word, count in counts.items()))
+    assert (built.words, built.counts, built.total_count) == (d.words, d.counts, d.total_count)
+    assert d.entries == tuple(zip(d.words, d.counts))
     again = Dictionary(d.name, d.entries)
-    assert again == d
+    assert again == d and hash(again) == hash(d)
     assert (again.entries, again.total_count) == (d.entries, d.total_count)
+
+
+def test_counts_have_no_fixed_width():
+    d = load_frequency_list("t", ["a\t" + "1" + "0" * 30, "b\t1"])
+    assert d.counts == (10**30, 1) and d.total_count == 10**30 + 1
+    assert Dictionary("t", (("b", 1), ("a", 10**30))) == d
+
+
+def test_a_loaded_list_retains_at_most_100_bytes_per_entry():
+    # Each entry keeps its word, its count (an int object unless Python
+    # caches it) and one slot in each column; a tuple per entry would add
+    # about 48 bytes more.
+    m = 20_000
+    lines = [f"w{j:06d}\t{max(1, round(10**6 / (j + 1) ** 0.9))}\n" for j in range(m)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        d = load_frequency_list("t", lines)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(d) == m
+    assert retained <= 100 * m
 
 
 def test_load_empty_stream():

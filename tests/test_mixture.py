@@ -430,6 +430,100 @@ def test_the_first_sweep_descents_all_certify():
     assert max(r["steps"] for r in records) < DescentConfig().max_steps
 
 
+@pytest.mark.parametrize("dictionaries,population,observations,start", [
+    pytest.param(
+        {"d0": (("rest0", 4092224), ("w18", 93216), ("w19", 92945), ("w27", 9785), ("w11", 5857),
+                ("w47", 5273), ("w53", 2672), ("w45", 2520), ("w1", 1977), ("w23", 1861),
+                ("w13", 1849), ("w34", 1584), ("w44", 1448), ("w41", 1421), ("w22", 1268),
+                ("w52", 1256), ("unguessed0", 38158)),
+         "d1": (("rest1", 1331044), ("w10", 8510), ("w38", 7573), ("w28", 6193), ("w9", 4903),
+                ("w49", 4711), ("w14", 4062), ("w3", 3885), ("w11", 3358), ("w53", 3044),
+                ("w44", 2857), ("w55", 2541), ("w21", 2397), ("w19", 2087), ("w18", 2008),
+                ("w45", 1997), ("w1", 1640), ("w20", 1560), ("w52", 1285), ("w25", 1246),
+                ("w34", 1200), ("w37", 1109), ("w13", 992), ("unguessed1", 74938)),
+         "d2": (("rest2", 2601564), ("w22", 78189), ("w18", 8643), ("w1", 7983), ("w20", 7354),
+                ("w28", 4955), ("w8", 4912), ("w47", 4210), ("w14", 4013), ("w26", 3766),
+                ("w29", 3687), ("w49", 2696), ("w31", 2684), ("w34", 2579), ("w37", 2318),
+                ("w41", 1535), ("w55", 1091), ("w21", 993), ("w53", 964), ("unguessed2", 104115)),
+         "d3": (("rest2", 2601564), ("w22", 78189), ("w18", 8643), ("w1", 7983), ("w20", 7354),
+                ("w28", 4955), ("w8", 4912), ("w47", 4210), ("w14", 4013), ("w26", 3766),
+                ("w29", 3687), ("w49", 2696), ("w31", 2684), ("w34", 2579), ("w37", 2318),
+                ("w41", 1535), ("w55", 1091), ("w21", 993), ("w53", 964), ("r3_0", 1),
+                ("unguessed3", 104116)),
+         "d4": (("rest4", 415623), ("w20", 19529), ("w18", 11471), ("w19", 9458), ("w3", 9315),
+                ("w53", 3560), ("w55", 3486), ("w44", 3358), ("w9", 2965), ("w16", 2740),
+                ("w37", 2590), ("w21", 2473), ("w4", 2426), ("w45", 2244), ("w49", 1943),
+                ("w22", 1781), ("w27", 1747), ("w31", 1674), ("w41", 1455), ("w29", 1409),
+                ("w10", 1299), ("w52", 1293), ("w38", 1288), ("w8", 1206), ("w1", 1183),
+                ("w28", 1148), ("w26", 1101), ("w13", 974), ("w23", 965), ("unguessed4", 72544))},
+        738606, (("w53", 1915), ("w23", 437), ("w9", 1684), ("w19", 6459), ("w22", 7440),
+            ("w4", 1010), ("r3_0", 0), ("w10", 1325), ("w31", 934), ("w27", 1018), ("w34", 373),
+            ("w26", 807), ("w55", 1864), ("w21", 1382), ("w45", 1161), ("w13", 557),
+            ("rest2", 221347), ("w11", 460), ("w3", 4308), ("rest1", 124503), ("w16", 1131),
+            ("rest4", 173565), ("w8", 957), ("rest0", 107147), ("w29", 914), ("w47", 503),
+            ("w52", 679), ("w49", 1494), ("w44", 1692), ("w1", 1310), ("w28", 1441), ("w37", 1433),
+            ("w38", 1244), ("w14", 774), ("w18", 8159), ("w41", 770), ("w25", 125), ("w20", 8867)),
+        (0.5492104241471463, 0.00986708101669888, 0.31089862576493205, 0.12480909813536853,
+         0.00521477093585431),
+        id="history-1543"),
+    pytest.param(
+        {"d0": (("rest0", 25903302), ("w12", 185808), ("w27", 98132), ("w30", 65077),
+                ("w9", 53138), ("w21", 43791), ("w14", 39532), ("w16", 38926), ("w17", 38423),
+                ("w3", 33440), ("w26", 30081), ("w4", 24372), ("w20", 19858), ("w7", 18745),
+                ("w5", 18452), ("w2", 16557), ("w31", 16491), ("w18", 16148),
+                ("unguessed0", 289938)),
+         "d1": (("w11", 215435), ("w18", 109901), ("w14", 52782), ("w20", 50029), ("w26", 47197),
+                ("w9", 27840), ("w1", 23267), ("w17", 19109), ("w4", 17471), ("w30", 15937),
+                ("unguessed1", 8090200)),
+         "d2": (("w31", 70389), ("w7", 26195), ("w26", 22408), ("w5", 19056), ("w3", 14207),
+                ("unguessed2", 2837220)),
+         "d3": (("w11", 215435), ("w18", 109901), ("w14", 52782), ("w20", 50029), ("w26", 47197),
+                ("w9", 27840), ("w1", 23267), ("w17", 19109), ("w4", 17471), ("w30", 15937),
+                ("r3_1", 1), ("unguessed3", 8090201))},
+        17574, (("rest0", 1698), ("r3_1", 0), ("w16", 2), ("w4", 16), ("w11", 248), ("w9", 31),
+            ("w12", 15), ("w31", 191), ("w5", 54), ("w30", 17), ("w26", 122), ("w20", 36),
+            ("w21", 5), ("w17", 15), ("w3", 44), ("w18", 103), ("w2", 1), ("w14", 45), ("w27", 5),
+            ("w7", 60), ("w1", 19)),
+        (0.3043764455184211, 0.5531141912469538, 0.01979558962150656, 0.12271377361311867),
+        id="history-1619"),
+    pytest.param(
+        {"d0": (("unguessed0", 1194909),),
+         "d1": (("w0", 44468), ("w1", 41102), ("w9", 34521), ("unguessed1", 14566437)),
+         "d2": (("w0", 44468), ("w1", 41102), ("w9", 34521), ("r2_0", 1), ("unguessed2", 14566437)),
+         "d3": (("w2", 70731), ("w0", 47669), ("w1", 37608), ("unguessed3", 39166042))},
+        1659, (("w1", 3), ("w2", 0), ("r2_0", 0), ("w9", 0), ("w0", 0)),
+        (0.15964803181449808, 0.10967895269829969, 0.4674646130539556, 0.26320840243324667),
+        id="history-1675"),
+    pytest.param(
+        {"d0": (("w54", 840820), ("w23", 388109), ("w30", 182317), ("w42", 86076), ("w29", 69571),
+                ("unguessed0", 24919391)),
+         "d1": (("w54", 840820), ("w23", 388109), ("w30", 182317), ("w42", 86076), ("w29", 69571),
+                ("unguessed1", 24919392)),
+         "d2": (("w29", 112596), ("w16", 63818), ("unguessed2", 143637114)),
+         "d3": (("w23", 1091776), ("unguessed3", 18853367)),
+         "d4": (("w5", 157330), ("w23", 84217), ("unguessed4", 49456529)),
+         "d5": (("w5", 157330), ("w23", 84217), ("r5_1", 1), ("unguessed5", 49456531))},
+        556815, (("w23", 7143), ("w54", 13406), ("w5", 346), ("w30", 2941), ("w29", 1071),
+            ("r5_1", 0), ("w16", 13), ("w42", 1400)),
+        (0.2131310309769668, 0.08861184996309038, 0.09044984505619054, 0.3784634396684653,
+         0.20472908723422464, 0.02461474710106233),
+        id="history-2210"),
+])
+def test_the_sweep_descents_that_lost_their_certificate_certify(dictionaries, population,
+                                                                 observations, start):
+    # Four histories of tests/certification_sweep.py, each certified until
+    # every descent took one damped step rule, then uncertified at the step
+    # cap until pivots near zero were kept. Each dictionary keeps its guessed
+    # words, and one word holds the count of the rest, so every guessed
+    # word's probabilities are those of the sweep and the descent is the
+    # sweep's, bit for bit.
+    c = Corpus(tuple(Dictionary(name, entries) for name, entries in dictionaries.items()))
+    h = GuessHistory(population, observations)
+    weights, _, steps = estimate(c, h, MixtureWeights(start))
+    assert fw_gap(c, weights, h) <= GAP_TOL * h.population
+    assert steps < DescentConfig().max_steps
+
+
 def test_a_near_duplicate_instance_certifies_from_every_start():
     # d4 is d3 plus one unguessed word, and d2 is part of d1, so the MLE
     # puts d4's weight on d3. When near-flat pivots counted as zero, 11 of
