@@ -26,7 +26,6 @@ from .mixture import (
     estimate,
     gradient,
     log_likelihood,
-    project_to_simplex,
 )
 from .simulator import (
     AttackTrace,
@@ -72,7 +71,6 @@ __all__ = [
     "oracle_count",
     "pad_curve",
     "parse_config",
-    "project_to_simplex",
     "record_observation",
     "run_attack",
     "save_config",

@@ -56,9 +56,8 @@ class BanditState:
     """Everything one attack knows; ``record_observation`` grows it by one guess.
 
     ``observed`` maps each guessed word to its successes, in guess order.
-    ``arrays`` holds the history as the solver reads it: one probability row
-    and success count per guess, and the solver's categories, each grown by
-    one row per guess. ``guessed`` masks ``corpus.union_vocabulary``, and
+    ``arrays`` holds the history as the solver reads it: its categories and
+    running totals, grown by each guess. ``guessed`` masks ``corpus.union_vocabulary``, and
     ``cursors[i]`` is a rank position in dictionary i with every word above it guessed.
     """
 

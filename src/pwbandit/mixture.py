@@ -9,9 +9,11 @@ coefficient dropped, it does not depend on q) is
 
 with Q_k = sum_i q_i * p_i(k): a multinomial over m + 1 categories, the
 guessed words and the rest, each with a probability linear in q, so the
-log-likelihood is concave on the simplex. ``log_likelihood`` and
-``gradient`` floor both logs at ``PROBABILITY_FLOOR`` so they are finite on
-the whole simplex.
+log-likelihood is concave on the simplex. ``log_likelihood``, ``gradient``
+and ``estimate`` all read it through ``HistoryArrays.categories``, which
+takes the rest's probability as sum_i q_i * (1 - sum_j p_i(k_j)), equal to
+1 - sum_j Q_{k_j} on the simplex. ``log_likelihood`` and ``gradient`` floor
+both logs at ``PROBABILITY_FLOOR`` so they are finite on the whole simplex.
 
 ``estimate`` maximizes it by damped active-set Newton ascent on the faces of
 the simplex (Bertsekas 1982; Boyd and Vandenberghe 2004, section 9.5), with a
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Callable, Container, Sequence
+from typing import Callable, Container
 
 import numpy as np
 
@@ -101,16 +103,19 @@ class GuessHistory:
     """Observed guesses against a population of N users.
 
     Each observation pairs a guessed word with the number of users it
-    compromised, an integer. Words never repeat; total successes cannot
-    exceed the population. The constructor checks every observation.
+    compromised, an integer. The population is an integer of at least 1;
+    words never repeat; total successes cannot exceed the population. The
+    constructor checks the population and every observation.
     """
 
     population: int
     observations: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
-        if self.population < 1:
-            raise ValueError(f"population must be >= 1, got {self.population}")
+        population = self.population
+        if isinstance(population, bool) or not isinstance(population, Integral) or population < 1:
+            raise ValueError(f"population must be an integer >= 1, got {population!r}")
+        object.__setattr__(self, "population", int(population))
         observed, left = {}, self.population
         for word, successes in self.observations:
             word = str(word)
@@ -148,23 +153,21 @@ def _weight_vector(weights, n: int) -> np.ndarray:
 class HistoryArrays:
     """One attack's guesses as the solver reads them, grown by :meth:`append`.
 
-    ``probs`` holds one row of per-dictionary probabilities per guess (zeros
-    for an unranked word) and ``counts`` its successes, out of ``population``
-    users. Beside them, in guess order, are the rows and counts of the
-    ``live`` word categories: each guess with successes that some dictionary
-    gives more than ``PROBABILITY_FLOOR`` (any other guess is a constant of
-    the floored objective). A spare row after them takes each descent's rest
-    category. Three running totals, each grown by one term per guess, spare a
-    descent any sum over the history: ``prob_totals``, the column totals of
-    ``probs``; ``successes``, the total count; and ``live_successes``, the
-    total count of the live categories. Buffers double when full, so a guess
-    costs O(n) amortized, not an O(m) rebuild. Package-internal: an attack's
-    ``BanditState`` owns one.
+    In guess order, the rows of per-dictionary probabilities and the counts
+    of the ``live`` word categories: each guess with successes that some
+    dictionary gives more than ``PROBABILITY_FLOOR`` (any other guess is a
+    constant of the floored objective). A spare row after them takes the
+    rest category. Three running totals, each grown by one term per guess,
+    spare the objective any sum over the history: ``prob_totals``, the column
+    totals of the ``size`` guesses' probability rows; ``successes``, their
+    total count; and ``live_successes``, the total count of the live
+    categories. Buffers double when full, so a guess costs O(n) amortized,
+    not an O(m) rebuild. Package-internal: an attack's ``BanditState`` owns
+    one.
     """
 
     def __init__(self, n: int, population: int):
         self.population, self.size, self.live = population, 0, 0
-        self._probs, self._counts = np.zeros((16, n)), np.zeros(16)
         self._cats, self._weight = np.zeros((17, n)), np.zeros(17)
         self.prob_totals, self.successes, self.live_successes = np.zeros(n), 0, 0
 
@@ -174,81 +177,79 @@ class HistoryArrays:
         would leave, buffers included, built from one
         :meth:`Corpus.probability_rows` lookup."""
         arrays = cls(len(corpus), history.population)
-        m = len(history.observations)
-        arrays._reserve(m)
         probs = corpus.probability_rows(word for word, _ in history.observations)
         counts = np.array([successes for _, successes in history.observations], dtype=float)
         live = (counts > 0) & (probs.max(axis=1) > PROBABILITY_FLOOR)
         k = int(live.sum())
-        arrays._probs[:m], arrays._counts[:m] = probs, counts
+        arrays._reserve(k)
         arrays._cats[:k], arrays._weight[:k] = probs[live], counts[live]
-        arrays.size, arrays.live = m, k
-        if m:
+        arrays.size, arrays.live = len(counts), k
+        if len(counts):
             # cumsum adds the rows in turn, as append does; sum(axis=0) does
             # too for n >= 2, but sums a single column pairwise.
             arrays.prob_totals = np.cumsum(probs, axis=0)[-1].copy()
         arrays.successes, arrays.live_successes = int(counts.sum()), int(arrays._weight[:k].sum())
         return arrays
 
-    @property
-    def probs(self) -> np.ndarray:
-        return self._probs[:self.size]
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self._counts[:self.size]
-
-    def _reserve(self, m: int) -> None:
-        """Double the buffers until they hold ``m`` guesses."""
-        capacity = len(self._counts)
-        while capacity < m:
+    def _reserve(self, k: int) -> None:
+        """Double the buffers until they hold ``k`` categories and the spare."""
+        capacity = len(self._weight) - 1
+        while capacity < k:
             capacity *= 2
-        grow = capacity - len(self._counts)
+        grow = capacity + 1 - len(self._weight)
         if grow:
-            self._probs, self._counts, self._cats, self._weight = (
-                np.concatenate([a, np.zeros((grow,) + a.shape[1:])])
-                for a in (self._probs, self._counts, self._cats, self._weight))
+            self._cats, self._weight = (np.concatenate([a, np.zeros((grow,) + a.shape[1:])])
+                                        for a in (self._cats, self._weight))
 
     def append(self, row: np.ndarray | None, successes: int) -> None:
         """Add one guess: its probability row (None if unranked) and successes."""
-        m = self.size
-        self._reserve(m + 1)
-        self._counts[m] = successes
+        self.size += 1
         self.successes += successes
         if row is not None:
-            self._probs[m] = row
             self.prob_totals += row
             if successes > 0 and max(row.tolist()) > PROBABILITY_FLOOR:
+                self._reserve(self.live + 1)
                 self._cats[self.live], self._weight[self.live] = row, successes
                 self.live += 1
                 self.live_successes += successes
-        self.size = m + 1
 
-    def categories(self, left: np.ndarray, rest) -> tuple[np.ndarray, np.ndarray]:
-        """The rows and counts of every category: the rest, with
-        probabilities ``left`` and count ``rest``, comes last unless ``rest``
-        is None."""
-        k = self.live
-        if rest is not None:
+    def categories(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The rows and counts of every category, and the constant of the
+        floored objective: the log-likelihood at q is ``weight @
+        log(max(cats @ q, PROBABILITY_FLOOR)) + constant``.
+
+        The rest comes last, with each dictionary's probability of the
+        unguessed words, ``left``, as its row, while users remain and some
+        dictionary gives it more than the floor. Every user outside the
+        categories counts ln(floor) in the constant.
+        """
+        # Each dictionary's probability of the rest, from the running column
+        # totals, which add the rows in turn. For n >= 2 numpy's sum(axis=0)
+        # over the rows adds them in the same order, to the same bits; with
+        # one dictionary it sums the column pairwise, which may round apart.
+        left = 1.0 - self.prob_totals
+        rest = self.population - self.successes
+        k, outside = self.live, self.population - self.live_successes
+        if rest > 0 and np.maximum.reduce(left) > PROBABILITY_FLOOR:
             self._cats[k], self._weight[k] = left, rest
-            k += 1
-        return self._cats[:k], self._weight[:k]
+            k, outside = k + 1, outside - rest
+        return self._cats[:k], self._weight[:k], outside * _LOG_FLOOR
 
 
 def log_likelihood(corpus: Corpus, weights, history: GuessHistory) -> float:
-    """Censored-multinomial log-likelihood of ``weights`` given ``history``.
+    """Censored-multinomial log-likelihood of ``weights`` given ``history``,
+    evaluated on the categories that :func:`estimate` reads.
 
-    ``weights`` may be a MixtureWeights or any length-n sequence; the value
-    is well defined off the simplex too, which the finite-difference checks
-    rely on. Empty history gives exactly 0.
+    The rest's probability is ``left @ q``, with ``left_i = 1 - sum_j
+    p_i(k_j)`` each dictionary's probability of its unguessed words; on the
+    simplex that is ``1 - sum_j Q_{k_j}``. ``weights`` may be a
+    MixtureWeights or any length-n sequence; the value is well defined off
+    the simplex too, which the finite-difference checks rely on. An empty
+    history gives N ln(sum_i q_i): exactly 0 where the weights sum to 1.
     """
     q = _weight_vector(weights, len(corpus))
-    arrays = HistoryArrays.of(corpus, history)
-    probs, counts = arrays.probs, arrays.counts
-    observed = probs @ q
-    remainder = max(1.0 - observed.sum(), PROBABILITY_FLOOR)
-    return float(counts @ np.log(np.maximum(observed, PROBABILITY_FLOOR))
-                 + (history.population - counts.sum()) * np.log(remainder))
+    cats, weight, constant = HistoryArrays.of(corpus, history).categories()
+    return float(weight @ np.log(np.maximum(cats @ q, PROBABILITY_FLOOR)) + constant)
 
 
 def gradient(corpus: Corpus, weights, history: GuessHistory) -> np.ndarray:
@@ -256,46 +257,19 @@ def gradient(corpus: Corpus, weights, history: GuessHistory) -> np.ndarray:
 
     Component i is
 
-        sum_j N_j * p_i(k_j) / Q_{k_j}
-            - (N - sum_j N_j) * sum_j p_i(k_j) / (1 - sum_j Q_{k_j})
+        sum_j N_j * p_i(k_j) / Q_{k_j}  +  (N - sum_j N_j) * left_i / (left . q)
 
-    with the same epsilon floors as the objective. A term the floor binds,
-    a guessed word with Q_{k_j} at most ``PROBABILITY_FLOOR`` or a remainder
-    at most it (every dictionary's words are all guessed), is a constant of
-    the objective and adds nothing here.
+    with ``left_i = 1 - sum_j p_i(k_j)``, the same categories and the same
+    floor as the objective. A term the floor binds, a guessed word with
+    Q_{k_j} at most ``PROBABILITY_FLOOR`` or a rest at most it (every
+    dictionary's words are all guessed), is a constant of the objective and
+    adds nothing here.
     """
     q = _weight_vector(weights, len(corpus))
-    arrays = HistoryArrays.of(corpus, history)
-    probs, counts = arrays.probs, arrays.counts
-    observed = probs @ q
-    remainder = 1.0 - observed.sum()
-    rest = history.population - counts.sum() if remainder > PROBABILITY_FLOOR else 0
-    counts = np.where(observed > PROBABILITY_FLOOR, counts, 0.0)
-    return (probs.T @ (counts / np.maximum(observed, PROBABILITY_FLOOR))
-            - rest * probs.sum(axis=0) / max(remainder, PROBABILITY_FLOOR))
-
-
-def project_to_simplex(v: Sequence[float]) -> MixtureWeights:
-    """Euclidean-nearest point of the probability simplex to ``v``."""
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise EmptyInput(f"cannot project shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"cannot project non-finite entries {arr}")
-    # Adding one constant to every entry leaves the projection unchanged, so
-    # the largest entry is moved to 0. An entry 1 or more below the largest
-    # projects to 0, and still does when clipped at -2; the clip keeps a
-    # difference beyond the float range finite.
-    with np.errstate(over="ignore"):
-        arr = np.maximum(arr - arr.max(), -2.0)
-    # Sort and threshold. The largest entry passes (0 + 1 > 0), so rho exists
-    # and its shift is positive, which keeps that entry, and the sum, above 0.
-    # The final division removes rounding error in the shifts.
-    u = np.sort(arr)[::-1]
-    shifts = (1.0 - np.cumsum(u)) / np.arange(1, arr.size + 1)
-    rho = int(np.nonzero(u + shifts > 0)[0][-1])
-    out = np.maximum(arr + shifts[rho], 0.0)
-    return MixtureWeights(out / out.sum())
+    cats, weight, _ = HistoryArrays.of(corpus, history).categories()
+    observed = cats @ q
+    live = observed > PROBABILITY_FLOOR
+    return cats.T @ (np.where(live, weight, 0.0) / np.where(live, observed, 1.0))
 
 
 StepCallback = Callable[[int, MixtureWeights, float], None]
@@ -327,9 +301,8 @@ def estimate(corpus: Corpus, history: GuessHistory, init: MixtureWeights,
 
     Stops once the Frank-Wolfe gap max_i g_i - g . q is at most
     ``GAP_TOL * population`` nats: the log-likelihood is concave, so that
-    gap bounds how far it is below its maximum. The categories' gradient
-    differs from that of :func:`gradient` by a multiple of the all-ones
-    vector, which moves neither the gap nor the step. ``cfg.max_steps``
+    gap bounds how far it is below its maximum. Its gradient is that of
+    :func:`gradient`, which reads the same categories. ``cfg.max_steps``
     only guards against a descent that does not get there. Where there is
     no category, the objective is constant and the start is returned.
 
@@ -346,21 +319,10 @@ def estimate(corpus: Corpus, history: GuessHistory, init: MixtureWeights,
 def maximize(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentConfig(),
              on_step: StepCallback | None = None) -> tuple[MixtureWeights, float, int]:
     """:func:`estimate` on an attack's :class:`HistoryArrays`."""
-    # Each dictionary's probability of the rest, constant within a descent,
-    # from the running column totals, which add the rows in turn. For n >= 2
-    # numpy's probs.sum(axis=0) adds them in the same order, to the same bits;
-    # with one dictionary it sums the column pairwise, which may round apart.
-    left = 1.0 - arrays.prob_totals
-    rest = arrays.population - arrays.successes
-    # The rest is a category while users remain and some dictionary gives it
-    # more than the floor. Where every category is above the floor, the
-    # floored objective is the unfloored one; elsewhere it counts as -inf.
-    rest_live = rest > 0 and np.maximum.reduce(left) > PROBABILITY_FLOOR
-    cats, weight = arrays.categories(left, rest if rest_live else None)
-    # The floored terms: every user outside the categories counts ln(floor).
-    outside = (arrays.successes if rest_live else arrays.population) - arrays.live_successes
-    constant = outside * _LOG_FLOOR
+    cats, weight, constant = arrays.categories()
 
+    # Where every category is above the floor, the floored objective is the
+    # unfloored one; elsewhere the descent counts it as -inf.
     def value(q: np.ndarray) -> tuple[float, np.ndarray]:
         observed = cats @ q
         if np.minimum.reduce(observed, initial=1.0) <= PROBABILITY_FLOOR:

@@ -1,5 +1,7 @@
-"""Acceptance gate: nine numbered criteria covering numeric correctness,
-qualitative attack behavior and output stability.
+"""Acceptance gate: numbered criteria covering numeric correctness,
+qualitative attack behavior and output stability. Criterion 2, the
+optimality of the simplex projection, went with the projection, which the
+Newton solver does not use; the others keep their numbers.
 
 Each test prints one `[ACCEPTANCE n] name: PASS|FAIL` line (visible under
 `pytest -s`) and then asserts. Heavy experiment data is computed once in
@@ -21,7 +23,6 @@ from pwbandit import (
     load_frequency_list,
     log_likelihood,
     optimal_baseline,
-    project_to_simplex,
     run_attack,
     serialize_frequency_list,
 )
@@ -38,7 +39,6 @@ from helpers import (
     random_corpus,
     random_history,
     random_interior_point,
-    simplex_grid,
 )
 
 TRUTH = MixtureWeights((0.6, 0.3, 0.1))
@@ -86,16 +86,24 @@ def ordering_data(mixed_instance):
     Frank-Wolfe gap, computed here from the model's formula."""
     corpus, ps = mixed_instance
 
+    steps, gaps = [], []
+
     def recording(arrays, w, *args):
-        weights, loglik, steps = maximize(arrays, w, *args)
-        probs, counts, population = arrays.probs, arrays.counts, arrays.population
-        q = np.asarray(weights)
-        observed = probs @ q
-        hits = np.divide(counts, observed, out=np.zeros_like(counts), where=counts > 0)
-        g = (probs.T @ hits
-             - (population - counts.sum()) * probs.sum(axis=0) / (1.0 - observed.sum()))
-        CRITERION_6_DESCENTS.append((steps, float(g.max() - g @ q)))
-        return weights, loglik, steps
+        weights, loglik, taken = maximize(arrays, w, *args)
+        steps.append(taken)
+        return weights, loglik, taken
+
+    def record_gaps(trace):
+        # The probability rows of the words guessed so far, looked up in the
+        # corpus, and the successes and estimate after each guess.
+        probs, population = corpus.probability_rows(trace.words), ps.size
+        for j, q in enumerate(trace.estimates, start=1):
+            rows, counts = probs[:j], trace.counts[:j, 0].astype(float)
+            observed = rows @ q
+            hits = np.divide(counts, observed, out=np.zeros_like(counts), where=counts > 0)
+            g = (rows.T @ hits
+                 - (population - counts.sum()) * rows.sum(axis=0) / (1.0 - observed.sum()))
+            gaps.append(float(g.max() - g @ q))
 
     started = time.perf_counter()
     finals = {}
@@ -108,8 +116,10 @@ def ordering_data(mixed_instance):
             ]
             for trace in traces:
                 ALL_TRACES.append((trace, ps))
+                record_gaps(trace)
             finals[policy] = [t.cumulative_curve[-1] for t in traces]
     elapsed = time.perf_counter() - started
+    CRITERION_6_DESCENTS.extend(zip(steps, gaps, strict=True))
     return finals, optimal_baseline(ps, 100), elapsed
 
 
@@ -150,26 +160,6 @@ def test_criterion_1_gradient_matches_finite_differences():
     _report(1, "gradient vs central differences", ok)
     assert worst <= 1e-5, f"worst relative error {worst:.2e}"
     assert elapsed < 5.0, f"took {elapsed:.1f}s"
-
-
-def test_criterion_2_projection_beats_grid_search():
-    started = time.perf_counter()
-    rng = np.random.default_rng(5)
-    worst = -np.inf
-    for n in (2, 3):
-        grid = simplex_grid(n, 1e-3)
-        grid_sq = np.einsum("ij,ij->i", grid, grid)
-        for _ in range(500):
-            v = rng.uniform(-2.0, 2.0, size=n)
-            projected = np.asarray(project_to_simplex(v))
-            distance = float(np.linalg.norm(projected - v))
-            grid_best = float(np.sqrt(max((grid_sq - 2.0 * (grid @ v) + v @ v).min(), 0.0)))
-            worst = max(worst, distance - grid_best)
-    elapsed = time.perf_counter() - started
-    ok = worst <= 1e-3 and elapsed < 30.0
-    _report(2, "projection optimality on 1000 inputs", ok)
-    assert worst <= 1e-3, f"projection farther than grid by {worst:.2e}"
-    assert elapsed < 30.0, f"took {elapsed:.1f}s"
 
 
 def test_criterion_3_estimates_match_grid_search_maximum():

@@ -279,7 +279,8 @@ def test_record_observation_rejects_overcount(overlap_pair):
     record_observation(state, "a", np.int64(10), overlap_pair, InitPolicy.AVERAGE, CHEAP)
     assert state.history.observations == (("b", 90), ("a", 10))
     assert type(state.history.observations[1][1]) is int
-    assert state.arrays.counts.tolist() == [90, 10]
+    assert state.observed == {"b": 90, "a": 10} and type(state.observed["a"]) is int
+    assert (state.arrays.size, state.arrays.successes) == (2, 100)
     assert state.guessed.tolist() == [True, True, False]
 
 
@@ -383,10 +384,19 @@ def test_state_arrays_are_the_history_one_row_per_guess():
             snapshots.append(state.history)
             # the start record_observation drew, from a copy of the generator
             start = initialize_weights(init, 2, prev=state.previous_estimate, rng=before)
-            probs, counts = state.arrays.probs, state.arrays.counts
-            assert probs.flags.c_contiguous and counts.flags.c_contiguous
-            assert np.array_equal(probs, c.probability_rows(state.history.words))
-            assert counts.tolist() == [s for _, s in state.history.observations]
+            arrays, observations = state.arrays, state.history.observations
+            assert list(state.observed.items()) == guesses[:len(observations)]
+            assert arrays.size == len(observations)
+            assert arrays.successes == sum(s for _, s in observations)
+            rows = c.probability_rows(state.history.words)
+            assert np.array_equal(arrays.prob_totals, np.cumsum(rows, axis=0)[-1])
+            # the live categories are the rows of the guesses with successes
+            # that some dictionary ranks, in guess order
+            cats, weight, _ = arrays.categories()
+            live = [(w, s) for w, s in observations if s > 0 and w != "not-ranked"]
+            assert cats.flags.c_contiguous and arrays.live == len(live)
+            assert np.array_equal(cats[:arrays.live], c.probability_rows(w for w, _ in live))
+            assert weight[:arrays.live].tolist() == [s for _, s in live]
             # The public estimate on the same history repeats the descent exactly.
             replay, _, _ = estimate(c, state.history, start, CHEAP)
             assert replay == state.current_estimate
@@ -398,18 +408,19 @@ def test_state_arrays_are_the_history_one_row_per_guess():
 
 def test_an_attack_sums_nothing_over_its_history(monkeypatch):
     # record_observation and maximize work from the running totals, so a
-    # guess costs the same however long the history is: neither reads the
-    # m rows or counts. The public functions still sum over them.
-    reads = []
-    for name in ("probs", "counts"):
-        def counted(arrays, read=getattr(HistoryArrays, name).fget, name=name):
-            reads.append(name)
-            return read(arrays)
-        monkeypatch.setattr(HistoryArrays, name, property(counted))
+    # guess costs the same however long the history is: an attack neither
+    # rebuilds its arrays nor looks up the rows of its history. The public
+    # functions still do.
     corpus = overlap_corpus(3, 1000, 400, exponent=0.4, seed=1000)
     ps = compose_password_set(corpus, MixtureWeights((0.6, 0.3, 0.1)), 10_000, seed=42)
+    calls = []
+    of, rows = HistoryArrays.of.__func__, Corpus.probability_rows
+    monkeypatch.setattr(HistoryArrays, "of", classmethod(
+        lambda cls, *args: calls.append("of") or of(cls, *args)))
+    monkeypatch.setattr(Corpus, "probability_rows",
+                        lambda self, words: calls.append("rows") or rows(self, words))
     trace = run_attack(corpus, ps, InitPolicy.BEST, GuessPolicy.BY_Q, 1000, seed=0)
-    assert len(trace.words) == 1000 and reads == []
+    assert len(trace.words) == 1000 and calls == []
     history = GuessHistory(ps.size, tuple(zip(trace.words, trace.counts[:, 0].tolist())))
     log_likelihood(corpus, trace.estimates[-1], history)
-    assert set(reads) == {"probs", "counts"}
+    assert calls == ["of", "rows"]

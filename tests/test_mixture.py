@@ -16,7 +16,6 @@ from pwbandit import (
     estimate,
     gradient,
     log_likelihood,
-    project_to_simplex,
     run_attack,
 )
 from pwbandit.errors import DimensionMismatch, EmptyInput
@@ -35,7 +34,6 @@ from helpers import (
     random_history,
     overlap_corpus,
     random_interior_point,
-    simplex_grid,
 )
 
 
@@ -62,6 +60,10 @@ def test_mixture_weights_invariants():
 
 
 def test_guess_history_validation():
+    for population in (0, -3, 2.5, 3.0, True, "3", None):
+        with pytest.raises(ValueError, match=repr(population)):
+            GuessHistory(population)
+    assert type(GuessHistory(np.int64(3)).population) is int
     with pytest.raises(ValueError):
         GuessHistory(10, (("a", 5), ("a", 2)))  # repeated word
     with pytest.raises(ValueError):
@@ -112,13 +114,18 @@ def test_log_likelihood_floor_keeps_value_finite():
     h = GuessHistory(10, (("a", 4),))
     starved = log_likelihood(c, MixtureWeights((0.0, 1.0)), h)  # Q_a = 0
     assert math.isfinite(starved)
+    # a's term is floored, a constant, so only the rest's 6 users move the
+    # gradient: 6 * left / (left . q) with left = (0, 1)
+    assert gradient(c, MixtureWeights((0.0, 1.0)), h).tolist() == [0.0, 6.0]
     fed = log_likelihood(c, MixtureWeights((0.5, 0.5)), h)
     assert starved < fed
 
 
-def test_gradient_empty_history_is_zero(two_dicts):
+def test_gradient_empty_history_is_the_population_on_every_weight(two_dicts):
+    # The one category is the rest, with probability left . q = sum(q) = 1:
+    # its term N left_i / (left . q) is N for every dictionary.
     h = GuessHistory(10)
-    assert np.array_equal(gradient(two_dicts, MixtureWeights((0.4, 0.6)), h), np.zeros(2))
+    assert np.array_equal(gradient(two_dicts, MixtureWeights((0.4, 0.6)), h), np.full(2, 10.0))
 
 
 def test_gradient_symmetry(two_dicts):
@@ -139,57 +146,6 @@ def test_gradient_matches_finite_differences(n):
             lambda q: log_likelihood(corpus, q, history), point
         )
         assert np.allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
-
-
-def test_project_symmetric_shift():
-    assert project_to_simplex([0.2, 0.2]).q == pytest.approx((0.5, 0.5))
-
-
-def test_project_clips_to_vertex():
-    # Frozen from the grid oracle: nearest simplex point to (1.5, -0.3)
-    assert project_to_simplex([1.5, -0.3]).q == pytest.approx((1.0, 0.0))
-
-
-def test_project_empty():
-    with pytest.raises(EmptyInput):
-        project_to_simplex([])
-
-
-@pytest.mark.parametrize("values,expected", [
-    ([3e16, 1.0], (1.0, 0.0)),
-    ([1e300, 1e300], (0.5, 0.5)),
-    ([1.0, 3e16, 3e16], (0.0, 0.5, 0.5)),
-    ([-1.7e308, 1.7e308], (0.0, 1.0)),  # the difference is past the float range
-])
-def test_project_entries_of_large_magnitude(values, expected):
-    assert project_to_simplex(values).q == expected
-
-
-@pytest.mark.parametrize("values", [[np.inf, 1.0], [1.0, -np.inf], [np.nan, 0.5]])
-def test_project_rejects_non_finite_entries(values):
-    with pytest.raises(ValueError, match="non-finite"):
-        project_to_simplex(values)
-
-
-@given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=6))
-def test_project_lands_on_simplex_and_is_idempotent(values):
-    projected = project_to_simplex(values)
-    assert sum(projected) == pytest.approx(1.0, abs=1e-9)
-    assert min(projected) >= 0.0
-    again = project_to_simplex(list(projected))
-    assert np.allclose(list(again), list(projected), atol=1e-12)
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_project_beats_grid_search(n):
-    # No grid point may be meaningfully closer to the input than the projection.
-    rng = np.random.default_rng(n)
-    grid = simplex_grid(n, 1e-3)
-    for _ in range(25):
-        v = rng.uniform(-2, 2, size=n)
-        projected = np.asarray(project_to_simplex(v))
-        grid_best = np.min(np.linalg.norm(grid - v, axis=1))
-        assert grid_best >= np.linalg.norm(projected - v) - 1e-3
 
 
 def test_estimate_single_dictionary_is_trivial():
@@ -599,18 +555,24 @@ def test_midpoint_concavity_sample():
         assert mid >= ends - 1e-9
 
 
+def column_totals(probs):
+    """The m rows added in turn, as the running totals add them: numpy's
+    sum(axis=0) does too for n >= 2, but sums a single column pairwise."""
+    return np.cumsum(probs, axis=0)[-1] if len(probs) else np.zeros(probs.shape[1])
+
+
 def reference_categories(probs, counts, population):
     """The categories as each descent once rebuilt them from the m rows:
-    their rows, then their counts."""
+    their rows, their counts and the constant of the floored terms."""
     rows = np.flatnonzero(counts)
     reach = probs[rows].max(axis=1, initial=0.0)
     if reach.min(initial=1.0) <= PROBABILITY_FLOOR:
         rows = rows[reach > PROBABILITY_FLOOR]
     cats, weight = probs[rows], counts[rows]
-    left, rest = 1.0 - probs.sum(axis=0), population - counts.sum()
+    left, rest = 1.0 - column_totals(probs), population - counts.sum()
     if rest > 0 and left.max() > PROBABILITY_FLOOR:
         cats, weight = np.vstack([cats, left]), np.append(weight, rest)
-    return cats, weight
+    return cats, weight, (population - weight.sum()) * mixture._LOG_FLOOR
 
 
 @st.composite
@@ -668,22 +630,20 @@ def test_grown_arrays_equal_the_rebuilt_categories(attack):
         counts = np.array([s for _, s in history.observations], dtype=float)
         want = reference_categories(probs, counts, population)
         for arrays in (grown, built):
-            assert np.array_equal(arrays.probs, probs)
-            assert np.array_equal(arrays.counts, counts)
-            left, rest = 1.0 - probs.sum(axis=0), population - counts.sum()
-            live = rest > 0 and left.max() > PROBABILITY_FLOOR
-            got = arrays.categories(left, rest if live else None)
-            for part, reference in zip(got, want, strict=True):
-                assert part.shape == reference.shape and np.array_equal(part, reference)
+            assert arrays.size == j
+            cats, weight, constant = arrays.categories()
+            assert cats.shape == want[0].shape and np.array_equal(cats, want[0])
+            assert weight.shape == want[1].shape and np.array_equal(weight, want[1])
+            assert constant == want[2]
             # The running totals are the sums over the history, in the same
             # rounding: numpy's sum(axis=0) adds the rows in turn too, but
             # sums a single column pairwise.
             totals = arrays.prob_totals
-            assert totals.tobytes() == np.cumsum(probs, axis=0)[-1].tobytes()
+            assert totals.tobytes() == column_totals(probs).tobytes()
             if n >= 2:
                 assert totals.tobytes() == probs.sum(axis=0).tobytes()
             assert arrays.successes == int(counts.sum())
-            assert arrays.live_successes == int(arrays.categories(left, None)[1].sum())
+            assert arrays.live_successes == int(weight[:arrays.live].sum())
         start = np.full(n, 1.0 / n)
         assert maximize(grown, start.copy()) == maximize(built, start.copy())
 
@@ -721,19 +681,25 @@ def test_arrays_built_at_once_are_the_appended_arrays_byte_for_byte(attack):
 def test_one_dictionary_estimate_is_the_vertex_with_the_public_value(attack):
     corpus, population, observations = attack
     history = GuessHistory(population, tuple(observations))
-    # The rest's probability is 1 less the sum of the m guessed words'. The
-    # descent adds them in turn (a running total) where log_likelihood sums
-    # the column pairwise; each rounding is within m eps of the exact sum, so
-    # the two logs of the rest differ by at most drift / (the rest's
-    # probability), a lot where that probability cancels down near the floor.
-    rest = population - sum(successes for _, successes in observations)
-    left = 1.0 - corpus.probability_rows(history.words).sum()
-    drift = 2 * len(observations) * np.finfo(float).eps
-    slack = rest * drift / max(left - drift, PROBABILITY_FLOOR)
+    # The one point of the simplex is the start, and the descent's value
+    # there is log_likelihood's: both read the same categories.
     public = log_likelihood(corpus, (1.0,), history)
     weights, loglik, steps = estimate(corpus, history, MixtureWeights((1.0,)))
     assert weights.q == (1.0,) and steps == 0
-    assert loglik == pytest.approx(public, rel=1e-9, abs=slack + 1e-9 * abs(public))
+    assert loglik == public
+
+
+def test_a_rest_that_cancels_has_one_value():
+    # Little of the dictionary is left unguessed, so 1 less the guessed
+    # words' probabilities cancels (the exact log-likelihood is
+    # ln(12 / (10**13 + 19)) = -27.4486996); the public value and the
+    # descent's are computed from the same sum and agree to the bit.
+    c = Corpus((Dictionary("d", (("huge", 10**13),) + tuple((f"w{i}", 1) for i in range(19))),))
+    h = GuessHistory(1, (("huge", 0),) + tuple((f"w{i}", 0) for i in range(7)))
+    public = log_likelihood(c, (1.0,), h)
+    _, loglik, steps = estimate(c, h, MixtureWeights((1.0,)))
+    assert steps == 0
+    assert public == loglik == -27.448851218373935
 
 
 @st.composite
@@ -772,16 +738,12 @@ def category_instances(draw):
           GuessHistory(9855, (("w0", 0),)), np.array([3 / 7, 4 / 7])))
 def test_category_gap_is_the_public_gap(instance):
     corpus, history, q = instance
-    arrays = HistoryArrays.of(corpus, history)
-    left = 1.0 - arrays.probs.sum(axis=0)
-    rest = history.population - arrays.counts.sum()
-    cats, weight = arrays.categories(left, rest if rest > 0 and left.max() > PROBABILITY_FLOOR
-                                     else None)
+    cats, weight, _ = HistoryArrays.of(corpus, history).categories()
     observed = cats @ q
     assume(observed.min(initial=1.0) > PROBABILITY_FLOOR)  # where a descent can be
     g = cats.T @ (weight / observed)
     public = gradient(corpus, q, history)
-    assert g.max() - g @ q == pytest.approx(public.max() - public @ q, rel=1e-9)
+    assert g.max() - g @ q == public.max() - public @ q
     weights, loglik, _ = estimate(corpus, history, MixtureWeights(q))
     # The returned value is the start's plus the gains, so its rounding error
     # grows with the start's value: in the example, it is -8,350 nats and the
@@ -807,3 +769,52 @@ def test_warm_started_steps_keep_the_unit_step(monkeypatch):
     monkeypatch.setattr(mixture, "_step", recorded)
     run_attack(corpus, ps, InitPolicy.BEST, GuessPolicy.BY_Q, 1000, seed=0)
     assert len(unit) > 1000 and sum(unit) >= 0.95 * len(unit)
+
+
+@st.composite
+def near_duplicate_instances(draw):
+    """A small corpus in which each dictionary after the first is, half the
+    time, an earlier one plus one to three words of count 1 (d1 always is),
+    a history over a prefix of the vocabulary in a random order with
+    successes of any size, and a start inside the simplex."""
+    words = [f"w{i}" for i in range(draw(st.integers(2, 12)))]
+    dictionaries = []
+    for i in range(draw(st.integers(2, 5))):
+        if i == 1 or (i and draw(st.booleans())):
+            base = dictionaries[draw(st.integers(0, i - 1))].entries
+            rare = tuple((f"r{i}_{k}", 1) for k in range(draw(st.integers(1, 3))))
+            dictionaries.append(Dictionary(f"d{i}", base + rare))
+            continue
+        ranked = draw(st.lists(st.sampled_from(words), min_size=1, unique=True))
+        counts = draw(st.lists(st.integers(1, 10**5), min_size=len(ranked), max_size=len(ranked)))
+        rest = (f"rest{i}", draw(st.integers(1, 10**6)))
+        dictionaries.append(Dictionary(f"d{i}", tuple(zip(ranked, counts)) + (rest,)))
+    corpus = Corpus(tuple(dictionaries))
+    order = draw(st.permutations(corpus.union_vocabulary))
+    population = draw(st.integers(10**3, 10**6))
+    observations, left = [], population
+    for word in order[:draw(st.integers(1, len(order)))]:
+        successes = draw(st.integers(0, left))
+        observations.append((word, successes))
+        left -= successes
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(corpus), max_size=len(corpus)))
+    start = MixtureWeights(np.array(raw) / sum(raw))
+    return corpus, GuessHistory(population, tuple(observations)), start
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_duplicate_instances())
+def test_near_duplicate_descents_certify_with_the_solvers_gap(instance):
+    corpus, history, start = instance
+    weights, _, steps = estimate(corpus, history, start)
+    assert steps < DescentConfig().max_steps
+    q = np.asarray(weights)
+    public = gradient(corpus, weights, history)
+    gap = public.max() - public @ q
+    assert gap <= GAP_TOL * history.population
+    # The gap the descent stopped on, from its own categories at its estimate.
+    cats, weight, _ = HistoryArrays.of(corpus, history).categories()
+    observed = cats @ q
+    assert observed.min(initial=1.0) > PROBABILITY_FLOOR
+    g = cats.T @ (weight / observed)
+    assert g.max() - g @ q == gap
