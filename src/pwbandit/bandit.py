@@ -219,8 +219,8 @@ def record_observation(state: BanditState, word: str, successes: int,
     arrays = state.arrays
     successes = check_observation(word, successes, state.observed,
                                   arrays.population - arrays.successes)
+    v = corpus.row(word)
     state.observed[word] = successes
-    v = corpus.vocab_index.get(word)
     if v is not None:
         state.guessed[v] = True
     arrays.append(None if v is None else corpus.vocab_probs[v], successes)

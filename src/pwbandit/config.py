@@ -36,6 +36,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import os
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -50,19 +51,20 @@ def _proportions(text: str) -> MixtureWeights:
 
 
 # The schema, in file order: "section.key" -> (field of ExperimentConfig,
-# parser of the key's text, least integer value or None). The free-form
-# [dictionaries] section is not in it.
+# parser of the key's text, least and greatest integer value or None). A
+# count of users or guesses sizes arrays, so it may not exceed sys.maxsize.
+# The free-form [dictionaries] section is not in it.
 _KEYS = {
-    "composition.passwords": ("password_file", str, None),
-    "composition.proportions": ("proportions", _proportions, None),
-    "composition.users": ("population", int, 1),
-    "composition.seed": ("composition_seed", int, 0),
-    "attack.init": ("init_policy", InitPolicy, None),
-    "attack.guess": ("guess_policy", GuessPolicy, None),
-    "attack.guesses": ("guess_budget", int, 1),
-    "attack.runs": ("runs", int, 1),
-    "attack.seed": ("attack_seed", int, 0),
-    "output.dir": ("output_dir", str, None),
+    "composition.passwords": ("password_file", str, None, None),
+    "composition.proportions": ("proportions", _proportions, None, None),
+    "composition.users": ("population", int, 1, sys.maxsize),
+    "composition.seed": ("composition_seed", int, 0, None),
+    "attack.init": ("init_policy", InitPolicy, None, None),
+    "attack.guess": ("guess_policy", GuessPolicy, None, None),
+    "attack.guesses": ("guess_budget", int, 1, sys.maxsize),
+    "attack.runs": ("runs", int, 1, None),
+    "attack.seed": ("attack_seed", int, 0, None),
+    "output.dir": ("output_dir", str, None, None),
 }
 _SECTIONS = {key.partition(".")[0] for key in _KEYS}
 
@@ -84,10 +86,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.dictionaries:
             raise ConfigError("at least one dictionary is required", field="dictionaries")
-        for key, (field, _, least) in _KEYS.items():
+        for key, (field, _, least, greatest) in _KEYS.items():
             value = getattr(self, field)
-            if least is not None and value is not None and value < least:
+            if value is None:
+                continue
+            if least is not None and value < least:
                 raise ConfigError(f"must be >= {least}", field=key)
+            if greatest is not None and value > greatest:
+                raise ConfigError(f"must be <= {greatest}", field=key)
         if self.password_file is None:
             if self.proportions is None or self.population is None:
                 raise ConfigError(
@@ -125,7 +131,7 @@ def parse_config(text: str) -> ExperimentConfig:
             where = f"{section}.{key}"
             if where not in _KEYS:
                 raise ConfigError(f"unknown key {key!r}", field=where)
-            field, parse, _ = _KEYS[where]
+            field, parse, *_ = _KEYS[where]
             try:
                 fields[field] = parse(value)
             except ValueError as exc:
@@ -147,7 +153,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     lines = ["[dictionaries]"]
     lines += [f"{name} = {path}" for name, path in cfg.dictionaries]
     section = "dictionaries"
-    for key, (field, _, _) in _KEYS.items():
+    for key, (field, *_) in _KEYS.items():
         value = getattr(cfg, field)
         if value is None:
             continue

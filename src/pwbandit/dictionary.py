@@ -4,14 +4,17 @@ A dictionary is a named word-frequency distribution kept in rank order: a
 word's rank is its position in ``Dictionary.words``, most frequent first,
 ties in frequency broken by ascending lexicographic order of the word so
 that every load of the same data yields the same ranks. Per-word
-probabilities live in ``Corpus``, the one index from words to rows.
+probabilities live in ``Corpus``, whose sorted union vocabulary numbers
+their rows: a word's row is found by bisecting it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -172,14 +175,38 @@ class Corpus:
         return len(self.dictionaries)
 
     @cached_property
-    def union_vocabulary(self) -> tuple[str, ...]:
-        """Every word appearing in any dictionary, deduplicated, sorted."""
-        return tuple(sorted(set().union(*(d.words for d in self.dictionaries))))
+    def _vocabulary(self) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]]:
+        """``union_vocabulary`` and ``ranked_rows`` from one stable sort of
+        every dictionary's words. An object array sorts and compares with
+        Python's own ``str`` order, so words that differ only by trailing
+        NULs stay apart. Each temporary is freed before the next is made."""
+        sizes = [len(d) for d in self.dictionaries]
+        words = np.fromiter(chain.from_iterable(d.words for d in self.dictionaries),
+                            dtype=object, count=sum(sizes))
+        order = words.argsort(kind="stable")
+        words = words[order]
+        first = np.empty(len(words), dtype=bool)  # where a new word begins
+        first[0] = True
+        np.not_equal(words[1:], words[:-1], out=first[1:])
+        vocabulary = tuple(words[first])
+        del words
+        sorted_rows = np.cumsum(first, dtype=np.intp)
+        del first
+        sorted_rows -= 1
+        rows = np.empty_like(sorted_rows)
+        rows[order] = sorted_rows
+        del order, sorted_rows
+        return vocabulary, tuple(np.split(rows, np.cumsum(sizes[:-1])))
 
     @cached_property
-    def vocab_index(self) -> dict[str, int]:
-        """Row of each ``union_vocabulary`` word in ``vocab_probs``."""
-        return {word: i for i, word in enumerate(self.union_vocabulary)}
+    def union_vocabulary(self) -> tuple[str, ...]:
+        """Every word appearing in any dictionary, deduplicated, sorted."""
+        return self._vocabulary[0]
+
+    @cached_property
+    def ranked_rows(self) -> tuple[np.ndarray, ...]:
+        """Array i: the ``vocab_probs`` row of each word of dictionary i, in rank order."""
+        return self._vocabulary[1]
 
     @cached_property
     def vocab_probs(self) -> np.ndarray:
@@ -189,18 +216,18 @@ class Corpus:
             matrix[rows, i] = [count / d.total_count for count in d.counts]
         return matrix
 
-    @cached_property
-    def ranked_rows(self) -> tuple[np.ndarray, ...]:
-        """Array i: the ``vocab_probs`` row of each word of dictionary i, in rank order."""
-        index = self.vocab_index
-        return tuple(np.array([index[word] for word in d.words], dtype=np.intp)
-                     for d in self.dictionaries)
+    def row(self, word: str) -> int | None:
+        """The ``vocab_probs`` row of ``word``, None if no dictionary ranks
+        it: a bisection of the sorted ``union_vocabulary``."""
+        vocabulary = self.union_vocabulary
+        v = bisect_left(vocabulary, word)
+        return v if v < len(vocabulary) and vocabulary[v] == word else None
 
     def probability_rows(self, words: Iterable[str]) -> np.ndarray:
         """Matrix of per-dictionary probabilities, one row per word (zeros if
         unranked), taken from ``vocab_probs`` with one index."""
-        index = self.vocab_index
-        rows = np.array([index.get(word, -1) for word in words], dtype=np.intp)
+        rows = np.array([-1 if (v := self.row(word)) is None else v for word in words],
+                        dtype=np.intp)
         probs = self.vocab_probs[rows]
         probs[rows < 0] = 0.0  # an unranked word
         return probs

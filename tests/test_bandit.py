@@ -36,7 +36,7 @@ DICTIONARY_POLICIES = (GuessPolicy.RANDOM_DICTIONARY, GuessPolicy.BEST_DICTIONAR
 def mark_guessed(corpus, state, *words):
     """Exclude ``words`` from selection without recording an outcome."""
     for word in words:
-        state.guessed[corpus.vocab_index[word]] = True
+        state.guessed[corpus.row(word)] = True
 
 
 @pytest.fixture

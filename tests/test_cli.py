@@ -1,4 +1,5 @@
 import csv
+import sys
 import tempfile
 from pathlib import Path
 
@@ -138,6 +139,9 @@ def test_config_round_trips_after_cli_overrides(cfg, command, data):
     ("[composition]\nproportions = 1.0\nusers = ten\n", "composition.users"),
     ("[composition]\nproportions = 1.0\nusers = 0\n", "composition.users"),
     ("[composition]\nproportions = 1.0\nusers = 10\n[attack]\nguesses = 0\n", "attack.guesses"),
+    (f"[composition]\nproportions = 1.0\nusers = {sys.maxsize + 1}\n", "composition.users"),
+    (f"[composition]\nproportions = 1.0\nusers = 10\n[attack]\nguesses = {sys.maxsize + 1}\n",
+     "attack.guesses"),
     ("[composition]\nproportions = 1.0\nusers = 10\n[attack]\nguess = fastest\n", "attack.guess"),
     ("[composition]\nproportions = 0.5, x\nusers = 10\n", "composition.proportions"),
     ("[composition]\nproportions = 1.0\nusers = 10\n[output]\nbogus = 1\n", "output.bogus"),
@@ -147,6 +151,13 @@ def test_parse_config_rejects_bad_input(tmp_path, mutation, field):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert err.value.field == field
+
+
+def test_counts_up_to_sys_maxsize_parse():
+    cfg = parse_config("[dictionaries]\nd1 = x.tsv\n\n"
+                       f"[composition]\nproportions = 1.0\nusers = {sys.maxsize}\n"
+                       f"[attack]\nguesses = {sys.maxsize}\n")
+    assert cfg.population == cfg.guess_budget == sys.maxsize
 
 
 def test_absent_keys_keep_the_dataclass_defaults():
@@ -379,6 +390,16 @@ def test_exit_codes(workdir, capsys):
         negative.write_text(text.replace(seed_line, "seed = -1\n"), encoding="utf-8")
         assert main(["attack", "--config", str(negative)]) == 2
         assert f"config error: {field}" in capsys.readouterr().err
+
+    # Counts too large to size an array are config errors, not internal ones.
+    huge = str(10**20)
+    for command in ("attack", "baseline"):
+        assert main([command, "--config", config, "--guesses", huge]) == 2
+        assert "config error: attack.guesses" in capsys.readouterr().err
+    crowded = workdir / "crowded.ini"
+    crowded.write_text(text.replace("users = 200\n", f"users = {huge}\n"), encoding="utf-8")
+    assert main(["compose", "--config", str(crowded)]) == 2
+    assert "config error: composition.users" in capsys.readouterr().err
 
 
 def test_internal_error_prints_its_traceback(workdir, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import io
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -330,6 +331,71 @@ def test_corpus_union_vocabulary():
     assert c.union_vocabulary == ("a", "b", "c")
     assert [r.tolist() for r in c.ranked_rows] == [[0, 1], [1, 2]]
     assert len(c) == 2
+
+
+STEMS = ("a", "ab", "\u00e9t\u00e9", "\U0001f600", "a\U0001f600b")
+
+
+@st.composite
+def corpora_with_near_words(draw):
+    """A corpus of 1-4 dictionaries over words that differ only by trailing
+    NULs, by a suffix, or in non-ASCII and astral code points, and the pool
+    they were drawn from. A word that several dictionaries share gets its
+    own count, so its rank, in each."""
+    stems = draw(st.lists(st.sampled_from(STEMS) | words_st, min_size=1, max_size=5))
+    pool = sorted({word for stem in stems
+                   for word in (stem, stem + "\x00", stem + "\x00\x00", stem[:1],
+                                stem + "\U0001f600", "\x00" + stem)})
+    dictionaries = []
+    for i in range(draw(st.integers(1, 4))):
+        words = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+        counts = draw(st.lists(st.integers(1, 4), min_size=len(words), max_size=len(words)))
+        dictionaries.append(Dictionary(f"d{i}", zip(words, counts)))
+    return Corpus(tuple(dictionaries)), pool
+
+
+@settings(max_examples=300)
+@given(corpora_with_near_words(), st.lists(words_st, max_size=5))
+def test_one_sort_gives_the_reference_vocabulary_rows_and_lookups(instance, others):
+    corpus, pool = instance
+    # The reference: a sorted set of the words and a dict from word to row.
+    vocabulary = tuple(sorted(set().union(*(d.words for d in corpus.dictionaries))))
+    index = {word: v for v, word in enumerate(vocabulary)}
+    assert corpus.union_vocabulary == vocabulary
+    for d, rows in zip(corpus.dictionaries, corpus.ranked_rows):
+        assert rows.dtype == np.intp
+        assert rows.tolist() == [index[word] for word in d.words]
+    for word in pool + others:
+        assert corpus.row(word) == (vocabulary.index(word) if word in index else None)
+    expected = np.zeros((len(vocabulary), len(corpus)))
+    for i, d in enumerate(corpus.dictionaries):
+        for word, count in zip(d.words, d.counts):
+            expected[index[word], i] = count / d.total_count
+    assert corpus.vocab_probs.tobytes() == expected.tobytes()
+    looked_up = corpus.probability_rows(pool + others)
+    assert looked_up.tolist() == [expected[index[w]].tolist() if w in index else [0.0] * len(corpus)
+                                  for w in pool + others]
+
+
+def test_a_corpus_retains_its_vocabulary_and_arrays_but_no_word_index():
+    # Two 50,000-word lists sharing half their words. Besides the words
+    # the dictionaries already hold, the corpus keeps the union tuple, the
+    # rows and the matrix; a dict from word to row would add about 4 MB.
+    m = 50_000
+    first = Dictionary("d0", ((f"w{j:06d}", m - j) for j in range(m)))
+    second = Dictionary("d1", ((f"w{j + m // 2:06d}", j + 1) for j in range(m)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus = Corpus((first, second))
+        vocabulary, rows, probs = corpus.union_vocabulary, corpus.ranked_rows, corpus.vocab_probs
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(vocabulary) == 3 * m // 2
+    kept = sys.getsizeof(vocabulary) + sum(r.nbytes for r in rows) + probs.nbytes
+    assert retained <= kept + 64 * 1024
+    assert not any(isinstance(value, dict) for value in vars(corpus).values())
 
 
 def test_corpus_rejects_duplicate_names_and_empty():

@@ -480,6 +480,58 @@ def test_the_sweep_descents_that_lost_their_certificate_certify(dictionaries, po
     assert steps < DescentConfig().max_steps
 
 
+@pytest.mark.parametrize("dictionaries,population,observations,start", [
+    pytest.param(
+        {"d0": (("w0", 191891), ("w17", 155664), ("w13", 82133), ("unguessed0", 79341335)),
+         "d1": (("w0", 191891), ("w17", 155664), ("w13", 82133), ("unguessed1", 79341337)),
+         "d2": (("w0", 191891), ("w17", 155664), ("w13", 82133), ("r2_0", 1),
+                ("unguessed2", 79341338))},
+        80767, (("w13", 97), ("r2_0", 0), ("w17", 182), ("w0", 215)),
+        (0.102868472735299, 0.31513372705423287, 0.5819978002104681),
+        id="history-890"),
+    pytest.param(
+        {"d0": (("rest0", 369214), ("w24", 117065), ("w33", 6157)),
+         "d1": (("rest0", 369214), ("w24", 117065), ("w33", 6157), ("r1_0", 1)),
+         "d2": (("rest0", 369214), ("w24", 117065), ("w33", 6157), ("r2_0", 1), ("r2_1", 1),
+                ("r2_2", 1))},
+        198662, (("r2_2", 0), ("r2_1", 0), ("w33", 2481), ("r2_0", 0), ("w24", 47165),
+                 ("rest0", 149016), ("r1_0", 0)),
+        (0.06982774297035628, 0.46123812785621426, 0.46893412917342947),
+        id="history-2196"),
+])
+def test_a_newton_direction_that_does_not_ascend_falls_back_to_a_pairwise_step(
+        monkeypatch, dictionaries, population, observations, start):
+    # Two histories of tests/certification_sweep.py over three near-duplicate
+    # dictionaries, reduced as above to the sweep's descent bit for bit.
+    # After a floored pivot the Newton direction does not ascend: in 890 the
+    # first has slope about -1.0e14, in 2196 the second about -5.0e5. The
+    # descent drops it for the pairwise step and still certifies.
+    events, newton, step = [], mixture._newton_direction, mixture._step
+
+    def recorded_newton(c, g, q, lam):
+        d = newton(c, g, q, lam)
+        events.append(("newton", None if d is None else float(np.dot(g, d))))
+        return d
+
+    def recorded_step(w, direction, *args):
+        events.append(("step", direction.tolist()))
+        return step(w, direction, *args)
+
+    monkeypatch.setattr(mixture, "_newton_direction", recorded_newton)
+    monkeypatch.setattr(mixture, "_step", recorded_step)
+    c = Corpus(tuple(Dictionary(name, entries) for name, entries in dictionaries.items()))
+    h = GuessHistory(population, observations)
+    weights, _, steps = estimate(c, h, MixtureWeights(start))
+    assert fw_gap(c, weights, h) <= GAP_TOL * h.population
+    assert steps < DescentConfig().max_steps
+    pairwise = sorted([-1.0, 1.0] + [0.0] * (len(c) - 2))
+    after_descending = [after for (kind, slope), after in zip(events, events[1:])
+                        if kind == "newton" and slope is not None and slope <= 0]
+    assert after_descending
+    assert all(kind == "step" and sorted(direction) == pairwise
+               for kind, direction in after_descending)
+
+
 def test_a_near_duplicate_instance_certifies_from_every_start():
     # d4 is d3 plus one unguessed word, and d2 is part of d1, so the MLE
     # puts d4's weight on d3. When near-flat pivots counted as zero, 11 of
@@ -622,7 +674,7 @@ def test_grown_arrays_equal_the_rebuilt_categories(attack):
     n = len(corpus)
     grown = HistoryArrays(n, population)
     for j, (word, successes) in enumerate(observations, start=1):
-        v = corpus.vocab_index.get(word)
+        v = corpus.row(word)
         grown.append(None if v is None else corpus.vocab_probs[v], successes)
         history = GuessHistory(population, tuple(observations[:j]))
         built = HistoryArrays.of(corpus, history)
@@ -652,7 +704,7 @@ def appended(corpus, history):
     """The arrays built one ``append`` per guess: the reference for ``of``."""
     arrays = HistoryArrays(len(corpus), history.population)
     for word, successes in history.observations:
-        v = corpus.vocab_index.get(word)
+        v = corpus.row(word)
         arrays.append(None if v is None else corpus.vocab_probs[v], successes)
     return arrays
 

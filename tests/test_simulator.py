@@ -69,7 +69,7 @@ def test_compose_respects_counts_and_supports(disjoint_pair):
     assert ps.size == 100
     assert Counter(ps.source_labels) == {0: 60, 1: 40}
     for pw, label in zip(ps.passwords, ps.source_labels):
-        assert disjoint_pair.vocab_probs[disjoint_pair.vocab_index[pw], label] > 0
+        assert disjoint_pair.vocab_probs[disjoint_pair.row(pw), label] > 0
     assert ps.true_mixture is q
 
 
