@@ -127,7 +127,7 @@ def _by_q_candidates(corpus: Corpus, state: BanditState, q: np.ndarray,
     live = [i for i, rank in enumerate(ranks) if rank < len(ranked[i])]
     if not live:
         return np.empty(0, dtype=np.intp)
-    floor = (probs[[ranked[i][ranks[i]] for i in live]] @ q).max() / q.sum() * (1.0 - slack)
+    floor = probs[[ranked[i][ranks[i]] for i in live]].dot(q).max() / q.sum() * (1.0 - slack)
     parts = []
     for i in live:
         rows, rank = ranked[i], ranks[i]
@@ -139,7 +139,7 @@ def _by_q_candidates(corpus: Corpus, state: BanditState, q: np.ndarray,
 
 
 def _best_of_all_rows(probs: np.ndarray, guessed: np.ndarray, q: np.ndarray) -> int | None:
-    scores = probs @ q
+    scores = probs.dot(q)
     np.putmask(scores, guessed, -np.inf)
     # union_vocabulary is sorted, so the first argmax is the tie-break winner
     best = int(np.argmax(scores))
@@ -162,7 +162,7 @@ def _best_by_q(corpus: Corpus, state: BanditState) -> int | None:
         return None
     if len(rows) * _WALK_SHARE > len(probs):
         return _best_of_all_rows(probs, guessed, q)
-    scores = probs[rows] @ q
+    scores = probs[rows].dot(q)
     np.putmask(scores, guessed[rows], -np.inf)
     # A product over fewer rows may round a score differently from the full
     # one, by less than the slack. So a winner clear of the rest by more than

@@ -67,7 +67,9 @@ class MixtureWeights:
     def uniform(cls, n: int) -> "MixtureWeights":
         return cls((1.0 / n,) * n)
 
-    def __array__(self, dtype=None) -> np.ndarray:
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("MixtureWeights holds a tuple: an array of it is always a copy")
         return np.asarray(self.q, dtype=dtype or float)
 
     def __len__(self) -> int:
@@ -249,7 +251,7 @@ def log_likelihood(corpus: Corpus, weights, history: GuessHistory) -> float:
     """
     q = _weight_vector(weights, len(corpus))
     cats, weight, constant = HistoryArrays.of(corpus, history).categories()
-    return float(weight @ np.log(np.maximum(cats @ q, PROBABILITY_FLOOR)) + constant)
+    return float(weight.dot(np.log(np.maximum(cats.dot(q), PROBABILITY_FLOOR))) + constant)
 
 
 def gradient(corpus: Corpus, weights, history: GuessHistory) -> np.ndarray:
@@ -267,9 +269,9 @@ def gradient(corpus: Corpus, weights, history: GuessHistory) -> np.ndarray:
     """
     q = _weight_vector(weights, len(corpus))
     cats, weight, _ = HistoryArrays.of(corpus, history).categories()
-    observed = cats @ q
+    observed = cats.dot(q)
     live = observed > PROBABILITY_FLOOR
-    return cats.T @ (np.where(live, weight, 0.0) / np.where(live, observed, 1.0))
+    return cats.T.dot(np.where(live, weight, 0.0) / np.where(live, observed, 1.0))
 
 
 StepCallback = Callable[[int, MixtureWeights, float], None]
@@ -321,13 +323,16 @@ def maximize(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentC
     """:func:`estimate` on an attack's :class:`HistoryArrays`."""
     cats, weight, constant = arrays.categories()
 
+    # Products call ndarray.dot, not the @ operator: both reach the same
+    # BLAS routine, to the same bits, but @ goes through numpy's matmul
+    # gufunc, whose dispatch costs more than the arithmetic at these sizes.
     # Where every category is above the floor, the floored objective is the
     # unfloored one; elsewhere the descent counts it as -inf.
     def value(q: np.ndarray) -> tuple[float, np.ndarray]:
-        observed = cats @ q
+        observed = cats.dot(q)
         if np.minimum.reduce(observed, initial=1.0) <= PROBABILITY_FLOOR:
             return -np.inf, observed
-        return float(weight @ np.log(observed) + constant), observed
+        return float(weight.dot(np.log(observed)) + constant), observed
 
     (current, observed), steps = value(w), 0
     if on_step is not None:
@@ -345,15 +350,15 @@ def maximize(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentC
     cats_t = cats.T
     while steps < cfg.max_steps:
         ratio = weight / observed
-        grad = cats_t @ ratio
-        lam = float(grad @ w)
+        grad = cats_t.dot(ratio)
+        lam = float(grad.dot(w))
         g, q = grad.tolist(), w.tolist()
         if max(g) - lam <= tolerance:
             break
         # minus the Hessian: sum_c C_c a_c a_c^T / (a_c . q)^2
-        d = _newton_direction(((cats_t * (ratio / observed)) @ cats).tolist(), g, q, lam)
+        d = _newton_direction((cats_t * (ratio / observed)).dot(cats).tolist(), g, q, lam)
         moved = None
-        if d is not None and (slope := float(grad @ (direction := np.array(d)))) > 0:
+        if d is not None and (slope := float(grad.dot(direction := np.array(d)))) > 0:
             moved = _step(w, direction, slope, cats, weight, observed)
         if moved is None:
             # Pairwise Frank-Wolfe: towards the best vertex, away from the
@@ -390,7 +395,7 @@ def _step(w: np.ndarray, direction: np.ndarray, slope: float, cats: np.ndarray,
                 limit, hits = r, [i]
             elif r == limit:
                 hits.append(i)
-    change = cats @ direction / observed  # relative change of each category per unit step
+    change = cats.dot(direction) / observed  # relative change of each category per unit step
     step = min(1.0, limit)
     for _ in range(64):
         # A product with 1.0 is exact, so the unit step skips it.
@@ -399,9 +404,9 @@ def _step(w: np.ndarray, direction: np.ndarray, slope: float, cats: np.ndarray,
             for i in hits:
                 point[i] = 0.0
         np.maximum(point, 0.0, out=point)
-        new = cats @ point
+        new = cats.dot(point)
         if np.minimum.reduce(new) > PROBABILITY_FLOOR:
-            gain = float(weight @ np.log1p(change if step == 1.0 else step * change))
+            gain = float(weight.dot(np.log1p(change if step == 1.0 else step * change)))
             if gain >= ARMIJO * step * slope:
                 return point, new, gain
         step *= 0.5

@@ -183,7 +183,9 @@ def run_attack(corpus: Corpus, ps: PasswordSet, init: InitPolicy, guess: GuessPo
         raise ValueError(f"guess budget must be >= 1, got {m}")
     rng = np.random.default_rng(seed)
     state = new_state(corpus, ps.size, init, rng)
-    estimates = np.zeros((m, len(corpus)))
+    # The attack ends once every word is guessed, so a budget beyond the
+    # vocabulary needs no more rows than it has words.
+    estimates = np.zeros((min(m, len(corpus.union_vocabulary)), len(corpus)))
     for j in range(m):
         word = select_guess(guess, corpus, state)
         if word is None:
@@ -191,7 +193,7 @@ def run_attack(corpus: Corpus, ps: PasswordSet, init: InitPolicy, guess: GuessPo
         record_observation(state, word, oracle_count(ps, word), corpus, init, cfg)
         estimates[j] = state.current_estimate.q
     successes = np.fromiter(state.observed.values(), dtype=np.int64, count=len(state.observed))
-    if len(successes) < m:
+    if len(successes) < len(estimates):
         estimates = estimates[:len(successes)].copy()
     counts = np.column_stack([successes, np.cumsum(successes)])
     return AttackTrace.from_columns(tuple(state.observed), counts, estimates, init, guess, seed, m)

@@ -59,6 +59,28 @@ def test_mixture_weights_invariants():
     assert MixtureWeights.uniform(4).q == (0.25, 0.25, 0.25, 0.25)
 
 
+def test_mixture_weights_convert_to_arrays_only_by_copy():
+    w = MixtureWeights((0.25, 0.75))
+    for array in (np.array(w), np.asarray(w, copy=True), np.asarray(w)):
+        assert array.dtype == float and array.tolist() == [0.25, 0.75]
+    assert np.array(w, dtype=np.float32).dtype == np.float32
+    with pytest.raises(ValueError):
+        np.asarray(w, copy=False)
+
+
+def test_dot_and_matmul_give_the_same_bits_on_the_solvers_shapes():
+    # The solver and by-q call ndarray.dot for speed; the bits they keep
+    # are those of the @ operator, which reaches the same BLAS routine.
+    rng = np.random.default_rng(20)
+    for n in range(1, 9):
+        for k in (1, 2, 17, 100, 1000):
+            cats, q, ratio = rng.random((k, n)), rng.random(n), rng.random(k)
+            scaled = cats.T * ratio
+            pairs = [(cats, q), (cats.T, ratio), (scaled, cats), (q, q), (ratio, ratio)]
+            for a, b in pairs:
+                assert a.dot(b).tobytes() == (a @ b).tobytes(), (n, k, a.shape, b.shape)
+
+
 def test_guess_history_validation():
     for population in (0, -3, 2.5, 3.0, True, "3", None):
         with pytest.raises(ValueError, match=repr(population)):

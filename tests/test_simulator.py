@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import numpy as np
@@ -167,6 +168,21 @@ def test_run_attack_is_deterministic(disjoint_pair):
     second = run_attack(disjoint_pair, ps, InitPolicy.RANDOM, GuessPolicy.RANDOM_DICTIONARY,
                         4, CHEAP, seed=17)
     assert first == second
+
+
+@pytest.mark.parametrize("policy", list(GuessPolicy))
+def test_a_budget_beyond_the_vocabulary_gives_the_vocabulary_budgets_trace(policy):
+    # The estimates are sized by the three words, not the budget, which
+    # echoes as given.
+    c = Corpus((Dictionary("d1", (("a", 6), ("b", 3), ("c", 1))),
+                Dictionary("d2", (("c", 5), ("b", 4)))))
+    ps = compose_password_set(c, MixtureWeights((0.6, 0.4)), 500, seed=8)
+    short = run_attack(c, ps, InitPolicy.AVERAGE, policy, 3, CHEAP, seed=5)
+    for m in (sys.maxsize, 10**12):
+        trace = run_attack(c, ps, InitPolicy.AVERAGE, policy, m, CHEAP, seed=5)
+        assert trace.records == short.records
+        assert trace.estimates.tobytes() == short.estimates.tobytes()
+        assert trace.guess_budget == m
 
 
 def test_run_attack_rejects_zero_budget(disjoint_pair):
