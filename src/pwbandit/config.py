@@ -67,6 +67,8 @@ _KEYS = {
     "output.dir": ("output_dir", str, None, None),
 }
 _SECTIONS = {key.partition(".")[0] for key in _KEYS}
+# The operating system cannot open such a path: open() raises ValueError.
+_NUL_IN_PATH = "a path may not contain a NUL character"
 
 
 @dataclass
@@ -86,6 +88,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.dictionaries:
             raise ConfigError("at least one dictionary is required", field="dictionaries")
+        paths = [(f"dictionaries.{name}", path) for name, path in self.dictionaries]
+        paths += [("composition.passwords", self.password_file), ("output.dir", self.output_dir)]
+        for key, path in paths:
+            if path is not None and "\0" in path:
+                raise ConfigError(_NUL_IN_PATH, field=key)
         for key, (field, _, least, greatest) in _KEYS.items():
             value = getattr(self, field)
             if value is None:
@@ -168,6 +175,8 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read a config file. Relative dictionary and password paths in it are
     taken from the config file's directory, so it works from any directory."""
+    if "\0" in os.fspath(path):
+        raise ConfigError(f"{path!r}: {_NUL_IN_PATH}")
     with open(path, encoding="utf-8-sig") as handle:
         try:
             text = handle.read()

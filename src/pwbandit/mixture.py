@@ -403,7 +403,14 @@ def _step(w: np.ndarray, direction: np.ndarray, slope: float, cats: np.ndarray,
         if step == limit:
             for i in hits:
                 point[i] = 0.0
-        np.maximum(point, 0.0, out=point)
+        # No coordinate goes below 0, so none is clipped. Where d_i < 0, the
+        # ratio r_i = fl(w_i / -d_i) is the float nearest the exact ratio,
+        # so a float step below r_i is below the exact ratio: step * -d_i <
+        # w_i, fl(step * -d_i) <= w_i by monotone rounding, and w_i + step *
+        # d_i rounds to +0.0 or more. A step is at most the limit, the least
+        # r_i, and below every r_i but the hits', which are set to 0 above;
+        # the other coordinates only grow. (For w >= 0: a -0.0 in w keeps its
+        # sign where d_i is -0.0.)
         new = cats.dot(point)
         if np.minimum.reduce(new) > PROBABILITY_FLOOR:
             gain = float(weight.dot(np.log1p(change if step == 1.0 else step * change)))
@@ -426,14 +433,11 @@ def _newton_direction(c: list[list[float]], g: list[float], q: list[float],
     b = Z^T g. An empty coordinate the step would push negative is fixed at
     0 and the step solved again.
 
-    The positive semidefinite ``a`` is eliminated in place, pivoting on the
-    first of the largest remaining diagonal entries (pivoted Cholesky). A
-    pivot at or below 1e-12 of the largest counts as zero (its part of u is
-    0) only where the likelihood is flat: its eliminated right-hand side is
-    at most 1e-12 * max|g|, the rounding scale of b's entries, differences
-    g_i - g_last that cancel; or the whole diagonal is 0. Any other is kept,
-    floored at the threshold, so a near-flat direction, such as two nearly
-    equal dictionaries give, becomes a long step clipped at the boundary.
+    :func:`_reduced_direction` solves the reduced system; it is the
+    reference. Three free coordinates, a 2 x 2 system, are nearly every
+    solve of an attack on three dictionaries, and there its loops cost more
+    than the arithmetic, so :func:`_reduced_pair` does the same float
+    operations in the same order in straight-line code, to the same bits.
 
     n is the number of dictionaries, a handful, so this works on Python
     lists: at that size they cost less than numpy's calls, and no LAPACK
@@ -442,49 +446,116 @@ def _newton_direction(c: list[list[float]], g: list[float], q: list[float],
     """
     index = [i for i, x in enumerate(q) if x > 0 or g[i] > lam]
     while len(index) >= 2:
-        *head, last = index
-        c_last, g_last = c[last], g[last]
-        c_ll = c_last[last]
-        a, b = [], []
-        for i in head:
-            row = c[i]
-            row_last = row[last]
-            a.append([row[j] - row_last - c_last[j] + c_ll for j in head])
-            b.append(g[i] - g_last)
-        remaining, order = list(range(len(b))), []
-        threshold = 1e-12 * max([row[k] for k, row in enumerate(a)])
-        while remaining:
-            p = remaining[0]
-            pivot = a[p][p]
-            for i in remaining:
-                if a[i][i] > pivot:
-                    p, pivot = i, a[i][i]
-            remaining.remove(p)
-            if not pivot > threshold:
-                if not (threshold > 0 and abs(b[p]) > 1e-12 * max(map(abs, g))):
-                    continue
-                pivot = a[p][p] = threshold
-            order.append(p)
-            row_p, b_p = a[p], b[p]
-            for i in remaining:
-                row_i = a[i]
-                f = row_i[p] / pivot
-                for j in remaining:
-                    row_i[j] -= f * row_p[j]
-                b[i] -= f * b_p
-        u = [0.0] * len(b)
-        for k in range(len(order) - 1, -1, -1):
-            p = order[k]
-            row_p, total = a[p], 0
-            for j in order[k + 1:]:
-                total += row_p[j] * u[j]
-            u[p] = (b[p] - total) / row_p[p]
-        direction = [0.0] * len(q)
-        for i, x in zip(head, u):
-            direction[i] = x
-        direction[last] = -sum(u)
+        solve = _reduced_pair if len(index) == 3 else _reduced_direction
+        direction = solve(c, g, len(q), index)
         free = [i for i in index if q[i] != 0 or not direction[i] < 0]
         if len(free) == len(index):
             return direction
         index = free
     return None
+
+
+def _reduced_direction(c: list[list[float]], g: list[float], n: int,
+                       index: list[int]) -> list[float]:
+    """The length-n direction Z u of :func:`_newton_direction` on the free
+    coordinates ``index``.
+
+    The positive semidefinite ``a`` is eliminated in place, pivoting on the
+    first of the largest remaining diagonal entries (pivoted Cholesky). A
+    pivot at or below 1e-12 of the largest counts as zero (its part of u is
+    0) only where the likelihood is flat: its eliminated right-hand side is
+    at most 1e-12 * max|g|, the rounding scale of b's entries, differences
+    g_i - g_last that cancel; or the whole diagonal is 0. Any other is kept,
+    floored at the threshold, so a near-flat direction, such as two nearly
+    equal dictionaries give, becomes a long step cut short at the boundary.
+    """
+    *head, last = index
+    c_last, g_last = c[last], g[last]
+    c_ll = c_last[last]
+    a, b = [], []
+    for i in head:
+        row = c[i]
+        row_last = row[last]
+        a.append([row[j] - row_last - c_last[j] + c_ll for j in head])
+        b.append(g[i] - g_last)
+    remaining, order = list(range(len(b))), []
+    threshold = 1e-12 * max([row[k] for k, row in enumerate(a)])
+    while remaining:
+        p = remaining[0]
+        pivot = a[p][p]
+        for i in remaining:
+            if a[i][i] > pivot:
+                p, pivot = i, a[i][i]
+        remaining.remove(p)
+        if not pivot > threshold:
+            if not (threshold > 0 and abs(b[p]) > 1e-12 * max(map(abs, g))):
+                continue
+            pivot = a[p][p] = threshold
+        order.append(p)
+        row_p, b_p = a[p], b[p]
+        for i in remaining:
+            row_i = a[i]
+            f = row_i[p] / pivot
+            for j in remaining:
+                row_i[j] -= f * row_p[j]
+            b[i] -= f * b_p
+    u = [0.0] * len(b)
+    for k in range(len(order) - 1, -1, -1):
+        p = order[k]
+        row_p, total = a[p], 0
+        for j in order[k + 1:]:
+            total += row_p[j] * u[j]
+        u[p] = (b[p] - total) / row_p[p]
+    direction = [0.0] * n
+    for i, x in zip(head, u):
+        direction[i] = x
+    direction[last] = -sum(u)
+    return direction
+
+
+def _reduced_pair(c: list[list[float]], g: list[float], n: int,
+                  index: list[int]) -> list[float]:
+    """:func:`_reduced_direction` for three free coordinates, bit for bit.
+
+    The reduced system is 2 x 2: the first pivot p is the first of the
+    larger diagonal entries, and o is the other. Each pivot is kept,
+    floored or dropped by the reference's rule, o is eliminated once if p
+    is kept, and back-substitution adds to a total that starts at 0.
+    """
+    i, j, last = index
+    c_i, c_j, c_last = c[i], c[j], c[last]
+    c_il, c_jl, c_ll = c_i[last], c_j[last], c_last[last]
+    a_ii = c_i[i] - c_il - c_last[i] + c_ll
+    a_ij = c_i[j] - c_il - c_last[j] + c_ll
+    a_ji = c_j[i] - c_jl - c_last[i] + c_ll
+    a_jj = c_j[j] - c_jl - c_last[j] + c_ll
+    g_last = g[last]
+    b_i, b_j = g[i] - g_last, g[j] - g_last
+    threshold = 1e-12 * max(a_ii, a_jj)
+    swap = a_jj > a_ii
+    if swap:
+        a_pp, a_po, b_p, a_op, a_oo, b_o = a_jj, a_ji, b_j, a_ij, a_ii, b_i
+    else:
+        a_pp, a_po, b_p, a_op, a_oo, b_o = a_ii, a_ij, b_i, a_ji, a_jj, b_j
+    keep_p = a_pp > threshold
+    if not keep_p and threshold > 0 and abs(b_p) > 1e-12 * max(map(abs, g)):
+        a_pp, keep_p = threshold, True
+    if keep_p:
+        f = a_op / a_pp
+        a_oo -= f * a_po
+        b_o -= f * b_p
+    keep_o = a_oo > threshold
+    if not keep_o and threshold > 0 and abs(b_o) > 1e-12 * max(map(abs, g)):
+        a_oo, keep_o = threshold, True
+    u_o = b_o / a_oo if keep_o else 0.0
+    if not keep_p:
+        u_p = 0.0
+    elif keep_o:
+        u_p = (b_p - (0 + a_po * u_o)) / a_pp
+    else:
+        u_p = b_p / a_pp
+    u_i, u_j = (u_o, u_p) if swap else (u_p, u_o)
+    direction = [0.0] * n
+    # As sum(u) adds them: from 0, in the order of ``index``.
+    direction[i], direction[j], direction[last] = u_i, u_j, -(0.0 + u_i + u_j)
+    return direction

@@ -433,6 +433,31 @@ def test_non_utf8_input_file_is_a_config_error(workdir, capsys, kind):
     assert capsys.readouterr().err.startswith(f"config error: {named}: ")
 
 
+@pytest.mark.parametrize("where", ["dictionaries.d2", "composition.passwords", "output.dir",
+                                   "--out", "--config"])
+def test_a_nul_in_a_path_is_a_config_error(workdir, capsys, where):
+    # The operating system cannot open such a path; open() raises ValueError,
+    # which ended in exit 4 with a traceback.
+    (workdir / "leak.txt").write_text("beta\nalpha\n", encoding="utf-8")
+    paths = {"dictionaries.d2": workdir / "d2.tsv", "composition.passwords": workdir / "leak.txt",
+             "output.dir": workdir / "out"}
+    paths = {key: f"{path}\0" if key == where else str(path) for key, path in paths.items()}
+    config = workdir / "leak.ini"
+    config.write_text(
+        f"[dictionaries]\nd1 = {workdir / 'd1.tsv'}\nd2 = {paths['dictionaries.d2']}\n\n"
+        f"[composition]\npasswords = {paths['composition.passwords']}\n\n"
+        f"[output]\ndir = {paths['output.dir']}\n",
+        encoding="utf-8",
+    )
+    argv = ["attack", "--config", f"{config}\0" if where == "--config" else str(config)]
+    if where == "--out":
+        argv += ["--out", f"{workdir / 'elsewhere'}\0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    named = {"--out": "output.dir", "--config": repr(f"{config}\0")}.get(where, where)
+    assert err == f"config error: {named}: a path may not contain a NUL character\n"
+
+
 def test_config_paths_are_relative_to_the_config_file(tmp_path, monkeypatch):
     (tmp_path / "a").mkdir()
     (tmp_path / "a" / "d1.tsv").write_text("alpha\t8\nbeta\t2\n", encoding="utf-8")

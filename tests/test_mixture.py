@@ -607,6 +607,176 @@ def test_newton_direction_keeps_the_sum_and_solves_the_reduced_system():
                 np.linalg.norm(a) * np.linalg.norm(u) + np.linalg.norm(rhs))
 
 
+def bits(values) -> list[int]:
+    """The IEEE bits of each float: -0.0 and 0.0 differ, a NaN equals itself."""
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    pytest.param([[0.0, 0.0], [0.0, 0.0]], [1.0, 2.0], [0.0, 0.0, -0.0], id="zero-diagonal"),
+    pytest.param([[-1e-20, 0.0], [0.0, -2e-20]], [1.0, 2.0], [0.0, 0.0, -0.0],
+                 id="negative-diagonal"),
+    pytest.param([[8.0, 5.0], [5.0, 8.0]], [0.8, 0.6],
+                 [0.08717948717948719, 0.02051282051282051, -0.1076923076923077],
+                 id="equal-diagonal-pivots-first"),
+    pytest.param([[3.0, 2.0], [2.0, 8.0]], [0.8, 0.6], [0.26, 0.009999999999999995, -0.27],
+                 id="larger-second-diagonal-pivots-first"),
+    pytest.param([[4.0, 2.0], [2.0, 1.0]], [2.0, 1.0], [0.5, 0.0, -0.5], id="flat-pivot-drops"),
+    pytest.param([[4.0, 2.0], [2.0, 1.0]], [2.0, 3.0],
+                 [-249999999999.5, 500000000000.0, -250000000000.5], id="sloped-pivot-floors"),
+    pytest.param([[1.0, 0.5], [0.5, -1e-30]], [1.0, 2.0],
+                 [-749999999999.0, 1500000000000.0, -750000000001.0], id="negative-pivot-floors"),
+    pytest.param([[2.0, 1.0], [-1.0, 1.0]], [-0.0, -0.0], [-0.0, -0.0, -0.0], id="signed-zeros"),
+    pytest.param([[1.0, 0.5], [0.5, math.nan]], [1.0, 2.0], None, id="nan-pivot"),
+    pytest.param([[math.nan, 0.5], [0.5, 1.0]], [1.0, 2.0], None, id="nan-first-diagonal"),
+])
+def test_a_2x2_reduced_system_takes_each_branch_of_the_elimination(a, b, expected):
+    # With the last coordinate's row and column 0, the reduced system is a u
+    # = b exactly. A zero or negative diagonal drops both pivots (threshold
+    # <= 0). The pivot is the larger diagonal entry, the first of equal ones:
+    # the other order rounds to other bits. A rank-one a leaves a second
+    # pivot of 0, dropped where b is in a's range and floored at the
+    # threshold where not. Back-substitution's total and the last entry's
+    # sum start at 0, which turns a -0.0 into 0.0.
+    c = [[a[0][0], a[0][1], 0.0], [a[1][0], a[1][1], 0.0], [0.0, 0.0, 0.0]]
+    g = [b[0], b[1], 0.0]
+    pair = mixture._reduced_pair(c, g, 3, [0, 1, 2])
+    assert bits(pair) == bits(mixture._reduced_direction(c, g, 3, [0, 1, 2]))
+    if expected is not None:
+        assert bits(pair) == bits(expected)
+
+
+def test_a_2x2_reduced_system_solves_to_the_eliminations_bits():
+    # Seeded random systems on three free coordinates out of 3 to 5: minus
+    # Hessians c = B B^T of full and lower rank at scales 1e-3 to 1e6, with
+    # equal diagonal entries of the reduced system forced in a quarter of
+    # them, and gradients c x + s, in c's range but for a constant that b
+    # cancels, in a quarter; positive ones like the objective's otherwise.
+    rng = np.random.default_rng(21)
+    for k in range(4000):
+        n = int(rng.integers(3, 6))
+        rank = int(rng.integers(1, 3)) if rng.random() < 0.4 else n
+        scale = 10.0 ** rng.uniform(-3, 6)
+        m = rng.standard_normal((n, rank)) * scale
+        c = m @ m.T
+        index = sorted(rng.choice(n, 3, replace=False).tolist())
+        i, j, last = index
+        if k % 4 == 0:  # a_jj repeats a_ii's operations on the same values
+            c[j, j], c[j, last], c[last, j] = c[i, i], c[i, last], c[last, i]
+        if k % 4 == 1:
+            g = c @ rng.standard_normal(n) + scale
+        else:
+            g = rng.standard_exponential(n) * scale
+        c, g = c.tolist(), g.tolist()
+        assert (bits(mixture._reduced_pair(c, g, n, index))
+                == bits(mixture._reduced_direction(c, g, n, index)))
+
+
+def test_the_newton_direction_through_the_closed_form_is_the_eliminations(monkeypatch):
+    # Points with empty coordinates, some of them free because their
+    # gradient beats g . q: where the step would push one negative, it is
+    # fixed at 0 and the step solved again, from 4 free coordinates to 3
+    # (the closed form) and from 3 to 2 (the elimination).
+    rng = np.random.default_rng(8)
+    cases = []
+    for _ in range(1500):
+        n = int(rng.integers(3, 6))
+        m = rng.standard_normal((n, int(rng.integers(1, n + 1)))) * 10.0 ** rng.uniform(-3, 6)
+        g = rng.standard_exponential(n) * 10.0 ** rng.uniform(-3, 6)
+        q = rng.dirichlet(np.ones(n))
+        q[rng.permutation(n)[:int(rng.integers(0, n - 1))]] = 0.0
+        q /= q.sum()
+        cases.append(((m @ m.T).tolist(), g.tolist(), q.tolist(), float(g @ q)))
+    got = [mixture._newton_direction(*case) for case in cases]
+    sizes, reference = [], mixture._reduced_direction
+
+    def solve(c, g, n, index):
+        sizes[-1].append(len(index))
+        return reference(c, g, n, index)
+
+    monkeypatch.setattr(mixture, "_reduced_pair", solve)
+    monkeypatch.setattr(mixture, "_reduced_direction", solve)
+    want = []
+    for case in cases:
+        sizes.append([])
+        want.append(mixture._newton_direction(*case))
+    assert [None if d is None else bits(d) for d in got] == [
+        None if d is None else bits(d) for d in want]
+    assert [4, 3] in sizes and [3, 2] in sizes
+
+
+@pytest.mark.parametrize("c, g, q, lam, expected", [
+    pytest.param(
+        [[80767.00118205948, 80767.00118057356, 80767.00016734519],
+         [80767.00118057357, 80767.00117908765, 80767.00016585928],
+         [80767.00016734519, 80767.00016585928, 80766.99915263092]],
+        [80767.00059102975, 80767.00058954384, 80766.99957631546],
+        [0.102868472735299, 0.31513372705423287, 0.5819978002104681], 80767.0,
+        [69730635.0, -1.02111e+17, 1.0211099993026936e+17], id="history-890"),
+    pytest.param(
+        [[198663.5072346971, 198663.10380541126, 198662.29695175504],
+         [198663.10380541126, 198662.70037694465, 198661.89352492694],
+         [198662.29695175504, 198661.8935249269, 198661.08667618615]],
+        [198662.75361591915, 198662.35018816366, 198661.5433375682],
+        [0.37732016890004305, 0.0, 0.622679831099957], 198662.0,
+        [-283799351248.0442, 425699273090.6856, -141899921842.64142], id="history-2196"),
+])
+def test_the_sweeps_non_ascending_newton_directions_are_pinned(c, g, q, lam, expected):
+    # The Newton systems of the non-ascending directions in
+    # test_a_newton_direction_that_does_not_ascend_falls_back_to_a_pairwise_step:
+    # three free coordinates (in 2196 one of them empty, with a gradient
+    # above lam), a near-singular reduced system whose second pivot is
+    # floored, and a direction along which the objective does not ascend.
+    d = mixture._newton_direction(c, g, q, lam)
+    assert bits(d) == bits(expected)
+    assert bits(mixture._reduced_direction(c, g, len(q), [0, 1, 2])) == bits(expected)
+    assert float(np.dot(g, d)) <= 0
+
+
+def test_no_step_takes_a_coordinate_below_zero():
+    # So _step clips nothing at 0: a float step below a coordinate's rounded
+    # ratio w_i / -d_i is below the exact ratio, and at the limit the hits
+    # are set to 0. Each point is checked against its clip at the limit, one
+    # ulp below it, the unit step with limits from 2 ulps below to 32 ulps
+    # above 1.0, and half the first step; then the points _step returns.
+    rng = np.random.default_rng(4)
+    near, cases = 0, []
+    for k in range(3000):
+        n = int(rng.integers(2, 6))
+        w = rng.dirichlet(np.ones(n))
+        w[rng.permutation(n)[:int(rng.integers(0, n - 1))]] = 0.0
+        w /= w.sum()
+        d = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        d -= d.mean()
+        if k % 2:  # the largest coordinate binds, near 1.0
+            i = int(np.argmax(w))
+            d[i] = -w[i] * (1.0 - int(rng.integers(-4, 65)) * 2.0 ** -53)
+            below = d < 0
+            d[below] = np.maximum(d[below], d[i] * w[below] / w[i])
+        ratios = [(x / -di, i) for i, (x, di) in enumerate(zip(w.tolist(), d.tolist())) if di < 0]
+        limit = min(ratios)[0]
+        hits = [i for r, i in ratios if r == limit]
+        steps = [limit, np.nextafter(limit, 0.0), 0.5 * min(1.0, limit)]
+        if limit >= 1.0:
+            steps.append(1.0)
+            near += limit < 1.0 + 2.0 ** -47
+        for step in steps:
+            point = w + d if step == 1.0 else w + step * d
+            if step == limit:
+                point[hits] = 0.0
+            assert (point >= 0).all()
+            assert bits(point) == bits(np.maximum(point, 0.0))
+        cats = rng.standard_exponential((int(rng.integers(1, 6)), n))
+        cases.append((w, d, cats, rng.integers(1, 100, len(cats)).astype(float)))
+    assert near > 100
+    for w, d, cats, weight in cases:
+        observed = cats @ w
+        slope = abs(float(cats.T.dot(weight / observed).dot(d)))
+        moved = mixture._step(w, d, slope, cats, weight, observed)
+        if moved is not None:
+            assert bits(moved[0]) == bits(np.maximum(moved[0], 0.0))
+
+
 def test_estimate_is_deterministic(two_dicts):
     h = GuessHistory(50, (("a", 20), ("b", 10)))
     init = MixtureWeights((0.25, 0.75))
