@@ -313,9 +313,15 @@ def estimate(corpus: Corpus, history: GuessHistory, init: MixtureWeights,
     so that small gains are not lost to rounding; it is never below that of
     ``init``. If given, ``on_step(index, weights, loglik)`` is called for the
     initial point (index 0) and after every step.
+
+    ``init`` may be a MixtureWeights or any length-n sequence; a sequence of
+    the wrong shape raises DimensionMismatch, and one that is not a point of
+    the simplex raises MixtureWeights' ValueError, before any step.
     """
-    return maximize(HistoryArrays.of(corpus, history), _weight_vector(init, len(corpus)),
-                    cfg, on_step)
+    w = _weight_vector(init, len(corpus))
+    if not isinstance(init, MixtureWeights):
+        MixtureWeights(w.tolist())
+    return maximize(HistoryArrays.of(corpus, history), w, cfg, on_step)
 
 
 def maximize(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentConfig(),
@@ -359,15 +365,15 @@ def maximize(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentC
         d = _newton_direction((cats_t * (ratio / observed)).dot(cats).tolist(), g, q, lam)
         moved = None
         if d is not None and (slope := float(grad.dot(direction := np.array(d)))) > 0:
-            moved = _step(w, direction, slope, cats, weight, observed)
+            moved = _step(w, direction, q, d, slope, cats, weight, observed)
         if moved is None:
             # Pairwise Frank-Wolfe: towards the best vertex, away from the
             # worst one in the support. Its slope is at least the gap.
             best = g.index(max(g))
             worst = min((i for i, x in enumerate(q) if x > 0), key=g.__getitem__)
-            direction = np.zeros(w.size)
-            direction[best], direction[worst] = 1.0, -1.0
-            moved = _step(w, direction, g[best] - g[worst], cats, weight, observed)
+            d = [0.0] * w.size
+            d[best], d[worst] = 1.0, -1.0
+            moved = _step(w, np.array(d), q, d, g[best] - g[worst], cats, weight, observed)
         if moved is None:
             break  # neither direction gains
         w, observed, gain = moved
@@ -378,17 +384,20 @@ def maximize(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentC
     return MixtureWeights(w.tolist()), current, steps
 
 
-def _step(w: np.ndarray, direction: np.ndarray, slope: float, cats: np.ndarray,
-          weight: np.ndarray, observed: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
+def _step(w: np.ndarray, direction: np.ndarray, q: list[float], d: list[float], slope: float,
+          cats: np.ndarray, weight: np.ndarray,
+          observed: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
     """The damped step of :func:`estimate` from ``w`` along ``direction``,
     whose product with the gradient is ``slope``: the point reached, its
     category probabilities and its gain; None if 64 halvings find no step
-    that gains. The gain is a sum of log1p terms, exact to its own rounding,
-    where a difference of two values would lose the gains of the last steps.
+    that gains. ``q`` and ``d`` are ``w`` and ``direction`` as lists, which
+    the caller already holds. The gain is a sum of log1p terms, exact to its
+    own rounding, where a difference of two values would lose the gains of
+    the last steps.
     """
     # The ratio test: the longest step keeping w >= 0, and where it binds.
     limit, hits = np.inf, []
-    for i, (x, di) in enumerate(zip(w.tolist(), direction.tolist())):
+    for i, (x, di) in enumerate(zip(q, d)):
         if di < 0:
             r = x / -di
             if r < limit:
@@ -434,9 +443,11 @@ def _newton_direction(c: list[list[float]], g: list[float], q: list[float],
     0 and the step solved again.
 
     :func:`_reduced_direction` solves the reduced system; it is the
-    reference. Three free coordinates, a 2 x 2 system, are nearly every
-    solve of an attack on three dictionaries, and there its loops cost more
-    than the arithmetic, so :func:`_reduced_pair` does the same float
+    reference, and it solves the 1 x 1 system and those of five or more free
+    coordinates. Three free coordinates, a 2 x 2 system, are nearly every
+    solve of an attack on three dictionaries, and four, a 3 x 3 system,
+    most solves on four; there its loops cost more than the arithmetic, so
+    :func:`_reduced_pair` and :func:`_reduced_triple` do the same float
     operations in the same order in straight-line code, to the same bits.
 
     n is the number of dictionaries, a handful, so this works on Python
@@ -446,7 +457,9 @@ def _newton_direction(c: list[list[float]], g: list[float], q: list[float],
     """
     index = [i for i, x in enumerate(q) if x > 0 or g[i] > lam]
     while len(index) >= 2:
-        solve = _reduced_pair if len(index) == 3 else _reduced_direction
+        size = len(index)
+        solve = (_reduced_pair if size == 3 else _reduced_triple if size == 4
+                 else _reduced_direction)
         direction = solve(c, g, len(q), index)
         free = [i for i in index if q[i] != 0 or not direction[i] < 0]
         if len(free) == len(index):
@@ -558,4 +571,108 @@ def _reduced_pair(c: list[list[float]], g: list[float], n: int,
     direction = [0.0] * n
     # As sum(u) adds them: from 0, in the order of ``index``.
     direction[i], direction[j], direction[last] = u_i, u_j, -(0.0 + u_i + u_j)
+    return direction
+
+
+def _reduced_triple(c: list[list[float]], g: list[float], n: int,
+                    index: list[int]) -> list[float]:
+    """:func:`_reduced_direction` for four free coordinates, bit for bit.
+
+    The reduced system is 3 x 3. The first pivot p is the first of the
+    largest diagonal entries, and s and t are the other two in the order of
+    ``index``; once p eliminates them, the second pivot r is the larger of
+    theirs, s on a tie, and o is the last. Each pivot is kept, floored or
+    dropped by the reference's rule, a dropped one eliminates nothing, and
+    back-substitution runs over the kept pivots in reverse, each adding to a
+    total that starts at 0.
+    """
+    i, j, k, last = index
+    c_i, c_j, c_k, c_last = c[i], c[j], c[k], c[last]
+    c_il, c_jl, c_kl, c_ll = c_i[last], c_j[last], c_k[last], c_last[last]
+    c_li, c_lj, c_lk = c_last[i], c_last[j], c_last[k]
+    # a is not bitwise symmetric: a_ij and a_ji round apart.
+    a_ii = c_i[i] - c_il - c_li + c_ll
+    a_ij = c_i[j] - c_il - c_lj + c_ll
+    a_ik = c_i[k] - c_il - c_lk + c_ll
+    a_ji = c_j[i] - c_jl - c_li + c_ll
+    a_jj = c_j[j] - c_jl - c_lj + c_ll
+    a_jk = c_j[k] - c_jl - c_lk + c_ll
+    a_ki = c_k[i] - c_kl - c_li + c_ll
+    a_kj = c_k[j] - c_kl - c_lj + c_ll
+    a_kk = c_k[k] - c_kl - c_lk + c_ll
+    g_last = g[last]
+    b_i, b_j, b_k = g[i] - g_last, g[j] - g_last, g[k] - g_last
+    # The scan max() makes: top is the first of the largest diagonal entries.
+    first, top = 0, a_ii
+    if a_jj > top:
+        first, top = 1, a_jj
+    if a_kk > top:
+        first, top = 2, a_kk
+    threshold = 1e-12 * top
+    if first == 0:
+        a_pp, a_ps, a_pt, b_p = a_ii, a_ij, a_ik, b_i
+        a_sp, a_ss, a_st, b_s = a_ji, a_jj, a_jk, b_j
+        a_tp, a_ts, a_tt, b_t = a_ki, a_kj, a_kk, b_k
+    elif first == 1:
+        a_pp, a_ps, a_pt, b_p = a_jj, a_ji, a_jk, b_j
+        a_sp, a_ss, a_st, b_s = a_ij, a_ii, a_ik, b_i
+        a_tp, a_ts, a_tt, b_t = a_kj, a_ki, a_kk, b_k
+    else:
+        a_pp, a_ps, a_pt, b_p = a_kk, a_ki, a_kj, b_k
+        a_sp, a_ss, a_st, b_s = a_ik, a_ii, a_ij, b_i
+        a_tp, a_ts, a_tt, b_t = a_jk, a_ji, a_jj, b_j
+    keep_p = a_pp > threshold
+    if not keep_p and threshold > 0 and abs(b_p) > 1e-12 * max(map(abs, g)):
+        a_pp, keep_p = threshold, True
+    if keep_p:
+        f = a_sp / a_pp
+        a_ss -= f * a_ps
+        a_st -= f * a_pt
+        b_s -= f * b_p
+        f = a_tp / a_pp
+        a_ts -= f * a_ps
+        a_tt -= f * a_pt
+        b_t -= f * b_p
+    swap = a_tt > a_ss
+    if swap:
+        a_rr, a_ro, b_r, a_or, a_oo, b_o, a_pr, a_po = a_tt, a_ts, b_t, a_st, a_ss, b_s, a_pt, a_ps
+    else:
+        a_rr, a_ro, b_r, a_or, a_oo, b_o, a_pr, a_po = a_ss, a_st, b_s, a_ts, a_tt, b_t, a_ps, a_pt
+    keep_r = a_rr > threshold
+    if not keep_r and threshold > 0 and abs(b_r) > 1e-12 * max(map(abs, g)):
+        a_rr, keep_r = threshold, True
+    if keep_r:
+        f = a_or / a_rr
+        a_oo -= f * a_ro
+        b_o -= f * b_r
+    keep_o = a_oo > threshold
+    if not keep_o and threshold > 0 and abs(b_o) > 1e-12 * max(map(abs, g)):
+        a_oo, keep_o = threshold, True
+    u_o = b_o / a_oo if keep_o else 0.0
+    if not keep_r:
+        u_r = 0.0
+    elif keep_o:
+        u_r = (b_r - (0 + a_ro * u_o)) / a_rr
+    else:
+        u_r = b_r / a_rr
+    if keep_p:
+        total = 0
+        if keep_r:
+            total += a_pr * u_r
+        if keep_o:
+            total += a_po * u_o
+        u_p = (b_p - total) / a_pp
+    else:
+        u_p = 0.0
+    u_s, u_t = (u_o, u_r) if swap else (u_r, u_o)
+    if first == 0:
+        u = u_p, u_s, u_t
+    elif first == 1:
+        u = u_s, u_p, u_t
+    else:
+        u = u_s, u_t, u_p
+    direction = [0.0] * n
+    direction[i], direction[j], direction[k] = u
+    # sum, not a + b + c: since Python 3.12 it compensates its rounding.
+    direction[last] = -sum(u)
     return direction

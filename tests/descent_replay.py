@@ -1,40 +1,78 @@
-"""What one solver step costs on the descents of the acceptance instance.
+"""What one solver step costs on the descents of the benchmark's attacks.
 
-Runs the six attack slots of the benchmark's ``mixed-attack`` workload (the
-random-dict, best-dict and by-q policies, each under ``average`` and
-``random`` init, 100 guesses, attack seeds 0 to 5) on
-``overlap_corpus(3, 1000, 400, 0.4, seed=1000)`` with 10,000 users at
-(0.6, 0.3, 0.1), captures every descent the attacks run, and replays
-:func:`pwbandit.mixture.maximize` on them in-process. Run
+Runs two instances, captures every descent their attacks run, and replays
+:func:`pwbandit.mixture.maximize` on them in-process:
+
+- ``mixed-attack``: the six attack slots of the benchmark's workload of that
+  name (the random-dict, best-dict and by-q policies, each under ``average``
+  and ``random`` init, 100 guesses, attack seeds 0 to 5) on
+  ``overlap_corpus(3, 1000, 400, 0.4, seed=1000)`` with 10,000 users at
+  (0.6, 0.3, 0.1);
+- ``large-vocab``: the four slots of the workload of that name (by-q under
+  ``average`` and ``random`` init, best-dict under ``best``, random-dict
+  under ``random``, 25 guesses, attack seeds 0 to 3) on the four-dictionary
+  ``overlap_corpus(4, 100000, 40000, 0.9, seed=2020)`` with 200,000 users at
+  (0.4, 0.3, 0.2, 0.1), so that most Newton systems have four free
+  coordinates.
+
+Run
 
     PYTHONPATH=src python tests/descent_replay.py [repetitions] [out.json]
 
-to print
+to print, for each instance,
 
 - the replay's wall-clock microseconds per step, the minimum and the median
   over ``repetitions`` (default 20) replays of every descent;
 - per guess, counts that do not depend on the host: solver steps, and the
   C-level and Python calls of the attacks, counted with ``sys.setprofile``;
+- how many of the Newton directions start with three and with four free
+  coordinates;
 
 and check that each replayed descent returns what it returned in its attack.
-With ``out.json`` it also writes one record per descent (its steps,
-log-likelihood and estimate) to compare two trees descent by descent.
+With ``out.json`` it also writes one record per descent (its instance,
+steps, log-likelihood and estimate) to compare two trees descent by descent.
 """
 
 import json
 import statistics
 import sys
 import time
+from collections import Counter
+from dataclasses import dataclass
+from typing import Callable
 
 from helpers import overlap_corpus
-from pwbandit import (GuessPolicy, InitPolicy, MixtureWeights, bandit, compose_password_set,
-                      run_attack)
+from pwbandit import (Corpus, GuessPolicy, InitPolicy, MixtureWeights, bandit,
+                      compose_password_set, mixture, run_attack)
 from pwbandit.mixture import maximize
 
-SLOTS = tuple((init, guess) for init in (InitPolicy.AVERAGE, InitPolicy.RANDOM)
-              for guess in (GuessPolicy.RANDOM_DICTIONARY, GuessPolicy.BEST_DICTIONARY,
-                            GuessPolicy.BY_Q))
-BUDGET = 100
+
+@dataclass(frozen=True)
+class Instance:
+    """A corpus, the password set composed from it, and the attack slots."""
+
+    corpus: Callable[[], Corpus]
+    proportions: tuple[float, ...]
+    users: int
+    budget: int
+    slots: tuple[tuple[InitPolicy, GuessPolicy], ...]
+
+
+POLICIES = (GuessPolicy.RANDOM_DICTIONARY, GuessPolicy.BEST_DICTIONARY, GuessPolicy.BY_Q)
+INSTANCES = {
+    "mixed-attack": Instance(
+        lambda: overlap_corpus(3, 1000, 400, exponent=0.4, seed=1000), (0.6, 0.3, 0.1),
+        10_000, 100,
+        tuple((init, guess) for init in (InitPolicy.AVERAGE, InitPolicy.RANDOM)
+              for guess in POLICIES)),
+    "large-vocab": Instance(
+        lambda: overlap_corpus(4, 100_000, 40_000, exponent=0.9, seed=2020),
+        (0.4, 0.3, 0.2, 0.1), 200_000, 25,
+        ((InitPolicy.AVERAGE, GuessPolicy.BY_Q), (InitPolicy.RANDOM, GuessPolicy.BY_Q),
+         (InitPolicy.BEST, GuessPolicy.BEST_DICTIONARY),
+         (InitPolicy.RANDOM, GuessPolicy.RANDOM_DICTIONARY))),
+}
+SOLVERS = ("_reduced_pair", "_reduced_triple", "_reduced_direction")
 
 
 class Captured:
@@ -51,20 +89,21 @@ class Captured:
         return self._categories
 
 
-def acceptance_instance():
+def password_set(instance: Instance):
     """The corpus and password set the slots attack."""
-    corpus = overlap_corpus(3, 1000, 400, exponent=0.4, seed=1000)
-    return corpus, compose_password_set(corpus, MixtureWeights((0.6, 0.3, 0.1)), 10_000, seed=42)
+    corpus = instance.corpus()
+    return corpus, compose_password_set(corpus, MixtureWeights(instance.proportions),
+                                        instance.users, seed=42)
 
 
-def attacks(corpus, ps) -> int:
-    """Run the six slots; return the guesses they made."""
-    return sum(len(run_attack(corpus, ps, init, guess, BUDGET, seed=slot).words)
-               for slot, (init, guess) in enumerate(SLOTS))
+def attacks(instance: Instance, corpus, ps) -> int:
+    """Run the slots; return the guesses they made."""
+    return sum(len(run_attack(corpus, ps, init, guess, instance.budget, seed=slot).words)
+               for slot, (init, guess) in enumerate(instance.slots))
 
 
-def capture(corpus, ps) -> tuple[list[Captured], int]:
-    """Every descent of the six slots, and the guesses they made."""
+def capture(instance: Instance, corpus, ps) -> tuple[list[Captured], int]:
+    """Every descent of the slots, and the guesses they made."""
     descents = []
 
     def capturing(arrays, w, cfg, on_step=None):
@@ -74,14 +113,14 @@ def capture(corpus, ps) -> tuple[list[Captured], int]:
 
     bandit.maximize = capturing
     try:
-        guesses = attacks(corpus, ps)
+        guesses = attacks(instance, corpus, ps)
     finally:
         bandit.maximize = maximize
     return descents, guesses
 
 
-def calls(corpus, ps) -> tuple[int, int]:
-    """The C-level and Python calls of the six slots."""
+def calls(instance: Instance, corpus, ps) -> tuple[int, int]:
+    """The C-level and Python calls of the slots."""
     counts = {"c_call": 0, "call": 0}
 
     def count(frame, event, arg):
@@ -90,10 +129,42 @@ def calls(corpus, ps) -> tuple[int, int]:
 
     sys.setprofile(count)
     try:
-        attacks(corpus, ps)
+        attacks(instance, corpus, ps)
     finally:
         sys.setprofile(None)
     return counts["c_call"], counts["call"]
+
+
+def first_solves(descents: list[Captured]) -> Counter:
+    """How many Newton directions of one replay start with each number of
+    free coordinates: the size of the first reduced solve of each."""
+    sizes, newton = Counter(), mixture._newton_direction
+    solvers = {name: getattr(mixture, name) for name in SOLVERS if hasattr(mixture, name)}
+    first = []
+
+    def direction(*args):
+        first.append(None)
+        return newton(*args)
+
+    def sized(solve):
+        def recorded(c, g, n, index):
+            if first[-1] is None:
+                first[-1] = len(index)
+            return solve(c, g, n, index)
+        return recorded
+
+    mixture._newton_direction = direction
+    for name, solve in solvers.items():
+        setattr(mixture, name, sized(solve))
+    try:
+        for d in descents:
+            maximize(d, d.start.copy(), d.cfg)
+    finally:
+        mixture._newton_direction = newton
+        for name, solve in solvers.items():
+            setattr(mixture, name, solve)
+    sizes.update(first)
+    return sizes
 
 
 def replay(descents: list[Captured]) -> float:
@@ -109,17 +180,25 @@ def replay(descents: list[Captured]) -> float:
 
 if __name__ == "__main__":
     repetitions = int(sys.argv[1]) if len(sys.argv) > 1 else 20
-    corpus, ps = acceptance_instance()
-    descents, guesses = capture(corpus, ps)
-    steps = sum(d.result[2] for d in descents)
-    times = [replay(descents) for _ in range(repetitions)]
-    c_calls, py_calls = calls(corpus, ps)
+    records = []
+    for name, instance in INSTANCES.items():
+        corpus, ps = password_set(instance)
+        descents, guesses = capture(instance, corpus, ps)
+        steps = sum(d.result[2] for d in descents)
+        times = [replay(descents) for _ in range(repetitions)]
+        c_calls, py_calls = calls(instance, corpus, ps)
+        sizes = first_solves(descents)
+        records += [{"instance": name, "descent": k, "steps": d.result[2], "loglik": d.result[1],
+                     "q": list(d.result[0].q)} for k, d in enumerate(descents)]
+        per_step = [1e6 * t / steps for t in times]
+        print(f"{name}: {len(descents)} descents, {steps} steps over {guesses} guesses; replay "
+              f"{min(per_step):.2f} us a step at best, median "
+              f"{statistics.median(per_step):.2f} over {repetitions}; per guess "
+              f"{steps / guesses:.2f} steps, {c_calls / guesses:.1f} C-level calls, "
+              f"{py_calls / guesses:.1f} Python calls; {sum(sizes.values())} Newton "
+              f"directions, {sizes[3]} starting with three free coordinates, {sizes[4]} "
+              f"with four")
+        del corpus, ps, descents
     if len(sys.argv) > 2:
         with open(sys.argv[2], "w", encoding="utf-8") as handle:
-            json.dump([{"descent": k, "steps": d.result[2], "loglik": d.result[1],
-                        "q": list(d.result[0].q)} for k, d in enumerate(descents)], handle)
-    per_step = [1e6 * t / steps for t in times]
-    print(f"{len(descents)} descents, {steps} steps over {guesses} guesses; replay "
-          f"{min(per_step):.2f} us a step at best, median {statistics.median(per_step):.2f} "
-          f"over {repetitions}; per guess {steps / guesses:.2f} steps, "
-          f"{c_calls / guesses:.1f} C-level calls, {py_calls / guesses:.1f} Python calls")
+            json.dump(records, handle)

@@ -115,6 +115,31 @@ def test_weights_of_the_wrong_dimension_are_rejected(two_dicts):
         estimate(two_dicts, h, [1.0])
 
 
+def test_estimate_rejects_a_start_off_the_simplex_before_any_step(monkeypatch):
+    # 0.3 moved from one coordinate to another: the start still sums to 1,
+    # but one weight is negative. It is rejected as a start, with its own
+    # weights in the message, and no descent runs.
+    c = overlap_corpus(3, 50, 20, seed=3)
+    h = GuessHistory(100, ((c.union_vocabulary[0], 10),))
+    descents, steps = [], []
+    monkeypatch.setattr(mixture, "maximize", lambda *args: descents.append(args))
+    for start in ([0.5, 0.3, 0.2], np.array([0.5, 0.3, 0.2])):
+        start[0] += 0.3
+        start[2] -= 0.3
+        assert sum(start) == pytest.approx(1.0, abs=1e-12) and min(start) < 0
+        with pytest.raises(ValueError, match="negative weight") as raised:
+            estimate(c, h, start, on_step=lambda i, w, ll: steps.append(i))
+        assert repr(tuple(float(x) for x in start)) in str(raised.value)
+    with pytest.raises(ValueError, match="not 1"):
+        estimate(c, h, [0.5, 0.3, 0.3])
+    with pytest.raises(DimensionMismatch):
+        estimate(c, h, [0.5, -0.5])
+    assert descents == [] and steps == []
+    # A valid sequence is a valid start, as is the MixtureWeights of it.
+    monkeypatch.undo()
+    assert estimate(c, h, [0.5, 0.3, 0.2]) == estimate(c, h, MixtureWeights((0.5, 0.3, 0.2)))
+
+
 def test_log_likelihood_empty_history(two_dicts):
     h = GuessHistory(10)
     assert log_likelihood(two_dicts, MixtureWeights((0.3, 0.7)), h) == 0.0
@@ -330,7 +355,8 @@ def test_a_step_that_loses_is_halved_until_it_gains():
     w, direction = np.array([0.01, 0.99]), np.array([1.0, -1.0])
     observed = cats @ w
     slope = float(cats.T @ (weight / observed) @ direction)
-    point, new, gain = mixture._step(w, direction, slope, cats, weight, observed)
+    point, new, gain = mixture._step(w, direction, w.tolist(), direction.tolist(), slope, cats,
+                                     weight, observed)
     assert point.tolist() == (w + 0.99 / 64 * direction).tolist()
     assert new.tolist() == (cats @ point).tolist()
     assert gain >= mixture.ARMIJO * 0.99 / 64 * slope
@@ -365,9 +391,10 @@ def test_a_stalled_newton_direction_falls_back_to_a_pairwise_step(monkeypatch):
     # support, which ends there.
     step, directions = mixture._step, []
 
-    def recorded(w, direction, *args):
-        directions.append(direction.tolist())
-        return step(w, direction, *args)
+    def recorded(w, direction, q, d, *args):
+        assert d == direction.tolist() and q == w.tolist()
+        directions.append(d)
+        return step(w, direction, q, d, *args)
 
     monkeypatch.setattr(mixture, "_step", recorded)
     c = Corpus((Dictionary("d0", (("w21", 96187), ("rest0", 82118049))),
@@ -535,9 +562,10 @@ def test_a_newton_direction_that_does_not_ascend_falls_back_to_a_pairwise_step(
         events.append(("newton", None if d is None else float(np.dot(g, d))))
         return d
 
-    def recorded_step(w, direction, *args):
-        events.append(("step", direction.tolist()))
-        return step(w, direction, *args)
+    def recorded_step(w, direction, q, d, *args):
+        assert d == direction.tolist() and q == w.tolist()
+        events.append(("step", d))
+        return step(w, direction, q, d, *args)
 
     monkeypatch.setattr(mixture, "_newton_direction", recorded_newton)
     monkeypatch.setattr(mixture, "_step", recorded_step)
@@ -672,15 +700,121 @@ def test_a_2x2_reduced_system_solves_to_the_eliminations_bits():
                 == bits(mixture._reduced_direction(c, g, n, index)))
 
 
+RANK_ONE = [[4.0, 2.0, 2.0], [2.0, 1.0, 1.0], [2.0, 1.0, 1.0]]
+RANK_TWO = [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]]
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    pytest.param([[0.0] * 3] * 3, [1.0, 2.0, 3.0], [0.0, 0.0, 0.0, -0.0], id="zero-diagonal"),
+    pytest.param([[-1e-20, 0.0, 0.0], [0.0, -2e-20, 0.0], [0.0, 0.0, -3e-20]], [1.0, 2.0, 3.0],
+                 [0.0, 0.0, 0.0, -0.0], id="negative-diagonal"),
+    pytest.param([[8.0, 2.0, 1.0], [2.0, 3.0, 0.5], [1.0, 0.5, 2.0]], [0.8, 0.6, 0.3],
+                 [0.05135135135135137, 0.15135135135135133, 0.08648648648648646,
+                  -0.2891891891891891], id="first-pivot-first"),
+    pytest.param([[3.0, 2.0, 0.5], [2.0, 8.0, 1.0], [0.5, 1.0, 2.0]], [0.8, 0.6, 0.3],
+                 [0.25135135135135134, 0.0013513513513513514, 0.08648648648648646,
+                  -0.33918918918918917], id="first-pivot-second"),
+    pytest.param([[3.0, 0.5, 1.0], [0.5, 2.0, 2.0], [1.0, 2.0, 8.0]], [0.8, 0.6, 0.3],
+                 [0.2382352941176471, 0.31029411764705883, -0.06985294117647059,
+                  -0.47867647058823537], id="first-pivot-third"),
+    pytest.param([[8.0, 5.0, 3.0], [5.0, 8.0, 4.0], [3.0, 4.0, 8.0]], [0.8, 0.6, 0.3],
+                 [0.08793103448275863, 0.023706896551724133, -0.0073275862068965586,
+                  -0.10431034482758621], id="equal-diagonals-pivot-first"),
+    pytest.param([[2.0, 1.0, 0.5], [1.0, 8.0, 5.0], [0.5, 5.0, 8.0]], [0.8, 0.6, 0.3],
+                 [0.3863013698630137, 0.030136986301369857, -0.005479452054794522,
+                  -0.4109589041095891], id="equal-later-diagonals-pivot-first"),
+    pytest.param([[8.0, 1.0, 2.0], [1.0, 2.0, 0.5], [2.0, 0.5, 5.0]], [0.8, 0.6, 0.3],
+                 [0.06492537313432836, 0.2656716417910448, 0.007462686567164173,
+                  -0.3380597014925374], id="larger-last-diagonal-pivots-second"),
+    pytest.param([[1.0, 0.5, 0.0], [math.inf, math.inf, 0.0], [0.0, 0.0, 0.5]], [1.0, 2.0, 3.0],
+                 None, id="infinite-first-pivot-floors"),
+    pytest.param(RANK_ONE, [2.0, 1.0, 1.0], [0.5, 0.0, 0.0, -0.5],
+                 id="flat-second-and-third-pivots-drop"),
+    pytest.param(RANK_ONE, [2.0, 3.0, 1.0],
+                 [-249999999999.5, 500000000000.0, 0.0, -250000000000.5],
+                 id="sloped-second-pivot-floors-flat-third-drops"),
+    pytest.param(RANK_ONE, [2.0, 1.0, 3.0],
+                 [-249999999999.5, 0.0, 500000000000.0, -250000000000.5],
+                 id="flat-second-pivot-drops-sloped-third-floors"),
+    pytest.param(RANK_ONE, [2.0, 3.0, 4.0],
+                 [-624999999999.5, 500000000000.0, 750000000000.0, -625000000000.5],
+                 id="second-and-third-pivots-floor"),
+    pytest.param(RANK_TWO, [1.0, 2.0, 3.0], [-1.0, 0.0, 2.0, -1.0], id="flat-third-pivot-drops"),
+    pytest.param(RANK_TWO, [1.0, 2.0, 4.0],
+                 [-500000000002.0, -500000000000.0, 500000000003.0, 499999999999.0],
+                 id="sloped-third-pivot-floors"),
+    pytest.param([[1.0, 0.5, 0.0], [0.5, -1e-30, 0.0], [0.0, 0.0, 0.5]], [1.0, 2.0, 3.0],
+                 [-749999999999.0, 1500000000000.0, 6.0, -750000000007.0],
+                 id="negative-third-pivot-floors"),
+    pytest.param([[1.0, 0.5, 0.5], [0.5, -1e-30, 0.0], [0.5, 0.0, -1e-30]], [1.0, 2.0, 3.0],
+                 None, id="negative-second-and-third-pivots-floor"),
+    pytest.param([[2.0, 1.0, 0.0], [-1.0, 1.0, 0.5], [0.0, -0.5, 1.0]], [-0.0, -0.0, -0.0],
+                 [-0.0, -0.0, 0.0, -0.0], id="signed-zeros"),
+    pytest.param([[1.0, -1.0, -1.0], [3.0, 4.0, -1.0], [-0.5, -1.0, 4.0]], [-0.0, -0.0, -0.0],
+                 [-0.0, -0.0, -0.0, -0.0], id="signed-zeros-kept"),
+    pytest.param([[1.0, 0.5, 0.2], [0.5, 2.0, 0.1], [0.2, 0.1, math.nan]], [1.0, 2.0, 3.0],
+                 None, id="nan-pivot"),
+    pytest.param([[math.nan, 0.5, 0.2], [0.5, 1.0, 0.1], [0.2, 0.1, 2.0]], [1.0, 2.0, 3.0],
+                 None, id="nan-first-diagonal"),
+])
+def test_a_3x3_reduced_system_takes_each_branch_of_the_elimination(a, b, expected):
+    # As for the 2 x 2 system, the reduced system is a u = b exactly. The
+    # first pivot is the first of the largest diagonal entries, so it is
+    # kept wherever the threshold, 1e-12 of it, is positive and finite: a
+    # zero, negative or NaN largest diagonal drops all three pivots, an
+    # infinite one floors each at infinity. The second pivot is the larger
+    # of the other two after the first eliminates them, the first of them on
+    # a tie. A rank-one a leaves second and third pivots of 0, a rank-two a
+    # a third one, each dropped where its eliminated b is 0 and floored at
+    # the threshold where not; a dropped pivot eliminates nothing. Where
+    # every u is -0.0, back-substitution's total and the last entry's sum,
+    # both started at 0, keep the signs the reference gives.
+    c = [[*a[0], 0.0], [*a[1], 0.0], [*a[2], 0.0], [0.0] * 4]
+    g = [*b, 0.0]
+    triple = mixture._reduced_triple(c, g, 4, [0, 1, 2, 3])
+    assert bits(triple) == bits(mixture._reduced_direction(c, g, 4, [0, 1, 2, 3]))
+    if expected is not None:
+        assert bits(triple) == bits(expected)
+
+
+def test_a_3x3_reduced_system_solves_to_the_eliminations_bits():
+    # As for the 2 x 2 system: seeded random systems on four free
+    # coordinates out of 4 to 6, c = B B^T of full and lower rank at scales
+    # 1e-3 to 1e6, equal diagonal entries of the reduced system forced in a
+    # quarter of them (two or all three), gradients in c's range in a
+    # quarter and positive otherwise.
+    rng = np.random.default_rng(22)
+    for k in range(4000):
+        n = int(rng.integers(4, 7))
+        rank = int(rng.integers(1, 4)) if rng.random() < 0.4 else n
+        scale = 10.0 ** rng.uniform(-3, 6)
+        m = rng.standard_normal((n, rank)) * scale
+        c = m @ m.T
+        index = sorted(rng.choice(n, 4, replace=False).tolist())
+        i, *others, last = index
+        if k % 4 == 0:  # a_jj, and a_kk in every other one, repeat a_ii's operations
+            for j in others[:1 + k % 8 // 4]:
+                c[j, j], c[j, last], c[last, j] = c[i, i], c[i, last], c[last, i]
+        if k % 4 == 1:
+            g = c @ rng.standard_normal(n) + scale
+        else:
+            g = rng.standard_exponential(n) * scale
+        c, g = c.tolist(), g.tolist()
+        assert (bits(mixture._reduced_triple(c, g, n, index))
+                == bits(mixture._reduced_direction(c, g, n, index)))
+
+
 def test_the_newton_direction_through_the_closed_form_is_the_eliminations(monkeypatch):
     # Points with empty coordinates, some of them free because their
     # gradient beats g . q: where the step would push one negative, it is
-    # fixed at 0 and the step solved again, from 4 free coordinates to 3
-    # (the closed form) and from 3 to 2 (the elimination).
+    # fixed at 0 and the step solved again, from 5 free coordinates to 4
+    # (the elimination, then the 3 x 3 closed form), from 4 to 3 (the 3 x 3,
+    # then the 2 x 2 closed form) and from 3 to 2 (the 2 x 2, then the
+    # elimination).
     rng = np.random.default_rng(8)
     cases = []
     for _ in range(1500):
-        n = int(rng.integers(3, 6))
+        n = int(rng.integers(3, 7))
         m = rng.standard_normal((n, int(rng.integers(1, n + 1)))) * 10.0 ** rng.uniform(-3, 6)
         g = rng.standard_exponential(n) * 10.0 ** rng.uniform(-3, 6)
         q = rng.dirichlet(np.ones(n))
@@ -695,6 +829,7 @@ def test_the_newton_direction_through_the_closed_form_is_the_eliminations(monkey
         return reference(c, g, n, index)
 
     monkeypatch.setattr(mixture, "_reduced_pair", solve)
+    monkeypatch.setattr(mixture, "_reduced_triple", solve)
     monkeypatch.setattr(mixture, "_reduced_direction", solve)
     want = []
     for case in cases:
@@ -703,6 +838,8 @@ def test_the_newton_direction_through_the_closed_form_is_the_eliminations(monkey
     assert [None if d is None else bits(d) for d in got] == [
         None if d is None else bits(d) for d in want]
     assert [4, 3] in sizes and [3, 2] in sizes
+    resolves = {pair for solves in sizes for pair in zip(solves, solves[1:])}
+    assert {(5, 4), (4, 3), (3, 2)} <= resolves
 
 
 @pytest.mark.parametrize("c, g, q, lam, expected", [
@@ -772,7 +909,7 @@ def test_no_step_takes_a_coordinate_below_zero():
     for w, d, cats, weight in cases:
         observed = cats @ w
         slope = abs(float(cats.T.dot(weight / observed).dot(d)))
-        moved = mixture._step(w, d, slope, cats, weight, observed)
+        moved = mixture._step(w, d, w.tolist(), d.tolist(), slope, cats, weight, observed)
         if moved is not None:
             assert bits(moved[0]) == bits(np.maximum(moved[0], 0.0))
 
@@ -1003,8 +1140,8 @@ def test_warm_started_steps_keep_the_unit_step(monkeypatch):
     ps = compose_password_set(corpus, MixtureWeights((0.6, 0.3, 0.1)), 10_000, seed=42)
     step, unit = mixture._step, []
 
-    def recorded(w, direction, slope, cats, weight, observed):
-        moved = step(w, direction, slope, cats, weight, observed)
+    def recorded(w, direction, q, d, slope, cats, weight, observed):
+        moved = step(w, direction, q, d, slope, cats, weight, observed)
         limit = min((x / -d for x, d in zip(w, direction) if d < 0), default=np.inf)
         first = min(1.0, limit) * (cats @ direction / observed)
         unit.append(moved is not None and moved[2] == float(weight @ np.log1p(first)))
