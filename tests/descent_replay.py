@@ -138,7 +138,7 @@ def calls(instance: Instance, corpus, ps) -> tuple[int, int]:
 def first_solves(descents: list[Captured]) -> Counter:
     """How many Newton directions of one replay start with each number of
     free coordinates: the size of the first reduced solve of each."""
-    sizes, newton = Counter(), mixture._newton_direction
+    newton = mixture._newton_direction
     solvers = {name: getattr(mixture, name) for name in SOLVERS if hasattr(mixture, name)}
     first = []
 
@@ -163,8 +163,7 @@ def first_solves(descents: list[Captured]) -> Counter:
         mixture._newton_direction = newton
         for name, solve in solvers.items():
             setattr(mixture, name, solve)
-    sizes.update(first)
-    return sizes
+    return Counter(first)
 
 
 def replay(descents: list[Captured]) -> float:
