@@ -76,11 +76,6 @@ class Dictionary:
             seen.add(word)
         self.__dict__.update(name=name, words=words, counts=counts, total_count=sum(counts))
 
-    @property
-    def entries(self) -> tuple[tuple[str, int], ...]:
-        """The ``(word, count)`` pairs in rank order, built on each read (O(m))."""
-        return tuple(zip(self.words, self.counts))
-
     def __len__(self) -> int:
         return len(self.words)
 

@@ -27,6 +27,7 @@ an upper bound on the distance to the maximum for a concave objective (Jaggi
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from numbers import Integral
 from typing import Callable, Container
 
@@ -180,7 +181,8 @@ class HistoryArrays:
         :meth:`Corpus.probability_rows` lookup."""
         arrays = cls(len(corpus), history.population)
         probs = corpus.probability_rows(word for word, _ in history.observations)
-        counts = np.array([successes for _, successes in history.observations], dtype=float)
+        successes = [count for _, count in history.observations]
+        counts = np.array(successes, dtype=float)
         live = (counts > 0) & (probs.max(axis=1) > PROBABILITY_FLOOR)
         k = int(live.sum())
         arrays._reserve(k)
@@ -190,7 +192,9 @@ class HistoryArrays:
             # cumsum adds the rows in turn, as append does; sum(axis=0) does
             # too for n >= 2, but sums a single column pairwise.
             arrays.prob_totals = np.cumsum(probs, axis=0)[-1].copy()
-        arrays.successes, arrays.live_successes = int(counts.sum()), int(arrays._weight[:k].sum())
+        # As append keeps them: Python ints, exact above 2^53.
+        arrays.successes = sum(successes)
+        arrays.live_successes = sum(compress(successes, live.tolist()))
         return arrays
 
     def _reserve(self, k: int) -> None:
@@ -284,22 +288,21 @@ def estimate(corpus: Corpus, history: GuessHistory, init: MixtureWeights,
 
     The descent reads only its categories: each guessed word with successes
     that some dictionary gives more than ``PROBABILITY_FLOOR``, and the rest
-    while users remain and some dictionary gives it more than the floor.
-    Every other term of the objective is a constant, and adds nothing to
-    its gradient. Each step solves the Newton system on the face of the
-    simplex the iterate lies on, widened by the empty coordinates whose
-    gradient beats g . q, keeping the sum of the weights. Where fewer than
-    two coordinates are free, or the Newton direction does not ascend or
-    gains nothing, the step is a pairwise Frank-Wolfe step instead: towards the best vertex and away from
+    while users remain and some dictionary gives it more than the floor. Every
+    other term of the objective is a constant, and adds nothing to its
+    gradient. Each step solves the Newton system on the face of the simplex the
+    iterate lies on, widened by the empty coordinates whose gradient beats
+    g . q, keeping the sum of the weights. Where fewer than two coordinates are
+    free, or the Newton direction does not ascend or gains nothing, the step is
+    a pairwise Frank-Wolfe step instead: towards the best vertex and away from
     the worst vertex in the support. Every step is damped the same way: it
     starts at the unit step, or at the simplex boundary when that is nearer
-    (coordinates that reach the boundary become exactly 0), and is halved
-    until the point it reaches leaves every category above
-    ``PROBABILITY_FLOOR`` and gains at least ``ARMIJO`` times its
-    first-order prediction. So no step ends on a face where an observed word
-    has probability 0; a start on such a face is first moved halfway to the
-    uniform point, which counts as a step. Where neither direction gains,
-    the descent stops, with the gap it has.
+    (coordinates that reach the boundary become exactly 0), and is halved until
+    the point it reaches leaves every category above ``PROBABILITY_FLOOR`` and
+    gains at least ``ARMIJO`` times its first-order prediction. So no step ends
+    on a face where an observed word has probability 0; a start on such a face
+    is first moved halfway to the uniform point, which counts as a step. Where
+    neither direction gains, the descent stops, with the gap it has.
 
     Stops once the Frank-Wolfe gap max_i g_i - g . q is at most
     ``GAP_TOL * population`` nats: the log-likelihood is concave, so that
@@ -449,6 +452,8 @@ def _newton_direction(c: list[list[float]], g: list[float], q: list[float],
     most solves on four; there its loops cost more than the arithmetic, so
     :func:`_reduced_pair` and :func:`_reduced_triple` do the same float
     operations in the same order in straight-line code, to the same bits.
+    Both end in :func:`_reduced_block`, the 2 x 2 elimination: the triple
+    eliminates its first pivot and hands it the 2 x 2 system left.
 
     n is the number of dictionaries, a handful, so this works on Python
     lists: at that size they cost less than numpy's calls, and no LAPACK
@@ -528,13 +533,8 @@ def _reduced_direction(c: list[list[float]], g: list[float], n: int,
 
 def _reduced_pair(c: list[list[float]], g: list[float], n: int,
                   index: list[int]) -> list[float]:
-    """:func:`_reduced_direction` for three free coordinates, bit for bit.
-
-    The reduced system is 2 x 2: the first pivot p is the first of the
-    larger diagonal entries, and o is the other. Each pivot is kept,
-    floored or dropped by the reference's rule, o is eliminated once if p
-    is kept, and back-substitution adds to a total that starts at 0.
-    """
+    """:func:`_reduced_direction` for three free coordinates, bit for bit:
+    the reduced system is 2 x 2, and :func:`_reduced_block` solves it."""
     i, j, last = index
     c_i, c_j, c_last = c[i], c[j], c[last]
     c_il, c_jl, c_ll = c_i[last], c_j[last], c_last[last]
@@ -543,31 +543,8 @@ def _reduced_pair(c: list[list[float]], g: list[float], n: int,
     a_ji = c_j[i] - c_jl - c_last[i] + c_ll
     a_jj = c_j[j] - c_jl - c_last[j] + c_ll
     g_last = g[last]
-    b_i, b_j = g[i] - g_last, g[j] - g_last
-    threshold = 1e-12 * max(a_ii, a_jj)
-    swap = a_jj > a_ii
-    if swap:
-        a_pp, a_po, b_p, a_op, a_oo, b_o = a_jj, a_ji, b_j, a_ij, a_ii, b_i
-    else:
-        a_pp, a_po, b_p, a_op, a_oo, b_o = a_ii, a_ij, b_i, a_ji, a_jj, b_j
-    keep_p = a_pp > threshold
-    if not keep_p and threshold > 0 and abs(b_p) > 1e-12 * max(map(abs, g)):
-        a_pp, keep_p = threshold, True
-    if keep_p:
-        f = a_op / a_pp
-        a_oo -= f * a_po
-        b_o -= f * b_p
-    keep_o = a_oo > threshold
-    if not keep_o and threshold > 0 and abs(b_o) > 1e-12 * max(map(abs, g)):
-        a_oo, keep_o = threshold, True
-    u_o = b_o / a_oo if keep_o else 0.0
-    if not keep_p:
-        u_p = 0.0
-    elif keep_o:
-        u_p = (b_p - (0 + a_po * u_o)) / a_pp
-    else:
-        u_p = b_p / a_pp
-    u_i, u_j = (u_o, u_p) if swap else (u_p, u_o)
+    u_i, u_j, _, _ = _reduced_block(a_ii, a_ij, a_ji, a_jj, g[i] - g_last, g[j] - g_last,
+                                    1e-12 * max(a_ii, a_jj), g)
     direction = [0.0] * n
     # As sum(u) adds them: from 0, in the order of ``index``.
     direction[i], direction[j], direction[last] = u_i, u_j, -(0.0 + u_i + u_j)
@@ -578,49 +555,38 @@ def _reduced_triple(c: list[list[float]], g: list[float], n: int,
                     index: list[int]) -> list[float]:
     """:func:`_reduced_direction` for four free coordinates, bit for bit.
 
-    The reduced system is 3 x 3. The first pivot p is the first of the
+    The reduced system is 3 x 3. Its first pivot p is the first of the
     largest diagonal entries, and s and t are the other two in the order of
-    ``index``; once p eliminates them, the second pivot r is the larger of
-    theirs, s on a tie, and o is the last. Each pivot is kept, floored or
-    dropped by the reference's rule, a dropped one eliminates nothing, and
-    back-substitution runs over the kept pivots in reverse, each adding to a
-    total that starts at 0.
+    ``index``. p is kept, floored or dropped by the reference's rule and,
+    if kept, eliminates s and t; :func:`_reduced_block` solves the 2 x 2
+    system left. Back-substitution for p adds the kept pivots' terms to a
+    total that starts at 0, where two terms round the same in either order.
     """
     i, j, k, last = index
-    c_i, c_j, c_k, c_last = c[i], c[j], c[k], c[last]
-    c_il, c_jl, c_kl, c_ll = c_i[last], c_j[last], c_k[last], c_last[last]
-    c_li, c_lj, c_lk = c_last[i], c_last[j], c_last[k]
-    # a is not bitwise symmetric: a_ij and a_ji round apart.
-    a_ii = c_i[i] - c_il - c_li + c_ll
-    a_ij = c_i[j] - c_il - c_lj + c_ll
-    a_ik = c_i[k] - c_il - c_lk + c_ll
-    a_ji = c_j[i] - c_jl - c_li + c_ll
-    a_jj = c_j[j] - c_jl - c_lj + c_ll
-    a_jk = c_j[k] - c_jl - c_lk + c_ll
-    a_ki = c_k[i] - c_kl - c_li + c_ll
-    a_kj = c_k[j] - c_kl - c_lj + c_ll
-    a_kk = c_k[k] - c_kl - c_lk + c_ll
+    c_last = c[last]
+    c_ll = c_last[last]
+    # a is not bitwise symmetric: a_ps and a_sp round apart.
+    a_ii = c[i][i] - c[i][last] - c_last[i] + c_ll
+    a_jj = c[j][j] - c[j][last] - c_last[j] + c_ll
+    a_kk = c[k][k] - c[k][last] - c_last[k] + c_ll
+    # The scan max() makes: p is the first of the largest diagonal entries.
+    p, a_pp, s, a_ss, t, a_tt = i, a_ii, j, a_jj, k, a_kk
+    if a_jj > a_pp:
+        p, a_pp, s, a_ss = j, a_jj, i, a_ii
+    if a_kk > a_pp:
+        p, a_pp, s, a_ss, t, a_tt = k, a_kk, i, a_ii, j, a_jj
+    threshold = 1e-12 * a_pp
+    c_p, c_s, c_t = c[p], c[s], c[t]
+    c_pl, c_sl, c_tl = c_p[last], c_s[last], c_t[last]
+    c_lp, c_ls, c_lt = c_last[p], c_last[s], c_last[t]
+    a_ps = c_p[s] - c_pl - c_ls + c_ll
+    a_pt = c_p[t] - c_pl - c_lt + c_ll
+    a_sp = c_s[p] - c_sl - c_lp + c_ll
+    a_st = c_s[t] - c_sl - c_lt + c_ll
+    a_tp = c_t[p] - c_tl - c_lp + c_ll
+    a_ts = c_t[s] - c_tl - c_ls + c_ll
     g_last = g[last]
-    b_i, b_j, b_k = g[i] - g_last, g[j] - g_last, g[k] - g_last
-    # The scan max() makes: top is the first of the largest diagonal entries.
-    first, top = 0, a_ii
-    if a_jj > top:
-        first, top = 1, a_jj
-    if a_kk > top:
-        first, top = 2, a_kk
-    threshold = 1e-12 * top
-    if first == 0:
-        a_pp, a_ps, a_pt, b_p = a_ii, a_ij, a_ik, b_i
-        a_sp, a_ss, a_st, b_s = a_ji, a_jj, a_jk, b_j
-        a_tp, a_ts, a_tt, b_t = a_ki, a_kj, a_kk, b_k
-    elif first == 1:
-        a_pp, a_ps, a_pt, b_p = a_jj, a_ji, a_jk, b_j
-        a_sp, a_ss, a_st, b_s = a_ij, a_ii, a_ik, b_i
-        a_tp, a_ts, a_tt, b_t = a_kj, a_ki, a_kk, b_k
-    else:
-        a_pp, a_ps, a_pt, b_p = a_kk, a_ki, a_kj, b_k
-        a_sp, a_ss, a_st, b_s = a_ik, a_ii, a_ij, b_i
-        a_tp, a_ts, a_tt, b_t = a_jk, a_ji, a_jj, b_j
+    b_p, b_s, b_t = g[p] - g_last, g[s] - g_last, g[t] - g_last
     keep_p = a_pp > threshold
     if not keep_p and threshold > 0 and abs(b_p) > 1e-12 * max(map(abs, g)):
         a_pp, keep_p = threshold, True
@@ -633,46 +599,46 @@ def _reduced_triple(c: list[list[float]], g: list[float], n: int,
         a_ts -= f * a_ps
         a_tt -= f * a_pt
         b_t -= f * b_p
+    u_s, u_t, keep_s, keep_t = _reduced_block(a_ss, a_st, a_ts, a_tt, b_s, b_t, threshold, g)
+    total = 0
+    if keep_s:
+        total += a_ps * u_s
+    if keep_t:
+        total += a_pt * u_t
+    u_p = (b_p - total) / a_pp if keep_p else 0.0
+    direction = [0.0] * n
+    direction[p], direction[s], direction[t] = u_p, u_s, u_t
+    # sum, not a + b + c: since Python 3.12 it compensates its rounding.
+    direction[last] = -sum([direction[i], direction[j], direction[k]])
+    return direction
+
+
+def _reduced_block(a_ss: float, a_st: float, a_ts: float, a_tt: float, b_s: float, b_t: float,
+                   threshold: float, g: list[float]) -> tuple[float, float, bool, bool]:
+    """The trailing 2 x 2 elimination of :func:`_reduced_direction`, bit for
+    bit: u_s, u_t and whether the pivots of s and t were kept.
+
+    The first pivot p is the larger diagonal entry, s on a tie, and o is
+    the other. Each pivot is kept, floored or dropped by the reference's
+    rule against ``threshold`` and the gradient ``g``, o is eliminated
+    once if p is kept, and back-substitution adds to a total that starts
+    at 0.
+    """
     swap = a_tt > a_ss
     if swap:
-        a_rr, a_ro, b_r, a_or, a_oo, b_o, a_pr, a_po = a_tt, a_ts, b_t, a_st, a_ss, b_s, a_pt, a_ps
+        a_pp, a_po, b_p, a_op, a_oo, b_o = a_tt, a_ts, b_t, a_st, a_ss, b_s
     else:
-        a_rr, a_ro, b_r, a_or, a_oo, b_o, a_pr, a_po = a_ss, a_st, b_s, a_ts, a_tt, b_t, a_ps, a_pt
-    keep_r = a_rr > threshold
-    if not keep_r and threshold > 0 and abs(b_r) > 1e-12 * max(map(abs, g)):
-        a_rr, keep_r = threshold, True
-    if keep_r:
-        f = a_or / a_rr
-        a_oo -= f * a_ro
-        b_o -= f * b_r
+        a_pp, a_po, b_p, a_op, a_oo, b_o = a_ss, a_st, b_s, a_ts, a_tt, b_t
+    keep_p = a_pp > threshold
+    if not keep_p and threshold > 0 and abs(b_p) > 1e-12 * max(map(abs, g)):
+        a_pp, keep_p = threshold, True
+    if keep_p:
+        f = a_op / a_pp
+        a_oo -= f * a_po
+        b_o -= f * b_p
     keep_o = a_oo > threshold
     if not keep_o and threshold > 0 and abs(b_o) > 1e-12 * max(map(abs, g)):
         a_oo, keep_o = threshold, True
     u_o = b_o / a_oo if keep_o else 0.0
-    if not keep_r:
-        u_r = 0.0
-    elif keep_o:
-        u_r = (b_r - (0 + a_ro * u_o)) / a_rr
-    else:
-        u_r = b_r / a_rr
-    if keep_p:
-        total = 0
-        if keep_r:
-            total += a_pr * u_r
-        if keep_o:
-            total += a_po * u_o
-        u_p = (b_p - total) / a_pp
-    else:
-        u_p = 0.0
-    u_s, u_t = (u_o, u_r) if swap else (u_r, u_o)
-    if first == 0:
-        u = u_p, u_s, u_t
-    elif first == 1:
-        u = u_s, u_p, u_t
-    else:
-        u = u_s, u_t, u_p
-    direction = [0.0] * n
-    direction[i], direction[j], direction[k] = u
-    # sum, not a + b + c: since Python 3.12 it compensates its rounding.
-    direction[last] = -sum(u)
-    return direction
+    u_p = (b_p - (0 + a_po * u_o if keep_o else 0)) / a_pp if keep_p else 0.0
+    return (u_o, u_p, keep_o, keep_p) if swap else (u_p, u_o, keep_p, keep_o)

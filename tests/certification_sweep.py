@@ -41,7 +41,8 @@ def instance(rng):
     dictionaries = []
     for i in range(n):
         if i and rng.random() < 0.3:
-            base = dictionaries[int(rng.integers(i))].entries
+            source = dictionaries[int(rng.integers(i))]
+            base = tuple(zip(source.words, source.counts))
             entries = base + tuple((f"r{i}_{j}", 1) for j in range(int(rng.integers(1, 4))))
         else:
             k = int(rng.integers(1, size + 1))

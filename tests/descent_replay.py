@@ -27,6 +27,9 @@ to print, for each instance,
   C-level and Python calls of the attacks, counted with ``sys.setprofile``;
 - how many of the Newton directions start with three and with four free
   coordinates;
+- how many Newton systems went to ``_reduced_pair`` and ``_reduced_triple``
+  in one replay, and how many of their solves differ in bits from
+  ``_reduced_direction``'s solve of the same system, which must be 0;
 
 and check that each replayed descent returns what it returned in its attack.
 With ``out.json`` it also writes one record per descent (its instance,
@@ -35,6 +38,7 @@ steps, log-likelihood and estimate) to compare two trees descent by descent.
 
 import json
 import statistics
+import struct
 import sys
 import time
 from collections import Counter
@@ -135,12 +139,14 @@ def calls(instance: Instance, corpus, ps) -> tuple[int, int]:
     return counts["c_call"], counts["call"]
 
 
-def first_solves(descents: list[Captured]) -> Counter:
-    """How many Newton directions of one replay start with each number of
-    free coordinates: the size of the first reduced solve of each."""
-    newton = mixture._newton_direction
+def solves(descents: list[Captured]) -> tuple[Counter, int, int]:
+    """One replay's solves: how many Newton directions start with each
+    number of free coordinates (the size of the first reduced solve of
+    each), how many systems go to the straight-line solvers, and how many
+    of those differ in bits from the reference's solve of the same system."""
+    newton, reference = mixture._newton_direction, mixture._reduced_direction
     solvers = {name: getattr(mixture, name) for name in SOLVERS if hasattr(mixture, name)}
-    first = []
+    first, checked = [], [0, 0]
 
     def direction(*args):
         first.append(None)
@@ -150,7 +156,12 @@ def first_solves(descents: list[Captured]) -> Counter:
         def recorded(c, g, n, index):
             if first[-1] is None:
                 first[-1] = len(index)
-            return solve(c, g, n, index)
+            got = solve(c, g, n, index)
+            if solve is not reference:
+                want = reference(c, g, n, index)
+                checked[0] += 1
+                checked[1] += struct.pack(f"{n}d", *got) != struct.pack(f"{n}d", *want)
+            return got
         return recorded
 
     mixture._newton_direction = direction
@@ -163,7 +174,7 @@ def first_solves(descents: list[Captured]) -> Counter:
         mixture._newton_direction = newton
         for name, solve in solvers.items():
             setattr(mixture, name, solve)
-    return Counter(first)
+    return Counter(first), *checked
 
 
 def replay(descents: list[Captured]) -> float:
@@ -186,7 +197,7 @@ if __name__ == "__main__":
         steps = sum(d.result[2] for d in descents)
         times = [replay(descents) for _ in range(repetitions)]
         c_calls, py_calls = calls(instance, corpus, ps)
-        sizes = first_solves(descents)
+        sizes, fast, differ = solves(descents)
         records += [{"instance": name, "descent": k, "steps": d.result[2], "loglik": d.result[1],
                      "q": list(d.result[0].q)} for k, d in enumerate(descents)]
         per_step = [1e6 * t / steps for t in times]
@@ -196,7 +207,10 @@ if __name__ == "__main__":
               f"{steps / guesses:.2f} steps, {c_calls / guesses:.1f} C-level calls, "
               f"{py_calls / guesses:.1f} Python calls; {sum(sizes.values())} Newton "
               f"directions, {sizes[3]} starting with three free coordinates, {sizes[4]} "
-              f"with four")
+              f"with four; {fast} systems solved in straight-line code, {differ} of them "
+              f"differing in bits from the reference's solve")
+        if differ:
+            raise SystemExit(f"{name}: {differ} straight-line solves differ from the reference")
         del corpus, ps, descents
     if len(sys.argv) > 2:
         with open(sys.argv[2], "w", encoding="utf-8") as handle:

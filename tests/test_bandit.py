@@ -209,8 +209,8 @@ def test_by_q_settles_a_near_tie_with_a_shared_word_by_the_full_product(full_sco
     # the order of its two terms may round it either way.
     d1 = zipf_dictionary("d1", [f"b{j:05d}" for j in range(20_000)])
     d2 = zipf_dictionary("d2", [f"a{j:05d}" for j in range(20_000)])
-    corpus = Corpus((Dictionary("d1", d1.entries + (("s", 500_000),)),
-                     Dictionary("d2", d2.entries + (("s", 500_000),))))
+    corpus = Corpus((Dictionary("d1", tuple(zip(d1.words, d1.counts)) + (("s", 500_000),)),
+                     Dictionary("d2", tuple(zip(d2.words, d2.counts)) + (("s", 500_000),))))
     state = new_state(corpus, 100, InitPolicy.AVERAGE, np.random.default_rng(0))
     assert select_guess(GuessPolicy.BY_Q, corpus, state) == "a00000"
     assert by_q_reference(corpus, state) == "a00000"
@@ -368,7 +368,7 @@ def test_dictionary_policies_enumerate_rank_order(counts):
         while (word := select_guess(policy, c, state)) is not None:
             seen.append(word)
             mark_guessed(c, state, word)
-        assert seen == [w for w, _ in c.dictionaries[0].entries]
+        assert seen == list(c.dictionaries[0].words)
 
 
 def test_state_arrays_are_the_history_one_row_per_guess():

@@ -38,7 +38,7 @@ entries_st = st.dictionaries(words_st, st.integers(1, 1000), min_size=1, max_siz
 
 def test_load_basic():
     d = load_frequency_list("t", ["a\t8", "b\t2"])
-    assert d.entries == (("a", 8), ("b", 2))
+    assert tuple(zip(d.words, d.counts)) == (("a", 8), ("b", 2))
     assert d.total_count == 10
 
 
@@ -152,7 +152,7 @@ def outcome(load, lines):
 def test_load_matches_the_twice_checked_reference(lines):
     loaded = outcome(load_frequency_list, lines)
     if isinstance(loaded, Dictionary):
-        loaded = loaded.entries, loaded.total_count
+        loaded = tuple(zip(loaded.words, loaded.counts)), loaded.total_count
     assert loaded == outcome(reference_load, lines)
 
 
@@ -161,10 +161,10 @@ def test_loaded_dictionary_equals_a_validated_one(counts):
     d = load_frequency_list("t", [f"{word}\t{count}" for word, count in counts.items()])
     built = Dictionary("t", ((word, int(count)) for word, count in counts.items()))
     assert (built.words, built.counts, built.total_count) == (d.words, d.counts, d.total_count)
-    assert d.entries == tuple(zip(d.words, d.counts))
-    again = Dictionary(d.name, d.entries)
+    entries = tuple(zip(d.words, d.counts))
+    again = Dictionary(d.name, entries)
     assert again == d and hash(again) == hash(d)
-    assert (again.entries, again.total_count) == (d.entries, d.total_count)
+    assert (tuple(zip(again.words, again.counts)), again.total_count) == (entries, d.total_count)
 
 
 def test_counts_have_no_fixed_width():
@@ -200,18 +200,18 @@ def test_load_empty_stream():
 def test_load_accepts_file_object_and_spaces_in_words():
     stream = io.StringIO("pass word\t3\nx\t1\n")
     d = load_frequency_list("t", stream)
-    assert d.entries == (("pass word", 3), ("x", 1))
+    assert tuple(zip(d.words, d.counts)) == (("pass word", 3), ("x", 1))
 
 
 def test_from_password_multiset_counts():
     d = from_password_multiset("t", ["a", "a", "b"])
-    assert d.entries == (("a", 2), ("b", 1))
+    assert tuple(zip(d.words, d.counts)) == (("a", 2), ("b", 1))
     assert d.total_count == 3
 
 
 def test_from_password_multiset_tie_breaks_lexicographically():
     d = from_password_multiset("t", ["b", "a"])
-    assert d.entries == (("a", 1), ("b", 1))
+    assert tuple(zip(d.words, d.counts)) == (("a", 1), ("b", 1))
 
 
 def test_from_password_multiset_empty():
@@ -234,7 +234,7 @@ def test_from_password_multiset_matches_independent_tally():
 
     d = from_password_multiset("zipfish", draws)
     assert d.total_count == 1000
-    assert dict(d.entries) == tally
+    assert dict(zip(d.words, d.counts)) == tally
 
 
 def test_probability_of():
@@ -258,7 +258,8 @@ def test_constructor_rejects_bad_entries():
 @given(entries_st)
 def test_sorting_totality(counts):
     d = Dictionary("t", tuple(counts.items()))
-    for (w1, c1), (w2, c2) in zip(d.entries, d.entries[1:]):
+    entries = tuple(zip(d.words, d.counts))
+    for (w1, c1), (w2, c2) in zip(entries, entries[1:]):
         assert c1 > c2 or (c1 == c2 and w1 < w2)
 
 
@@ -266,7 +267,7 @@ def test_sorting_totality(counts):
 def test_probability_is_pmf(counts):
     d = Dictionary("t", tuple(counts.items()))
     c = Corpus((d,))
-    probs = c.probability_rows(w for w, _ in d.entries)[:, 0]
+    probs = c.probability_rows(d.words)[:, 0]
     assert all(p > 0 for p in probs)
     assert c.vocab_probs.sum(axis=0) == pytest.approx([1.0], abs=1e-12)
 

@@ -717,6 +717,9 @@ RANK_TWO = [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]]
     pytest.param([[3.0, 0.5, 1.0], [0.5, 2.0, 2.0], [1.0, 2.0, 8.0]], [0.8, 0.6, 0.3],
                  [0.2382352941176471, 0.31029411764705883, -0.06985294117647059,
                   -0.47867647058823537], id="first-pivot-third"),
+    pytest.param([[2.0, 0.5, 1.0], [0.5, 3.0, 1.0], [1.0, 1.0, 8.0]], [0.8, 0.6, 0.3],
+                 [0.37738095238095243, 0.14642857142857144, -0.02797619047619048,
+                  -0.49583333333333335], id="first-pivot-third-larger-last-pivots-second"),
     pytest.param([[8.0, 5.0, 3.0], [5.0, 8.0, 4.0], [3.0, 4.0, 8.0]], [0.8, 0.6, 0.3],
                  [0.08793103448275863, 0.023706896551724133, -0.0073275862068965586,
                   -0.10431034482758621], id="equal-diagonals-pivot-first"),
@@ -728,6 +731,10 @@ RANK_TWO = [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]]
                   -0.3380597014925374], id="larger-last-diagonal-pivots-second"),
     pytest.param([[1.0, 0.5, 0.0], [math.inf, math.inf, 0.0], [0.0, 0.0, 0.5]], [1.0, 2.0, 3.0],
                  None, id="infinite-first-pivot-floors"),
+    pytest.param([[1.0, math.inf, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1.0, 0.0, 2.0],
+                 [1.0, 0.0, 2.0, -3.0], id="dropped-second-pivot-adds-no-term"),
+    pytest.param([[1.0, 0.0, math.inf], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1.0, 2.0, 0.0],
+                 [1.0, 2.0, 0.0, -3.0], id="dropped-third-pivot-adds-no-term"),
     pytest.param(RANK_ONE, [2.0, 1.0, 1.0], [0.5, 0.0, 0.0, -0.5],
                  id="flat-second-and-third-pivots-drop"),
     pytest.param(RANK_ONE, [2.0, 3.0, 1.0],
@@ -766,9 +773,11 @@ def test_a_3x3_reduced_system_takes_each_branch_of_the_elimination(a, b, expecte
     # of the other two after the first eliminates them, the first of them on
     # a tie. A rank-one a leaves second and third pivots of 0, a rank-two a
     # a third one, each dropped where its eliminated b is 0 and floored at
-    # the threshold where not; a dropped pivot eliminates nothing. Where
-    # every u is -0.0, back-substitution's total and the last entry's sum,
-    # both started at 0, keep the signs the reference gives.
+    # the threshold where not; a dropped pivot eliminates nothing and adds
+    # no term to back-substitution (with an infinite entry, its term times
+    # its u of 0 would be NaN). Where every u is -0.0, back-substitution's
+    # total and the last entry's sum, both started at 0, keep the signs the
+    # reference gives.
     c = [[*a[0], 0.0], [*a[1], 0.0], [*a[2], 0.0], [0.0] * 4]
     g = [*b, 0.0]
     triple = mixture._reduced_triple(c, g, 4, [0, 1, 2, 3])
@@ -1051,6 +1060,9 @@ def assert_same_buffers(built, reference):
 
 @settings(max_examples=200, deadline=None)
 @given(growing_attacks())
+# Successes above 2^53 round as floats: the total stays an exact int.
+@example((Corpus((Dictionary("a", (("x", 3), ("y", 1))), Dictionary("b", (("x", 1), ("z", 3))))),
+          2**53 + 1, [("x", 2**53 + 1)]))
 def test_arrays_built_at_once_are_the_appended_arrays_byte_for_byte(attack):
     corpus, population, observations = attack
     for history in (GuessHistory(population), GuessHistory(population, tuple(observations))):
@@ -1162,7 +1174,8 @@ def near_duplicate_instances(draw):
     dictionaries = []
     for i in range(draw(st.integers(2, 5))):
         if i == 1 or (i and draw(st.booleans())):
-            base = dictionaries[draw(st.integers(0, i - 1))].entries
+            source = dictionaries[draw(st.integers(0, i - 1))]
+            base = tuple(zip(source.words, source.counts))
             rare = tuple((f"r{i}_{k}", 1) for k in range(draw(st.integers(1, 3))))
             dictionaries.append(Dictionary(f"d{i}", base + rare))
             continue
