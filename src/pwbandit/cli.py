@@ -146,8 +146,6 @@ def cmd_attack(cfg: ExperimentConfig) -> None:
 
 
 def cmd_estimate(cfg: ExperimentConfig, guesses: Sequence[str]) -> None:
-    if not guesses:
-        raise ConfigError("estimate needs at least one guess word")
     if len(set(guesses)) != len(guesses):
         raise ConfigError("guess words must be distinct")
     corpus = _build_corpus(cfg)

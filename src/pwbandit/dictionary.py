@@ -60,12 +60,13 @@ class Dictionary:
 
     def __init__(self, name: str, entries: Iterable[tuple[str, int]]):
         pairs = tuple(entries)
-        words, counts = _rank_order([word for word, _ in pairs], [count for _, count in pairs])
-        if not words:
+        if not pairs:
             raise EmptyDictionary("dictionary has no entries")
+        # Each entry is checked before the sort, which could not compare a
+        # word that is not a str or a count that is not an int.
         seen: set[str] = set()
-        for word, count in zip(words, counts):
-            if not word or any(ch in word for ch in _FORBIDDEN_CHARS):
+        for word, count in pairs:
+            if not isinstance(word, str) or not word or any(ch in word for ch in _FORBIDDEN_CHARS):
                 raise ValueError(f"invalid word {word!r}")
             if not isinstance(count, int) or isinstance(count, bool):
                 raise ValueError(f"count for {word!r} is not an integer: {count!r}")
@@ -74,6 +75,7 @@ class Dictionary:
             if word in seen:
                 raise DuplicateWord(f"duplicate word {word!r}")
             seen.add(word)
+        words, counts = _rank_order([word for word, _ in pairs], [count for _, count in pairs])
         self.__dict__.update(name=name, words=words, counts=counts, total_count=sum(counts))
 
     def __len__(self) -> int:

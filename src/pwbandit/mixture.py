@@ -162,15 +162,14 @@ class HistoryArrays:
     constant of the floored objective). A spare row after them takes the
     rest category. Three running totals, each grown by one term per guess,
     spare the objective any sum over the history: ``prob_totals``, the column
-    totals of the ``size`` guesses' probability rows; ``successes``, their
-    total count; and ``live_successes``, the total count of the live
-    categories. Buffers double when full, so a guess costs O(n) amortized,
-    not an O(m) rebuild. Package-internal: an attack's ``BanditState`` owns
-    one.
+    totals of the guesses' probability rows; ``successes``, their total
+    count; and ``live_successes``, the total count of the live categories.
+    Buffers double when full, so a guess costs O(n) amortized, not an O(m)
+    rebuild. Package-internal: an attack's ``BanditState`` owns one.
     """
 
     def __init__(self, n: int, population: int):
-        self.population, self.size, self.live = population, 0, 0
+        self.population, self.live = population, 0
         self._cats, self._weight = np.zeros((17, n)), np.zeros(17)
         self.prob_totals, self.successes, self.live_successes = np.zeros(n), 0, 0
 
@@ -187,7 +186,7 @@ class HistoryArrays:
         k = int(live.sum())
         arrays._reserve(k)
         arrays._cats[:k], arrays._weight[:k] = probs[live], counts[live]
-        arrays.size, arrays.live = len(counts), k
+        arrays.live = k
         if len(counts):
             # cumsum adds the rows in turn, as append does; sum(axis=0) does
             # too for n >= 2, but sums a single column pairwise.
@@ -209,7 +208,6 @@ class HistoryArrays:
 
     def append(self, row: np.ndarray | None, successes: int) -> None:
         """Add one guess: its probability row (None if unranked) and successes."""
-        self.size += 1
         self.successes += successes
         if row is not None:
             self.prob_totals += row
@@ -282,7 +280,6 @@ StepCallback = Callable[[int, MixtureWeights, float], None]
 
 
 def estimate(corpus: Corpus, history: GuessHistory, init: MixtureWeights,
-             cfg: DescentConfig = DescentConfig(),
              on_step: StepCallback | None = None) -> tuple[MixtureWeights, float, int]:
     """Maximize the log-likelihood from ``init`` by active-set Newton ascent.
 
@@ -307,9 +304,10 @@ def estimate(corpus: Corpus, history: GuessHistory, init: MixtureWeights,
     Stops once the Frank-Wolfe gap max_i g_i - g . q is at most
     ``GAP_TOL * population`` nats: the log-likelihood is concave, so that
     gap bounds how far it is below its maximum. Its gradient is that of
-    :func:`gradient`, which reads the same categories. ``cfg.max_steps``
-    only guards against a descent that does not get there. Where there is
-    no category, the objective is constant and the start is returned.
+    :func:`gradient`, which reads the same categories. The step cap of the
+    default :class:`DescentConfig`, 100 steps, only guards against a descent
+    that does not get there. Where there is no category, the objective is
+    constant and the start is returned.
 
     Returns (weights, final log-likelihood, steps taken). The log-likelihood
     is that of ``init`` plus the gain of each step, summed from log1p terms
@@ -324,7 +322,7 @@ def estimate(corpus: Corpus, history: GuessHistory, init: MixtureWeights,
     w = _weight_vector(init, len(corpus))
     if not isinstance(init, MixtureWeights):
         MixtureWeights(w.tolist())
-    return maximize(HistoryArrays.of(corpus, history), w, cfg, on_step)
+    return maximize(HistoryArrays.of(corpus, history), w, on_step=on_step)
 
 
 def maximize(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentConfig(),

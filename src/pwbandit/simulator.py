@@ -13,7 +13,7 @@ import numpy as np
 from .bandit import GuessPolicy, InitPolicy, new_state, record_observation, select_guess
 from .dictionary import Corpus
 from .errors import DimensionMismatch, EmptyInput
-from .mixture import DescentConfig, MixtureWeights
+from .mixture import MixtureWeights
 
 
 @dataclass(frozen=True)
@@ -172,29 +172,25 @@ class AttackTrace:
 
 
 def run_attack(corpus: Corpus, ps: PasswordSet, init: InitPolicy, guess: GuessPolicy,
-               m: int, cfg: DescentConfig = DescentConfig(), seed: int = 0) -> AttackTrace:
-    """Run one attack of up to ``m`` guesses and return the full trace.
+               m: int, seed: int = 0) -> AttackTrace:
+    """Run one attack of ``min(m, vocabulary size)`` guesses and return the
+    full trace.
 
     Each iteration selects a word, asks the oracle how many users it
-    compromises, and re-estimates the mixture weights. Exhausting every
-    candidate word truncates the trace early.
+    compromises, and re-estimates the mixture weights. Every policy picks
+    an unguessed vocabulary word while one is left, so a budget beyond the
+    vocabulary ends once every word is guessed.
     """
     if m < 1:
         raise ValueError(f"guess budget must be >= 1, got {m}")
     rng = np.random.default_rng(seed)
     state = new_state(corpus, ps.size, init, rng)
-    # The attack ends once every word is guessed, so a budget beyond the
-    # vocabulary needs no more rows than it has words.
     estimates = np.zeros((min(m, len(corpus.union_vocabulary)), len(corpus)))
-    for j in range(m):
+    for j in range(len(estimates)):
         word = select_guess(guess, corpus, state)
-        if word is None:
-            break
-        record_observation(state, word, oracle_count(ps, word), corpus, init, cfg)
+        record_observation(state, word, oracle_count(ps, word), corpus, init)
         estimates[j] = state.current_estimate.q
     successes = np.fromiter(state.observed.values(), dtype=np.int64, count=len(state.observed))
-    if len(successes) < len(estimates):
-        estimates = estimates[:len(successes)].copy()
     counts = np.column_stack([successes, np.cumsum(successes)])
     return AttackTrace.from_columns(tuple(state.observed), counts, estimates, init, guess, seed, m)
 

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from pwbandit import (
     Corpus,
-    DescentConfig,
     Dictionary,
     GuessHistory,
     GuessPolicy,
@@ -29,7 +28,6 @@ from pwbandit.mixture import HistoryArrays
 from helpers import overlap_corpus, zipf_dictionary
 from test_dictionary import entries_st
 
-CHEAP = DescentConfig(max_steps=20)
 DICTIONARY_POLICIES = (GuessPolicy.RANDOM_DICTIONARY, GuessPolicy.BEST_DICTIONARY)
 
 
@@ -60,6 +58,14 @@ def test_best_init_passes_previous_through():
 def test_random_init_requires_rng():
     with pytest.raises(ValueError):
         initialize_weights(InitPolicy.RANDOM, 3)
+
+
+def test_init_and_selection_reject_bad_arguments(overlap_pair):
+    with pytest.raises(ValueError):
+        initialize_weights(InitPolicy.AVERAGE, 0)
+    state = new_state(overlap_pair, 100, InitPolicy.AVERAGE, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="unknown guess policy"):
+        select_guess("by-q", overlap_pair, state)
 
 
 def test_random_init_is_uniform_on_simplex():
@@ -186,6 +192,17 @@ def test_by_q_walk_picks_every_guess_of_an_attack_on_a_large_vocabulary(full_sco
     assert len(set(state.history.words)) == 200
 
 
+def test_by_q_scores_every_row_where_the_walk_keeps_too_many(full_scores):
+    # One flat 40,000-word list: every word has the head's probability, so
+    # the walk keeps every row and by-q takes the whole-vocabulary product.
+    corpus = Corpus((Dictionary("flat", tuple((f"w{j:05d}", 1) for j in range(40_000))),))
+    assert corpus.vocab_probs.size > bandit._FULL_SCORE_ENTRIES
+    state = new_state(corpus, 100, InitPolicy.AVERAGE, np.random.default_rng(0))
+    assert select_guess(GuessPolicy.BY_Q, corpus, state) == "w00000"
+    assert by_q_reference(corpus, state) == "w00000"
+    assert len(full_scores) == 1
+
+
 def test_by_q_settles_ties_between_one_dictionary_words_without_the_full_product(full_scores):
     # Two 20,000-word lists with the same counts and no word in common: at
     # q = (0.5, 0.5) the two words of each rank tie exactly, and each is
@@ -250,44 +267,44 @@ def test_random_dictionary_skips_exhausted_sources(overlap_pair):
 def assert_rejected(corpus, state, word, successes, error):
     """``record_observation`` raises ``error`` naming ``word`` and leaves the
     state as it was."""
-    history, size, guessed = state.history, state.arrays.size, state.guessed.copy()
+    history, size, guessed = state.history, len(state.observed), state.guessed.copy()
     estimate = state.current_estimate
     with pytest.raises(error, match=repr(word)):
-        record_observation(state, word, successes, corpus, InitPolicy.AVERAGE, CHEAP)
-    assert state.history == history and state.arrays.size == size
+        record_observation(state, word, successes, corpus, InitPolicy.AVERAGE)
+    assert state.history == history and len(state.observed) == size
     assert np.array_equal(state.guessed, guessed) and state.current_estimate is estimate
 
 
 def test_record_observation_rejects_duplicates(overlap_pair):
     for word in ("b", "unranked"):
         state = new_state(overlap_pair, 100, InitPolicy.AVERAGE, np.random.default_rng(0))
-        record_observation(state, word, 10, overlap_pair, InitPolicy.AVERAGE, CHEAP)
+        record_observation(state, word, 10, overlap_pair, InitPolicy.AVERAGE)
         assert_rejected(overlap_pair, state, word, 1, DuplicateGuess)
         # the next valid guess still works
-        record_observation(state, "c", 1, overlap_pair, InitPolicy.AVERAGE, CHEAP)
+        record_observation(state, "c", 1, overlap_pair, InitPolicy.AVERAGE)
         assert state.history.observations == ((word, 10), ("c", 1))
-        assert state.arrays.size == 2
+        assert len(state.observed) == 2
 
 
 def test_record_observation_rejects_overcount(overlap_pair):
     state = new_state(overlap_pair, 100, InitPolicy.AVERAGE, np.random.default_rng(0))
-    record_observation(state, "b", 90, overlap_pair, InitPolicy.AVERAGE, CHEAP)
+    record_observation(state, "b", 90, overlap_pair, InitPolicy.AVERAGE)
     assert_rejected(overlap_pair, state, "a", 11, SuccessExceedsPopulation)
     for successes in (-1, 2.5, 2.0, np.float64(2.0), True, np.True_, "2", None):
         assert_rejected(overlap_pair, state, "a", successes, ValueError)
     # numpy integers are integers; the next valid guess cracks the last users
-    record_observation(state, "a", np.int64(10), overlap_pair, InitPolicy.AVERAGE, CHEAP)
+    record_observation(state, "a", np.int64(10), overlap_pair, InitPolicy.AVERAGE)
     assert state.history.observations == (("b", 90), ("a", 10))
     assert type(state.history.observations[1][1]) is int
     assert state.observed == {"b": 90, "a": 10} and type(state.observed["a"]) is int
-    assert (state.arrays.size, state.arrays.successes) == (2, 100)
+    assert (len(state.observed), state.arrays.successes) == (2, 100)
     assert state.guessed.tolist() == [True, True, False]
 
 
 def test_record_observation_updates_state(overlap_pair):
     state = new_state(overlap_pair, 100, InitPolicy.AVERAGE, np.random.default_rng(0))
     before = state.current_estimate
-    record_observation(state, "a", 60, overlap_pair, InitPolicy.AVERAGE, CHEAP)
+    record_observation(state, "a", 60, overlap_pair, InitPolicy.AVERAGE)
     assert state.previous_estimate is before
     assert state.history.observations == (("a", 60),)
     assert state.guessed.tolist() == [True, False, False]
@@ -297,7 +314,7 @@ def test_record_observation_updates_state(overlap_pair):
 
 def test_zero_success_still_moves_the_estimate(overlap_pair):
     state = new_state(overlap_pair, 100, InitPolicy.AVERAGE, np.random.default_rng(0))
-    record_observation(state, "a", 0, overlap_pair, InitPolicy.AVERAGE, CHEAP)
+    record_observation(state, "a", 0, overlap_pair, InitPolicy.AVERAGE)
     # A miss on d1's top word is evidence against d1.
     assert state.current_estimate[0] < 0.5
     assert state.history.observations == (("a", 0),)
@@ -308,7 +325,7 @@ def test_estimates_stay_on_simplex_through_an_attack(overlap_pair):
     outcomes = {"a": 30, "b": 50, "c": 5}
     for _ in range(3):
         word = select_guess(GuessPolicy.BY_Q, overlap_pair, state)
-        record_observation(state, word, outcomes[word], overlap_pair, InitPolicy.BEST, CHEAP)
+        record_observation(state, word, outcomes[word], overlap_pair, InitPolicy.BEST)
     assert sum(state.current_estimate) == pytest.approx(1.0, abs=1e-9)
     assert min(state.current_estimate) >= 0
     assert state.guessed.all()
@@ -320,7 +337,7 @@ def test_policies_never_repeat_guesses(overlap_pair):
         seen = []
         while (word := select_guess(policy, overlap_pair, state)) is not None:
             seen.append(word)
-            record_observation(state, word, 1, overlap_pair, InitPolicy.AVERAGE, CHEAP)
+            record_observation(state, word, 1, overlap_pair, InitPolicy.AVERAGE)
         assert len(seen) == len(set(seen)) == 3
 
 
@@ -331,7 +348,7 @@ def test_single_dictionary_policies_agree_on_rank_order():
         order = []
         while (word := select_guess(policy, c, state)) is not None:
             order.append(word)
-            record_observation(state, word, 2, c, InitPolicy.AVERAGE, CHEAP)
+            record_observation(state, word, 2, c, InitPolicy.AVERAGE)
         assert order == ["first", "second", "third"]
 
 
@@ -342,7 +359,7 @@ def test_selection_is_deterministic_given_seed(overlap_pair):
         for successes in (20, 30):
             word = select_guess(GuessPolicy.RANDOM_DICTIONARY, overlap_pair, state)
             picks.append(word)
-            record_observation(state, word, successes, overlap_pair, InitPolicy.RANDOM, CHEAP)
+            record_observation(state, word, successes, overlap_pair, InitPolicy.RANDOM)
         return picks, state.current_estimate.q
 
     assert run(42) == run(42)
@@ -380,13 +397,12 @@ def test_state_arrays_are_the_history_one_row_per_guess():
         snapshots = []
         for word, successes in guesses:
             before = copy.deepcopy(state.rng)
-            record_observation(state, word, successes, c, init, CHEAP)
+            record_observation(state, word, successes, c, init)
             snapshots.append(state.history)
             # the start record_observation drew, from a copy of the generator
             start = initialize_weights(init, 2, prev=state.previous_estimate, rng=before)
             arrays, observations = state.arrays, state.history.observations
             assert list(state.observed.items()) == guesses[:len(observations)]
-            assert arrays.size == len(observations)
             assert arrays.successes == sum(s for _, s in observations)
             rows = c.probability_rows(state.history.words)
             assert np.array_equal(arrays.prob_totals, np.cumsum(rows, axis=0)[-1])
@@ -398,7 +414,7 @@ def test_state_arrays_are_the_history_one_row_per_guess():
             assert np.array_equal(cats[:arrays.live], c.probability_rows(w for w, _ in live))
             assert weight[:arrays.live].tolist() == [s for _, s in live]
             # The public estimate on the same history repeats the descent exactly.
-            replay, _, _ = estimate(c, state.history, start, CHEAP)
+            replay, _, _ = estimate(c, state.history, start)
             assert replay == state.current_estimate
         assert state.guessed.sum() == 22
         # each history read is a copy that later guesses leave as it was

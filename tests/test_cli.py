@@ -144,6 +144,9 @@ def test_config_round_trips_after_cli_overrides(cfg, command, data):
      "attack.guesses"),
     ("[composition]\nproportions = 1.0\nusers = 10\n[attack]\nguess = fastest\n", "attack.guess"),
     ("[composition]\nproportions = 0.5, x\nusers = 10\n", "composition.proportions"),
+    ("[composition]\nproportions = 0.5, 0.5\nusers = 10\n", "composition.proportions"),
+    ("[composition]\nproportions = 1.0\nusers = 10\nusers = 20\n", None),
+    ("[composition]\nproportions = 1.0\n[composition]\nusers = 10\n", None),
     ("[composition]\nproportions = 1.0\nusers = 10\n[output]\nbogus = 1\n", "output.bogus"),
 ])
 def test_parse_config_rejects_bad_input(tmp_path, mutation, field):
@@ -372,6 +375,15 @@ def test_exit_codes(workdir, capsys):
     assert "io error" in capsys.readouterr().err
 
     assert main(["attack", "--config", str(workdir / "nonexistent.ini")]) == 3
+
+    (workdir / "empty.txt").write_text("", encoding="utf-8")
+    leak = workdir / "leak.ini"
+    leak.write_text(f"[dictionaries]\nd1 = {workdir / 'd1.tsv'}\n\n"
+                    f"[composition]\npasswords = {workdir / 'empty.txt'}\n", encoding="utf-8")
+    assert main(["attack", "--config", str(leak)]) == 2
+    assert "config error: composition.passwords" in capsys.readouterr().err
+    assert main(["compose", "--config", str(leak)]) == 2
+    assert "config error: composition: " in capsys.readouterr().err
 
     config = str(workdir / "experiment.ini")
     for flag, field in (("--runs", "attack.runs"), ("--guesses", "attack.guesses")):

@@ -253,6 +253,12 @@ def test_constructor_rejects_bad_entries():
         Dictionary("t", ())
     with pytest.raises(ValueError):
         Dictionary("t", (("a\tb", 1),))
+    # Entries the rank sort could not compare are checked before it runs.
+    for entries, message in (((("a", "x"), ("b", 1)), "count for 'a' is not an integer"),
+                             ((("a", None), ("b", 2)), "count for 'a' is not an integer"),
+                             (((1, 2), ("b", 3)), "invalid word 1")):
+        with pytest.raises(ValueError, match=message):
+            Dictionary("t", entries)
 
 
 @given(entries_st)

@@ -99,6 +99,7 @@ def test_guess_history_validation():
     assert h.words == ("a", "b", "c")
     assert h.observations == (("a", 5), ("b", 3), ("c", 2))
     assert type(h.observations[1][1]) is int
+    assert len(h) == 3
 
 
 def test_descent_config_validation():
@@ -242,7 +243,7 @@ def test_estimate_monotone_ascent_and_improves_on_init(two_dicts):
 
 
 @pytest.mark.parametrize("k", [1, 5, 10])
-def test_estimate_stops_at_max_steps(k):
+def test_maximize_stops_at_max_steps(k):
     # Fourteen dictionaries rank alpha and beta in opposite orders, and beta
     # cracks 150 of 200 users where alpha cracks 10: the maximizer is the
     # vertex of the dictionary that ranks beta highest. From the uniform
@@ -256,8 +257,8 @@ def test_estimate_stops_at_max_steps(k):
     estimate(c, h, MixtureWeights.uniform(n), on_step=lambda i, w, ll: uncapped.append(i))
     assert len(uncapped) > k + 1  # the cap below binds
     capped = []
-    _, _, steps = estimate(c, h, MixtureWeights.uniform(n), DescentConfig(max_steps=k),
-                           on_step=lambda i, w, ll: capped.append(i))
+    _, _, steps = maximize(HistoryArrays.of(c, h), np.full(n, 1.0 / n),
+                           DescentConfig(max_steps=k), lambda i, w, ll: capped.append(i))
     assert capped == list(range(k + 1))
     assert steps == k
 
@@ -1020,7 +1021,6 @@ def test_grown_arrays_equal_the_rebuilt_categories(attack):
         counts = np.array([s for _, s in history.observations], dtype=float)
         want = reference_categories(probs, counts, population)
         for arrays in (grown, built):
-            assert arrays.size == j
             cats, weight, constant = arrays.categories()
             assert cats.shape == want[0].shape and np.array_equal(cats, want[0])
             assert weight.shape == want[1].shape and np.array_equal(weight, want[1])

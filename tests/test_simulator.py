@@ -7,7 +7,6 @@ import pytest
 from pwbandit import (
     AttackTrace,
     Corpus,
-    DescentConfig,
     Dictionary,
     GuessHistory,
     GuessPolicy,
@@ -27,8 +26,6 @@ from pwbandit import (
 from pwbandit.errors import DimensionMismatch, EmptyInput
 
 from helpers import assert_trace_dominated, grid_loglik_max, zipf_dictionary
-
-CHEAP = DescentConfig(max_steps=20)
 
 
 def test_largest_remainder_exact_shares():
@@ -118,6 +115,8 @@ def test_optimal_baseline_frozen_curve():
     ps = PasswordSet(("a", "a", "a", "b", "b", "c"))
     assert optimal_baseline(ps, 2) == (3, 5)
     assert optimal_baseline(ps, 6) == (3, 5, 6, 6, 6, 6)
+    with pytest.raises(ValueError):
+        optimal_baseline(ps, 0)
 
 
 def test_optimal_baseline_breaks_count_ties_lexicographically():
@@ -125,7 +124,7 @@ def test_optimal_baseline_breaks_count_ties_lexicographically():
     assert optimal_baseline(ps, 1) == (2,)
     trace = run_attack(
         Corpus((Dictionary("d", (("a", 1), ("b", 1))),)),
-        ps, InitPolicy.AVERAGE, GuessPolicy.BY_Q, 1, CHEAP,
+        ps, InitPolicy.AVERAGE, GuessPolicy.BY_Q, 1,
     )
     assert trace.records[0].word == "a"
 
@@ -142,7 +141,7 @@ def test_attack_trace_validates_running_sum():
 def test_run_attack_single_dictionary_matches_baseline():
     c = Corpus((Dictionary("d", (("a", 6), ("b", 3), ("c", 1))),))
     ps = compose_password_set(c, MixtureWeights((1.0,)), 500, seed=8)
-    trace = run_attack(c, ps, InitPolicy.AVERAGE, GuessPolicy.BY_Q, 5, CHEAP)
+    trace = run_attack(c, ps, InitPolicy.AVERAGE, GuessPolicy.BY_Q, 5)
     # Three distinct candidates truncate a five-guess budget.
     assert len(trace.records) == 3
     assert [r.word for r in trace.records] == ["a", "b", "c"]
@@ -164,9 +163,9 @@ def test_run_attack_recovers_a_pure_source(disjoint_pair):
 def test_run_attack_is_deterministic(disjoint_pair):
     ps = compose_password_set(disjoint_pair, MixtureWeights((0.7, 0.3)), 300, seed=21)
     first = run_attack(disjoint_pair, ps, InitPolicy.RANDOM, GuessPolicy.RANDOM_DICTIONARY,
-                       4, CHEAP, seed=17)
+                       4, seed=17)
     second = run_attack(disjoint_pair, ps, InitPolicy.RANDOM, GuessPolicy.RANDOM_DICTIONARY,
-                        4, CHEAP, seed=17)
+                        4, seed=17)
     assert first == second
 
 
@@ -177,9 +176,9 @@ def test_a_budget_beyond_the_vocabulary_gives_the_vocabulary_budgets_trace(polic
     c = Corpus((Dictionary("d1", (("a", 6), ("b", 3), ("c", 1))),
                 Dictionary("d2", (("c", 5), ("b", 4)))))
     ps = compose_password_set(c, MixtureWeights((0.6, 0.4)), 500, seed=8)
-    short = run_attack(c, ps, InitPolicy.AVERAGE, policy, 3, CHEAP, seed=5)
+    short = run_attack(c, ps, InitPolicy.AVERAGE, policy, 3, seed=5)
     for m in (sys.maxsize, 10**12):
-        trace = run_attack(c, ps, InitPolicy.AVERAGE, policy, m, CHEAP, seed=5)
+        trace = run_attack(c, ps, InitPolicy.AVERAGE, policy, m, seed=5)
         assert trace.records == short.records
         assert trace.estimates.tobytes() == short.estimates.tobytes()
         assert trace.guess_budget == m
@@ -188,7 +187,7 @@ def test_a_budget_beyond_the_vocabulary_gives_the_vocabulary_budgets_trace(polic
 def test_run_attack_rejects_zero_budget(disjoint_pair):
     ps = compose_password_set(disjoint_pair, MixtureWeights((0.7, 0.3)), 10, seed=0)
     with pytest.raises(ValueError):
-        run_attack(disjoint_pair, ps, InitPolicy.AVERAGE, GuessPolicy.BY_Q, 0, CHEAP)
+        run_attack(disjoint_pair, ps, InitPolicy.AVERAGE, GuessPolicy.BY_Q, 0)
 
 
 def test_no_trace_beats_the_optimal_baseline():
@@ -199,7 +198,7 @@ def test_no_trace_beats_the_optimal_baseline():
     ps = compose_password_set(corpus, MixtureWeights((0.5, 0.5)), 400, seed=6)
     for policy in GuessPolicy:
         for seed in range(3):
-            trace = run_attack(corpus, ps, InitPolicy.BEST, policy, 15, CHEAP, seed=seed)
+            trace = run_attack(corpus, ps, InitPolicy.BEST, policy, 15, seed=seed)
             assert_trace_dominated(trace, ps)
 
 
@@ -229,7 +228,7 @@ def test_average_traces_over_random_runs(disjoint_pair):
     ps = compose_password_set(disjoint_pair, MixtureWeights((0.6, 0.4)), 100, seed=9)
     traces = [
         run_attack(disjoint_pair, ps, InitPolicy.RANDOM, GuessPolicy.RANDOM_DICTIONARY,
-                   4, CHEAP, seed=s)
+                   4, seed=s)
         for s in range(50)
     ]
     mean = average_traces(traces)
