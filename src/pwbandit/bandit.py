@@ -37,8 +37,11 @@ def initialize_weights(policy: InitPolicy, n: int,
 
     RANDOM draws uniformly from the simplex (normalized standard-exponential
     components). BEST returns ``prev``, falling back to the uniform point
-    when no previous estimate exists.
+    when no previous estimate exists. A policy that is not an ``InitPolicy``
+    is a ValueError.
     """
+    if not isinstance(policy, InitPolicy):
+        raise ValueError(f"unknown init policy: {policy!r}")
     if n < 1:
         raise ValueError(f"need n >= 1 dictionaries, got {n}")
     if policy is InitPolicy.AVERAGE:
@@ -185,8 +188,11 @@ def select_guess(policy: GuessPolicy, corpus: Corpus, state: BanditState) -> str
 
     Guessed words are excluded everywhere: a repeated guess compromises
     nobody new. Ties break deterministically (lowest dictionary index for
-    BEST_DICTIONARY, lexicographic least word for BY_Q).
+    BEST_DICTIONARY, lexicographic least word for BY_Q). A policy that is
+    not a ``GuessPolicy`` is a ValueError.
     """
+    if not isinstance(policy, GuessPolicy):
+        raise ValueError(f"unknown guess policy: {policy!r}")
     if policy is GuessPolicy.BY_Q:
         best = _best_by_q(corpus, state)
         return None if best is None else corpus.union_vocabulary[best]
@@ -197,11 +203,9 @@ def select_guess(policy: GuessPolicy, corpus: Corpus, state: BanditState) -> str
         return None
     if policy is GuessPolicy.RANDOM_DICTIONARY:
         i = eligible[int(state.rng.integers(len(eligible)))]
-    elif policy is GuessPolicy.BEST_DICTIONARY:
-        # max keeps the first of equal weights: the lowest dictionary index
-        i = max(eligible, key=state.current_estimate.__getitem__)
     else:
-        raise ValueError(f"unknown guess policy: {policy!r}")
+        # BEST_DICTIONARY. max keeps the first of equal weights: the lowest index
+        i = max(eligible, key=state.current_estimate.__getitem__)
     return corpus.union_vocabulary[corpus.ranked_rows[i][ranks[i]]]
 
 

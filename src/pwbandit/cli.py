@@ -1,10 +1,7 @@
 """Command-line front end: compose password sets, run attacks, emit CSV traces.
 
-Subcommands:
-    compose   draw a synthetic password set and write it with a metadata sidecar
-    attack    run repeated attacks and write per-guess trace and summary CSVs
-    estimate  run the oracle on a fixed guess list and dump the descent trajectory
-    baseline  write the optimal guessing curve for the configured password set
+Each subcommand, its function and its override flags are declared once, in
+``_COMMANDS``; each flag parses its text as the config key it sets does.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 internal error
 (its traceback goes to standard error, before ``internal error: <message>``).
@@ -19,13 +16,14 @@ import csv
 import dataclasses
 import sys
 import traceback
+from enum import EnumMeta
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bandit import GuessPolicy, InitPolicy, initialize_weights
-from .config import ExperimentConfig, load_config
+from .bandit import initialize_weights
+from .config import KEYS, ExperimentConfig, load_config
 from .dictionary import Corpus, load_frequency_file
 from .errors import ConfigError, FrequencyListError
 from .mixture import GuessHistory, MixtureWeights, estimate
@@ -87,7 +85,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
         writer.writerows(rows)
 
 
-def cmd_compose(cfg: ExperimentConfig) -> None:
+def cmd_compose(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     if cfg.proportions is None:
         raise ConfigError("compose needs `proportions` and `users`", field="composition")
     corpus = _build_corpus(cfg)
@@ -127,7 +125,7 @@ def _write_summary_csv(path: Path, mean_curve: Sequence[float],
                 for j, (mean, best) in enumerate(zip(mean_curve, baseline), start=1)))
 
 
-def cmd_attack(cfg: ExperimentConfig) -> None:
+def cmd_attack(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     corpus = _build_corpus(cfg)
     ps = _password_set(cfg, corpus)
     traces = [
@@ -145,7 +143,8 @@ def cmd_attack(cfg: ExperimentConfig) -> None:
           f"(optimal {baseline[-1]}) -> {out / 'trace.csv'}, {out / 'summary.csv'}")
 
 
-def cmd_estimate(cfg: ExperimentConfig, guesses: Sequence[str]) -> None:
+def cmd_estimate(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
+    guesses = args.words
     if len(set(guesses)) != len(guesses):
         raise ConfigError("guess words must be distinct")
     corpus = _build_corpus(cfg)
@@ -165,7 +164,7 @@ def cmd_estimate(cfg: ExperimentConfig, guesses: Sequence[str]) -> None:
           + ", ".join(_fmt(q) for q in final) + f" -> {path}")
 
 
-def cmd_baseline(cfg: ExperimentConfig) -> None:
+def cmd_baseline(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     corpus = _build_corpus(cfg)
     ps = _password_set(cfg, corpus)
     curve = optimal_baseline(ps, cfg.guess_budget)
@@ -176,29 +175,28 @@ def cmd_baseline(cfg: ExperimentConfig) -> None:
           f"at guess {cfg.guess_budget} -> {path}")
 
 
-# The override flags each subcommand reads, and the config field each sets.
-_OVERRIDES = {
-    "compose": {"seed": "composition_seed", "out": "output_dir"},
-    "attack": {"seed": "attack_seed", "out": "output_dir", "runs": "runs",
-               "guesses": "guess_budget", "init": "init_policy", "guess": "guess_policy"},
-    "estimate": {"seed": "attack_seed", "out": "output_dir", "init": "init_policy"},
-    "baseline": {"out": "output_dir", "guesses": "guess_budget"},
+# Each subcommand: its help, its function, and its override flags with the
+# config key each sets.
+_COMMANDS = {
+    "compose": ("draw a synthetic password set from the configured mixture", cmd_compose,
+                {"seed": "composition.seed", "out": "output.dir"}),
+    "attack": ("run repeated guessing attacks and write trace/summary CSVs", cmd_attack,
+               {"seed": "attack.seed", "out": "output.dir", "runs": "attack.runs",
+                "guesses": "attack.guesses", "init": "attack.init", "guess": "attack.guess"}),
+    "estimate": ("estimate mixture weights from a fixed list of guesses", cmd_estimate,
+                 {"seed": "attack.seed", "out": "output.dir", "init": "attack.init"}),
+    "baseline": ("write the optimal-order guessing curve", cmd_baseline,
+                 {"out": "output.dir", "guesses": "attack.guesses"}),
 }
 
 
-def _policy_flag(policy: type[InitPolicy] | type[GuessPolicy], what: str) -> dict:
-    return dict(type=policy, choices=list(policy), help=f"override the {what} policy",
-                metavar="{" + ",".join(p.value for p in policy) + "}")
-
-
-_FLAGS = {
-    "seed": dict(type=int, help="override the composition seed (compose) or attack seed"),
-    "out": dict(help="override the output directory"),
-    "runs": dict(type=int, help="override the run count"),
-    "guesses": dict(type=int, help="override the guess budget"),
-    "init": _policy_flag(InitPolicy, "initialization"),
-    "guess": _policy_flag(GuessPolicy, "guess"),
-}
+def _flag(key: str) -> dict:
+    """A flag that sets ``key``: it parses text as the key does (a policy by choices)."""
+    parse = KEYS[key][1]
+    spec = dict(type=parse, help=f"override {key}")
+    if isinstance(parse, EnumMeta):
+        spec.update(choices=list(parse), metavar="{" + ",".join(p.value for p in parse) + "}")
+    return spec
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -207,25 +205,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Dictionary-mixture password guessing experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "compose": "draw a synthetic password set from the configured mixture",
-        "attack": "run repeated guessing attacks and write trace/summary CSVs",
-        "estimate": "estimate mixture weights from a fixed list of guesses",
-        "baseline": "write the optimal-order guessing curve",
-    }
-    for name, help_text in commands.items():
+    for name, (help_text, run, flags) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="experiment config file")
-        for flag in _OVERRIDES[name]:
-            cmd.add_argument(f"--{flag}", default=None, **_FLAGS[flag])
-        if name == "estimate":
+        for flag, key in flags.items():
+            cmd.add_argument(f"--{flag}", **_flag(key))
+        if run is cmd_estimate:
             cmd.add_argument("words", nargs="+", help="the fixed guess list, in order")
     return parser
 
 
 def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
     """The config with the given flags applied, validated again as a whole."""
-    changes = {field: getattr(args, flag) for flag, field in _OVERRIDES[args.command].items()
+    changes = {KEYS[key][0]: getattr(args, flag)
+               for flag, key in _COMMANDS[args.command][2].items()
                if getattr(args, flag) is not None}
     return dataclasses.replace(cfg, **changes)
 
@@ -234,14 +227,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _apply_overrides(load_config(args.config), args)
-        if args.command == "compose":
-            cmd_compose(cfg)
-        elif args.command == "attack":
-            cmd_attack(cfg)
-        elif args.command == "estimate":
-            cmd_estimate(cfg, args.words)
-        elif args.command == "baseline":
-            cmd_baseline(cfg)
+        _COMMANDS[args.command][1](cfg, args)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

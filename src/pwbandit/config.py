@@ -54,7 +54,7 @@ def _proportions(text: str) -> MixtureWeights:
 # parser of the key's text, least and greatest integer value or None). A
 # count of users or guesses sizes arrays, so it may not exceed sys.maxsize.
 # The free-form [dictionaries] section is not in it.
-_KEYS = {
+KEYS = {
     "composition.passwords": ("password_file", str, None, None),
     "composition.proportions": ("proportions", _proportions, None, None),
     "composition.users": ("population", int, 1, sys.maxsize),
@@ -66,7 +66,7 @@ _KEYS = {
     "attack.seed": ("attack_seed", int, 0, None),
     "output.dir": ("output_dir", str, None, None),
 }
-_SECTIONS = {key.partition(".")[0] for key in _KEYS}
+_SECTIONS = {key.partition(".")[0] for key in KEYS}
 # The operating system cannot open such a path: open() raises ValueError.
 _NUL_IN_PATH = "a path may not contain a NUL character"
 
@@ -93,7 +93,7 @@ class ExperimentConfig:
         for key, path in paths:
             if path is not None and "\0" in path:
                 raise ConfigError(_NUL_IN_PATH, field=key)
-        for key, (field, _, least, greatest) in _KEYS.items():
+        for key, (field, _, least, greatest) in KEYS.items():
             value = getattr(self, field)
             if value is None:
                 continue
@@ -136,9 +136,9 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"unknown section [{section}]", field=section)
         for key, value in parser[section].items():
             where = f"{section}.{key}"
-            if where not in _KEYS:
+            if where not in KEYS:
                 raise ConfigError(f"unknown key {key!r}", field=where)
-            field, parse, *_ = _KEYS[where]
+            field, parse, *_ = KEYS[where]
             try:
                 fields[field] = parse(value)
             except ValueError as exc:
@@ -160,7 +160,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     lines = ["[dictionaries]"]
     lines += [f"{name} = {path}" for name, path in cfg.dictionaries]
     section = "dictionaries"
-    for key, (field, *_) in _KEYS.items():
+    for key, (field, *_) in KEYS.items():
         value = getattr(cfg, field)
         if value is None:
             continue

@@ -64,8 +64,25 @@ def test_init_and_selection_reject_bad_arguments(overlap_pair):
     with pytest.raises(ValueError):
         initialize_weights(InitPolicy.AVERAGE, 0)
     state = new_state(overlap_pair, 100, InitPolicy.AVERAGE, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="unknown guess policy"):
+    with pytest.raises(ValueError, match="unknown guess policy: 'by-q'"):
         select_guess("by-q", overlap_pair, state)
+    # With every word guessed the members return None; a non-member still raises.
+    mark_guessed(overlap_pair, state, "a", "b", "c")
+    assert all(select_guess(policy, overlap_pair, state) is None for policy in GuessPolicy)
+    with pytest.raises(ValueError, match="unknown guess policy: 'by-q'"):
+        select_guess("by-q", overlap_pair, state)
+
+
+def test_an_init_policy_that_is_not_a_member_is_rejected_before_any_draw(overlap_pair):
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    for rng_arg in (rng, None):
+        with pytest.raises(ValueError, match="unknown init policy: 'average'"):
+            initialize_weights("average", 3, rng=rng_arg)
+    assert rng.bit_generator.state == before
+    ps = compose_password_set(overlap_pair, MixtureWeights((0.5, 0.5)), 20, seed=1)
+    with pytest.raises(ValueError, match="unknown init policy: 'average'"):
+        run_attack(overlap_pair, ps, "average", GuessPolicy.BY_Q, 2, seed=0)
 
 
 def test_random_init_is_uniform_on_simplex():

@@ -1,4 +1,5 @@
 import csv
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -6,9 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-import pwbandit.cli
 from pwbandit import GuessPolicy, InitPolicy, MixtureWeights, PasswordSet
-from pwbandit.cli import _OVERRIDES, _apply_overrides, _build_parser, _load_password_lines, main
+from pwbandit.cli import _COMMANDS, _apply_overrides, _build_parser, _load_password_lines, main
 from pwbandit.config import (
     ExperimentConfig,
     load_config,
@@ -105,10 +105,10 @@ def overrides_st(draw, command):
               "guesses": st.integers(-3, 1000), "out": paths_st,
               "init": st.sampled_from([p.value for p in InitPolicy]),
               "guess": st.sampled_from([p.value for p in GuessPolicy])}
-    return {flag: draw(values[flag]) for flag in _OVERRIDES[command] if draw(st.booleans())}
+    return {flag: draw(values[flag]) for flag in _COMMANDS[command][2] if draw(st.booleans())}
 
 
-@given(configs_st(), st.sampled_from(list(_OVERRIDES)), st.data())
+@given(configs_st(), st.sampled_from(list(_COMMANDS)), st.data())
 def test_config_round_trips_after_cli_overrides(cfg, command, data):
     flags = data.draw(overrides_st(command))
     argv = [command, "--config", "unused.ini"]
@@ -124,6 +124,73 @@ def test_config_round_trips_after_cli_overrides(cfg, command, data):
         return
     overridden = _apply_overrides(cfg, args)
     assert parse_config(serialize_config(overridden)) == overridden
+
+
+# Texts for a flag or its config key: in-range, negative and huge integers,
+# non-ASCII digits, policy names and garbage. None has ";", "#" or outer
+# spaces, which configparser strips or reads as a comment.
+FLAG_TEXTS = ["0", "7", "-1", "-3", str(10**20), str(-(10**20)), "9" * 5000,
+              "\u0661\u0662", "\uff13", "1_000", "007", "0x10", "0b1", "1e3", "+7", "",
+              "-", "-x", "nan", "a\0b", "out/dir", "Average", "BY_Q", "random dict",
+              *(p.value for p in InitPolicy), *(p.value for p in GuessPolicy)]
+FLAG_KEYS = [(command, flag, key)
+             for command, (_, _, flags) in _COMMANDS.items() for flag, key in flags.items()]
+KEY_BASE = "[dictionaries]\nd = d.tsv\n\n[composition]\nproportions = 1.0\nusers = 10\n"
+
+
+def config_outcome(make):
+    """The config ``make`` returns, or the key its ConfigError names."""
+    try:
+        return make()
+    except ConfigError as exc:
+        return exc.field
+
+
+def assert_every_flag_reads_text_as_its_key(text):
+    """Each flag accepts ``text`` exactly when its config key does, with an
+    equal config; a rejected text is an error naming the key either way."""
+    for command, flag, key in FLAG_KEYS:
+        section, _, name = key.partition(".")
+        header = "" if section == "composition" else f"[{section}]\n"
+        from_file = config_outcome(lambda: parse_config(f"{KEY_BASE}{header}{name} = {text}\n"))
+        argv = [command, "--config", "unused.ini", f"--{flag}={text}"]
+        if command == "estimate":
+            argv.append("beta")
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit:
+            assert from_file == key, (flag, text)
+            continue
+        from_flag = config_outcome(lambda: _apply_overrides(parse_config(KEY_BASE), args))
+        assert from_flag == from_file, (flag, text)
+
+
+@pytest.mark.parametrize("text", FLAG_TEXTS)
+def test_a_flag_accepts_and_rejects_the_texts_its_config_key_does(text):
+    assert_every_flag_reads_text_as_its_key(text)
+
+
+@given(st.one_of(st.integers(-(10**25), 10**25).map(str),
+                 st.text(st.characters(blacklist_characters=";#\n\r",
+                                       blacklist_categories=("Cs",)), max_size=8)
+                 .map(str.strip)))
+def test_a_flag_reads_drawn_texts_as_its_config_key_does(text):
+    assert_every_flag_reads_text_as_its_key(text)
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_help_lists_exactly_the_flags_of_the_table(command, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        _build_parser().parse_args([command, "--help"])
+    assert exit_.value.code == 0
+    text = capsys.readouterr().out
+    flags = _COMMANDS[command][2]
+    assert set(re.findall(r"--(\w+)", text)) == {"help", "config", *flags}
+    for flag, key in flags.items():
+        assert f"override {key}" in text
+    for flag, policy in (("init", InitPolicy), ("guess", GuessPolicy)):
+        choices = "{" + ",".join(p.value for p in policy) + "}"
+        assert (f"--{flag} {choices}" in text) == (flag in flags)
 
 
 @pytest.mark.parametrize("mutation, field", [
@@ -415,10 +482,11 @@ def test_exit_codes(workdir, capsys):
 
 
 def test_internal_error_prints_its_traceback(workdir, capsys, monkeypatch):
-    def fail(cfg):
+    def fail(cfg, args):
         raise RuntimeError("invariant broken")
 
-    monkeypatch.setattr(pwbandit.cli, "cmd_baseline", fail)
+    help_text, _, flags = _COMMANDS["baseline"]
+    monkeypatch.setitem(_COMMANDS, "baseline", (help_text, fail, flags))
     assert main(["baseline", "--config", str(workdir / "experiment.ini")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("Traceback (most recent call last):")
