@@ -30,6 +30,12 @@ class GuessPolicy(Enum):
     BY_Q = "by-q"
 
 
+def require_policy(policy, kind: type[Enum], name: str) -> None:
+    """ValueError unless ``policy`` is a member of ``kind``, the ``name`` policy."""
+    if not isinstance(policy, kind):
+        raise ValueError(f"unknown {name} policy: {policy!r}")
+
+
 def initialize_weights(policy: InitPolicy, n: int,
                        prev: MixtureWeights | None = None,
                        rng: np.random.Generator | None = None) -> MixtureWeights:
@@ -40,18 +46,39 @@ def initialize_weights(policy: InitPolicy, n: int,
     when no previous estimate exists. A policy that is not an ``InitPolicy``
     is a ValueError.
     """
-    if not isinstance(policy, InitPolicy):
-        raise ValueError(f"unknown init policy: {policy!r}")
+    require_policy(policy, InitPolicy, "init")
     if n < 1:
         raise ValueError(f"need n >= 1 dictionaries, got {n}")
     if policy is InitPolicy.AVERAGE:
         return MixtureWeights.uniform(n)
     if policy is InitPolicy.BEST:
         return prev if prev is not None else MixtureWeights.uniform(n)
+    return _random_start(n, rng)[1]
+
+
+def _random_start(n: int, rng: np.random.Generator | None) -> tuple[np.ndarray, MixtureWeights]:
+    """RANDOM's start, as an array and as the MixtureWeights that checks it."""
     if rng is None:
         raise ValueError("random initialization needs an rng")
     draws = rng.standard_exponential(n)
-    return MixtureWeights(draws / draws.sum())
+    w = draws / np.add.reduce(draws)  # the reduction draws.sum() makes
+    return w, MixtureWeights(w.tolist())
+
+
+def _start(policy: InitPolicy, n: int, prev: MixtureWeights,
+           rng: np.random.Generator) -> np.ndarray:
+    """The point of :func:`initialize_weights` as the array a descent starts
+    from, for a member ``policy`` and the previous estimate ``prev``.
+
+    The uniform point depends only on n, and ``MixtureWeights.uniform`` builds
+    and checks the same point (as ``new_state``'s first estimate under AVERAGE
+    and BEST), so it is not checked again on every guess.
+    """
+    if policy is InitPolicy.AVERAGE:
+        return np.array((1.0 / n,) * n)
+    if policy is InitPolicy.BEST:
+        return np.array(prev.q)
+    return _random_start(n, rng)[0]
 
 
 @dataclass
@@ -105,7 +132,7 @@ def _next_unguessed(corpus: Corpus, state: BanditState, i: int) -> int:
     """Rank of dictionary i's most popular unguessed word (its length when
     every word is guessed), moving its cursor up to it."""
     rows, rank, guessed = corpus.ranked_rows[i], state.cursors[i], state.guessed
-    while rank < len(rows) and guessed[rows[rank]]:
+    while rank < rows.size and guessed[rows[rank]]:
         rank += 1
     state.cursors[i] = rank
     return rank
@@ -127,7 +154,7 @@ def _by_q_candidates(corpus: Corpus, state: BanditState, q: np.ndarray,
     """
     probs, ranked = corpus.vocab_probs, corpus.ranked_rows
     ranks = [_next_unguessed(corpus, state, i) for i in range(len(ranked))]
-    live = [i for i, rank in enumerate(ranks) if rank < len(ranked[i])]
+    live = [i for i, rank in enumerate(ranks) if rank < ranked[i].size]
     if not live:
         return np.empty(0, dtype=np.intp)
     floor = probs[[ranked[i][ranks[i]] for i in live]].dot(q).max() / q.sum() * (1.0 - slack)
@@ -135,7 +162,7 @@ def _by_q_candidates(corpus: Corpus, state: BanditState, q: np.ndarray,
     for i in live:
         rows, rank = ranked[i], ranks[i]
         end, span = rank, 1
-        while end < len(rows) and probs[rows[end], i] >= floor:
+        while end < rows.size and probs[rows[end], i] >= floor:
             end, span = rank + span, 2 * span + 1
         parts.append(rows[rank:end])
     return np.concatenate(parts)
@@ -153,13 +180,13 @@ def _best_by_q(corpus: Corpus, state: BanditState) -> int | None:
     """Row of the unguessed word with the highest ``vocab_probs @ q`` score,
     the lowest row among equal scores; None once every word is guessed."""
     probs, guessed = corpus.vocab_probs, state.guessed
-    q = np.asarray(state.current_estimate)
+    q = np.array(state.current_estimate.q)
     if probs.size <= _FULL_SCORE_ENTRIES:
         return _best_of_all_rows(probs, guessed, q)
     # Any rounding of a sum of n non-negative products q_i p_i (in any order,
     # fused or not) is within n eps of the exact sum, relatively. The slack
     # covers two such roundings, plus those of sum(q) and of floor.
-    slack = 8 * (len(q) + 2) * _EPS
+    slack = 8 * (q.size + 2) * _EPS
     rows = _by_q_candidates(corpus, state, q, slack)
     if not rows.size:
         return None
@@ -191,22 +218,28 @@ def select_guess(policy: GuessPolicy, corpus: Corpus, state: BanditState) -> str
     BEST_DICTIONARY, lexicographic least word for BY_Q). A policy that is
     not a ``GuessPolicy`` is a ValueError.
     """
-    if not isinstance(policy, GuessPolicy):
-        raise ValueError(f"unknown guess policy: {policy!r}")
-    if policy is GuessPolicy.BY_Q:
-        best = _best_by_q(corpus, state)
-        return None if best is None else corpus.union_vocabulary[best]
+    require_policy(policy, GuessPolicy, "guess")
+    row = select_row(policy, corpus, state)
+    return None if row is None else corpus.union_vocabulary[row]
 
-    ranks = [_next_unguessed(corpus, state, i) for i in range(len(corpus))]
-    eligible = [i for i, rank in enumerate(ranks) if rank < len(corpus.ranked_rows[i])]
+
+def select_row(policy: GuessPolicy, corpus: Corpus, state: BanditState) -> int | None:
+    """:func:`select_guess`'s word as its ``union_vocabulary`` row, for a
+    member ``policy``. Package-internal: ``run_attack`` hands the row on to
+    :func:`observe`, so nothing looks the word up again."""
+    if policy is GuessPolicy.BY_Q:
+        return _best_by_q(corpus, state)
+    ranked = corpus.ranked_rows
+    ranks = [_next_unguessed(corpus, state, i) for i in range(len(ranked))]
+    eligible = [i for i, rank in enumerate(ranks) if rank < ranked[i].size]
     if not eligible:
         return None
     if policy is GuessPolicy.RANDOM_DICTIONARY:
         i = eligible[int(state.rng.integers(len(eligible)))]
     else:
         # BEST_DICTIONARY. max keeps the first of equal weights: the lowest index
-        i = max(eligible, key=state.current_estimate.__getitem__)
-    return corpus.union_vocabulary[corpus.ranked_rows[i][ranks[i]]]
+        i = max(eligible, key=state.current_estimate.q.__getitem__)
+    return int(ranked[i][ranks[i]])
 
 
 def record_observation(state: BanditState, word: str, successes: int,
@@ -218,17 +251,33 @@ def record_observation(state: BanditState, word: str, successes: int,
     the likelihood shifts mass away from dictionaries that ranked the failed
     word highly. An invalid observation (a repeated word, successes that are
     not a non-negative integer or exceed the users left) raises ValueError
-    and leaves the state as it was.
+    and leaves the state as it was, as does an ``init`` that is not an
+    ``InitPolicy``.
+    """
+    require_policy(init, InitPolicy, "init")
+    observe(state, word, corpus.row(word), successes, corpus, init, cfg)
+    return state
+
+
+def observe(state: BanditState, word: str, row: int | None, successes: int,
+            corpus: Corpus, init: InitPolicy, cfg: DescentConfig = DescentConfig()) -> None:
+    """:func:`record_observation` of ``word``, whose ``union_vocabulary`` row
+    is ``row`` (None if no dictionary ranks it), for a member ``init``.
+    Package-internal, like :func:`select_row`.
+
+    The descent is :func:`maximize`, which computes no log-likelihood. The
+    estimate it returns is the one ``MixtureWeights`` a guess builds under
+    AVERAGE and BEST init; RANDOM builds one more, to check its start.
     """
     arrays = state.arrays
     successes = check_observation(word, successes, state.observed,
                                   arrays.population - arrays.successes)
-    v = corpus.row(word)
     state.observed[word] = successes
-    if v is not None:
-        state.guessed[v] = True
-    arrays.append(None if v is None else corpus.vocab_probs[v], successes)
-    state.previous_estimate = state.current_estimate
-    start = initialize_weights(init, len(corpus), prev=state.previous_estimate, rng=state.rng)
-    state.current_estimate, _, _ = maximize(arrays, np.asarray(start), cfg)
-    return state
+    if row is None:
+        arrays.append(None, successes)
+    else:
+        state.guessed[row] = True
+        arrays.append(corpus.vocab_probs[row], successes)
+    state.previous_estimate = prev = state.current_estimate
+    start = _start(init, arrays.prob_totals.size, prev, state.rng)
+    state.current_estimate, _, _ = maximize(arrays, start, cfg)

@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bandit import GuessPolicy, InitPolicy, new_state, record_observation, select_guess
+from .bandit import GuessPolicy, InitPolicy, new_state, observe, require_policy, select_row
 from .dictionary import Corpus
 from .errors import DimensionMismatch, EmptyInput
 from .mixture import MixtureWeights
@@ -179,16 +179,21 @@ def run_attack(corpus: Corpus, ps: PasswordSet, init: InitPolicy, guess: GuessPo
     Each iteration selects a word, asks the oracle how many users it
     compromises, and re-estimates the mixture weights. Every policy picks
     an unguessed vocabulary word while one is left, so a budget beyond the
-    vocabulary ends once every word is guessed.
+    vocabulary ends once every word is guessed. Each guess is
+    ``select_guess`` and ``record_observation`` with the policies checked
+    once, and with the word's vocabulary row handed from one to the other.
     """
     if m < 1:
         raise ValueError(f"guess budget must be >= 1, got {m}")
     rng = np.random.default_rng(seed)
     state = new_state(corpus, ps.size, init, rng)
-    estimates = np.zeros((min(m, len(corpus.union_vocabulary)), len(corpus)))
+    require_policy(guess, GuessPolicy, "guess")
+    vocabulary = corpus.union_vocabulary
+    estimates = np.zeros((min(m, len(vocabulary)), len(corpus)))
     for j in range(len(estimates)):
-        word = select_guess(guess, corpus, state)
-        record_observation(state, word, oracle_count(ps, word), corpus, init)
+        row = select_row(guess, corpus, state)
+        word = vocabulary[row]
+        observe(state, word, row, oracle_count(ps, word), corpus, init)
         estimates[j] = state.current_estimate.q
     successes = np.fromiter(state.observed.values(), dtype=np.int64, count=len(state.observed))
     counts = np.column_stack([successes, np.cumsum(successes)])

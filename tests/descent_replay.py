@@ -31,9 +31,13 @@ to print, for each instance,
   in one replay, and how many of their solves differ in bits from
   ``_reduced_direction``'s solve of the same system, which must be 0;
 
-and check that each replayed descent returns what it returned in its attack.
-With ``out.json`` it also writes one record per descent (its instance,
-steps, log-likelihood and estimate) to compare two trees descent by descent.
+and, per guess, the C-level calls of the attacks by the function that
+makes them, with the C functions each calls most; and check that each
+replayed descent returns what it returned in its attack. With ``out.json``
+it also writes one record per descent (its instance, steps, log-likelihood
+and estimate) to compare two trees descent by descent. An attack's descent
+computes no log-likelihood, so a record's is that of :func:`pwbandit.estimate`
+on the same descent: the start's value plus each step's gain, in order.
 """
 
 import json
@@ -41,7 +45,7 @@ import statistics
 import struct
 import sys
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -81,7 +85,8 @@ SOLVERS = ("_reduced_pair", "_reduced_triple", "_reduced_direction")
 
 class Captured:
     """A descent as :func:`maximize` reads it: the categories, the
-    population and the start, with the result it gave in its attack."""
+    population and the start, with the result it gave in its attack (the
+    weights, the gain of its steps and the steps)."""
 
     def __init__(self, arrays, w, cfg):
         cats, weight, constant = arrays.categories()
@@ -123,20 +128,35 @@ def capture(instance: Instance, corpus, ps) -> tuple[list[Captured], int]:
     return descents, guesses
 
 
-def calls(instance: Instance, corpus, ps) -> tuple[int, int]:
-    """The C-level and Python calls of the slots."""
-    counts = {"c_call": 0, "call": 0}
+def calls(instance: Instance, corpus, ps) -> tuple[dict[str, Counter], int]:
+    """The C-level calls of the slots, by the function that makes them and
+    the C function called, and the count of their Python calls."""
+    by_caller, python = defaultdict(Counter), [0]
 
     def count(frame, event, arg):
-        if event in counts:
-            counts[event] += 1
+        if event == "c_call":
+            by_caller[frame.f_code.co_qualname][getattr(arg, "__qualname__", arg.__name__)] += 1
+        elif event == "call":
+            python[0] += 1
 
     sys.setprofile(count)
     try:
         attacks(instance, corpus, ps)
     finally:
         sys.setprofile(None)
-    return counts["c_call"], counts["call"]
+    return by_caller, python[0]
+
+
+def breakdown(by_caller: dict[str, Counter], guesses: int, least: float = 0.05) -> str:
+    """Lines of C-level calls per guess by the function that makes them,
+    most first, each with its three most called C functions; callers below
+    ``least`` a guess are left out."""
+    lines = []
+    for caller, callees in sorted(by_caller.items(), key=lambda item: -item[1].total()):
+        if callees.total() >= least * guesses:
+            top = ", ".join(f"{name} {n / guesses:.2f}" for name, n in callees.most_common(3))
+            lines.append(f"  {caller:32} {callees.total() / guesses:6.2f}  ({top})")
+    return "\n".join(lines)
 
 
 def solves(descents: list[Captured]) -> tuple[Counter, int, int]:
@@ -188,6 +208,16 @@ def replay(descents: list[Captured]) -> float:
     return elapsed
 
 
+def record(name: str, k: int, d: Captured) -> dict:
+    """The record of a descent, with the log-likelihood :func:`estimate`
+    gives it; the weights and steps must be the attack's."""
+    weights, loglik, steps = mixture._estimate_arrays(d, d.start.copy(), d.cfg)
+    if (weights, steps) != (d.result[0], d.result[2]):
+        raise SystemExit(f"{name}: descent {k} differs from its attack when valued")
+    return {"instance": name, "descent": k, "steps": steps, "loglik": loglik,
+            "q": list(weights.q)}
+
+
 if __name__ == "__main__":
     repetitions = int(sys.argv[1]) if len(sys.argv) > 1 else 20
     records = []
@@ -196,10 +226,10 @@ if __name__ == "__main__":
         descents, guesses = capture(instance, corpus, ps)
         steps = sum(d.result[2] for d in descents)
         times = [replay(descents) for _ in range(repetitions)]
-        c_calls, py_calls = calls(instance, corpus, ps)
+        by_caller, py_calls = calls(instance, corpus, ps)
+        c_calls = sum(callees.total() for callees in by_caller.values())
         sizes, fast, differ = solves(descents)
-        records += [{"instance": name, "descent": k, "steps": d.result[2], "loglik": d.result[1],
-                     "q": list(d.result[0].q)} for k, d in enumerate(descents)]
+        records += [record(name, k, d) for k, d in enumerate(descents)]
         per_step = [1e6 * t / steps for t in times]
         print(f"{name}: {len(descents)} descents, {steps} steps over {guesses} guesses; replay "
               f"{min(per_step):.2f} us a step at best, median "
@@ -209,6 +239,8 @@ if __name__ == "__main__":
               f"directions, {sizes[3]} starting with three free coordinates, {sizes[4]} "
               f"with four; {fast} systems solved in straight-line code, {differ} of them "
               f"differing in bits from the reference's solve")
+        print(f"{name}: C-level calls per guess, by the function that makes them\n"
+              + breakdown(by_caller, guesses))
         if differ:
             raise SystemExit(f"{name}: {differ} straight-line solves differ from the reference")
         del corpus, ps, descents

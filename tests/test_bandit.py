@@ -1,4 +1,5 @@
 import copy
+from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
 
@@ -457,3 +458,69 @@ def test_an_attack_sums_nothing_over_its_history(monkeypatch):
     history = GuessHistory(ps.size, tuple(zip(trace.words, trace.counts[:, 0].tolist())))
     log_likelihood(corpus, trace.estimates[-1], history)
     assert calls == ["of", "rows"]
+
+
+def by_hand(corpus, ps, init, guess, m, seed):
+    """An attack driven through the public per-guess functions, as
+    ``perfbench/harness.py`` drives one: its words, successes and estimates."""
+    state = new_state(corpus, ps.size, init, np.random.default_rng(seed))
+    words, successes, estimates = [], [], []
+    for _ in range(m):
+        word = select_guess(guess, corpus, state)
+        if word is None:
+            break
+        successes.append(oracle_count(ps, word))
+        record_observation(state, word, successes[-1], corpus, init)
+        words.append(word)
+        estimates.append(state.current_estimate.q)
+    return tuple(words), successes, np.array(estimates)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_run_attack_is_the_public_per_guess_path_bit_for_bit(n):
+    # run_attack hands each selected row to the observation step and checks
+    # its policies once; select_guess and record_observation look the word up
+    # and check them on every guess. Both must make the same guesses and
+    # estimates, to the last bit, including a budget past the vocabulary.
+    weights = (0.5, 0.3, 0.2) if n == 3 else (0.4, 0.3, 0.2, 0.1)
+    for corpus, m in ((overlap_corpus(n, 60, 20, exponent=0.4, seed=1000), 40),
+                      (overlap_corpus(n, 8, 3, exponent=0.4, seed=7), 50)):
+        ps = compose_password_set(corpus, MixtureWeights(weights), 2_000, seed=42)
+        for init in InitPolicy:
+            for guess in GuessPolicy:
+                trace = run_attack(corpus, ps, init, guess, m, seed=3)
+                words, successes, estimates = by_hand(corpus, ps, init, guess, m, seed=3)
+                assert trace.words == words
+                assert trace.counts[:, 0].tolist() == successes
+                assert trace.estimates.tobytes() == estimates.tobytes()
+        assert len(words) == min(m, len(corpus.union_vocabulary))
+    assert len(words) == len(corpus.union_vocabulary) < m
+
+
+def test_an_attack_looks_up_no_word_and_values_no_start(monkeypatch):
+    # run_attack hands the row that selection took to the observation step,
+    # builds one MixtureWeights per guess (the estimate; RANDOM init builds
+    # one more to check its start) besides the state's first estimate, and
+    # computes no log-likelihood: its descents need only the gains.
+    corpus = overlap_corpus(3, 200, 80, exponent=0.4, seed=1000)
+    ps = compose_password_set(corpus, MixtureWeights((0.6, 0.3, 0.1)), 10_000, seed=42)
+    calls = Counter()
+    row, post_init, log = Corpus.row, MixtureWeights.__post_init__, np.log
+    monkeypatch.setattr(Corpus, "row", lambda self, word: calls.update(["row"]) or row(self, word))
+    monkeypatch.setattr(MixtureWeights, "__post_init__",
+                        lambda self: calls.update(["weights"]) or post_init(self))
+    monkeypatch.setattr(np, "log", lambda *args, **kwargs: calls.update(["log"])
+                        or log(*args, **kwargs))
+    for init in InitPolicy:
+        for guess in GuessPolicy:
+            calls.clear()
+            guesses = len(run_attack(corpus, ps, init, guess, 60, seed=1).words)
+            assert guesses == 60 and calls["row"] == calls["log"] == 0
+            per_guess = 2 if init is InitPolicy.RANDOM else 1
+            assert calls["weights"] == 1 + per_guess * guesses
+    # The public functions still look the word up and value the start.
+    state = new_state(corpus, ps.size, InitPolicy.AVERAGE, np.random.default_rng(0))
+    word = select_guess(GuessPolicy.BY_Q, corpus, state)
+    record_observation(state, word, oracle_count(ps, word), corpus, InitPolicy.AVERAGE)
+    estimate(corpus, state.history, MixtureWeights.uniform(3))
+    assert calls["row"] >= 1 and calls["log"] >= 1

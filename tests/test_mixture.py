@@ -1212,3 +1212,25 @@ def test_near_duplicate_descents_certify_with_the_solvers_gap(instance):
     assert observed.min(initial=1.0) > PROBABILITY_FLOOR
     g = cats.T @ (weight / observed)
     assert g.max() - g @ q == gap
+
+
+@pytest.mark.parametrize("n, live", [(3, 0), (1, 5), (3, 15), (3, 16), (4, 32)])
+def test_the_hessian_formed_row_major_has_the_transposed_form_s_bits(n, live):
+    # maximize scales the category rows as cats * s[:, None] and transposes,
+    # where it scaled cats.T * s: the same products in the same
+    # Fortran-ordered memory, so the same BLAS product and the same bits.
+    # Shapes: only the rest category (k = 1), one dictionary, and k = 16, 17
+    # and 33, about the sizes where the buffers double.
+    rng = np.random.default_rng(live)
+    arrays = HistoryArrays(n, 10 ** 6)
+    for _ in range(live):
+        arrays.append(rng.random(n) / (4 * live), int(rng.integers(1, 100)))
+    cats, weight, _ = arrays.categories()
+    assert cats.shape == (live + 1, n)
+    observed = cats.dot(rng.dirichlet(np.ones(n)))
+    ratio = weight / observed
+    scaled = ratio / observed
+    old, new = cats.T * scaled, (cats * scaled[:, None]).T
+    assert (new.flags.c_contiguous, new.flags.f_contiguous) == (old.flags.c_contiguous,
+                                                                 old.flags.f_contiguous)
+    assert new.dot(cats).tobytes() == old.dot(cats).tobytes()
