@@ -49,36 +49,24 @@ def initialize_weights(policy: InitPolicy, n: int,
     require_policy(policy, InitPolicy, "init")
     if n < 1:
         raise ValueError(f"need n >= 1 dictionaries, got {n}")
-    if policy is InitPolicy.AVERAGE:
-        return MixtureWeights.uniform(n)
-    if policy is InitPolicy.BEST:
-        return prev if prev is not None else MixtureWeights.uniform(n)
-    return _random_start(n, rng)[1]
+    if policy is InitPolicy.BEST and prev is not None:
+        return prev
+    return MixtureWeights(_start(policy, n, prev, rng).tolist())
 
 
-def _random_start(n: int, rng: np.random.Generator | None) -> tuple[np.ndarray, MixtureWeights]:
-    """RANDOM's start, as an array and as the MixtureWeights that checks it."""
-    if rng is None:
-        raise ValueError("random initialization needs an rng")
-    draws = rng.standard_exponential(n)
-    w = draws / np.add.reduce(draws)  # the reduction draws.sum() makes
-    return w, MixtureWeights(w.tolist())
-
-
-def _start(policy: InitPolicy, n: int, prev: MixtureWeights,
-           rng: np.random.Generator) -> np.ndarray:
+def _start(policy: InitPolicy, n: int, prev: MixtureWeights | None,
+           rng: np.random.Generator | None) -> np.ndarray:
     """The point of :func:`initialize_weights` as the array a descent starts
-    from, for a member ``policy`` and the previous estimate ``prev``.
-
-    The uniform point depends only on n, and ``MixtureWeights.uniform`` builds
-    and checks the same point (as ``new_state``'s first estimate under AVERAGE
-    and BEST), so it is not checked again on every guess.
-    """
-    if policy is InitPolicy.AVERAGE:
-        return np.array((1.0 / n,) * n)
-    if policy is InitPolicy.BEST:
+    from, for a member ``policy``, unchecked: the attack path builds no
+    ``MixtureWeights`` for it."""
+    if policy is InitPolicy.RANDOM:
+        if rng is None:
+            raise ValueError("random initialization needs an rng")
+        draws = rng.standard_exponential(n)
+        return draws / np.add.reduce(draws)  # the reduction draws.sum() makes
+    if policy is InitPolicy.BEST and prev is not None:
         return np.array(prev.q)
-    return _random_start(n, rng)[0]
+    return np.array((1.0 / n,) * n)
 
 
 @dataclass
@@ -266,8 +254,7 @@ def observe(state: BanditState, word: str, row: int | None, successes: int,
     Package-internal, like :func:`select_row`.
 
     The descent is :func:`maximize`, which computes no log-likelihood. The
-    estimate it returns is the one ``MixtureWeights`` a guess builds under
-    AVERAGE and BEST init; RANDOM builds one more, to check its start.
+    estimate it returns is the one ``MixtureWeights`` a guess builds.
     """
     arrays = state.arrays
     successes = check_observation(word, successes, state.observed,
@@ -280,4 +267,4 @@ def observe(state: BanditState, word: str, row: int | None, successes: int,
         arrays.append(corpus.vocab_probs[row], successes)
     state.previous_estimate = prev = state.current_estimate
     start = _start(init, arrays.prob_totals.size, prev, state.rng)
-    state.current_estimate, _, _ = maximize(arrays, start, cfg)
+    state.current_estimate, _ = maximize(arrays, start, cfg)

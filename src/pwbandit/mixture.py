@@ -201,13 +201,14 @@ class HistoryArrays:
 
     def _reserve(self, k: int) -> None:
         """Double the buffers until they hold ``k`` categories and the spare."""
-        capacity = len(self._weight) - 1
+        if self._weight.size > k:
+            return
+        capacity = self._weight.size - 1
         while capacity < k:
             capacity *= 2
-        grow = capacity + 1 - len(self._weight)
-        if grow:
-            self._cats, self._weight = (np.concatenate([a, np.zeros((grow,) + a.shape[1:])])
-                                        for a in (self._cats, self._weight))
+        grow = capacity + 1 - self._weight.size
+        self._cats, self._weight = (np.concatenate([a, np.zeros((grow,) + a.shape[1:])])
+                                    for a in (self._cats, self._weight))
 
     def append(self, row: np.ndarray | None, successes: int) -> None:
         """Add one guess: its probability row (None if unranked) and successes."""
@@ -215,8 +216,7 @@ class HistoryArrays:
         if row is not None:
             self.prob_totals += row
             if successes > 0 and max(row.tolist()) > PROBABILITY_FLOOR:
-                if self._weight.size <= self.live + 1:  # no room for it and the spare
-                    self._reserve(self.live + 1)
+                self._reserve(self.live + 1)
                 self._cats[self.live], self._weight[self.live] = row, successes
                 self.live += 1
                 self.live_successes += successes
@@ -355,40 +355,36 @@ def _estimate_arrays(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = 
         if on_step is not None:
             on_step(index, MixtureWeights(point), loglik)
 
-    weights, _, steps = maximize(arrays, w, cfg, track)
+    weights, steps = maximize(arrays, w, cfg, track)
     return weights, loglik, steps
 
 
 def maximize(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentConfig(),
-             on_step: GainCallback | None = None) -> tuple[MixtureWeights, float, int]:
+             on_step: GainCallback | None = None) -> tuple[MixtureWeights, int]:
     """The descent of :func:`estimate` on an attack's :class:`HistoryArrays`
-    from the start ``w``: the weights reached, the log-likelihood its steps
-    gained, added in turn from 0, and the steps taken.
+    from the start ``w``: the weights reached and the steps taken.
 
     If given, ``on_step(index, point, gain)`` is called for the start (index
     0) and after every step, with the point as an array and the step's gain.
     The gain is None for a start: the first point, and the point halfway to
     uniform that replaces a first point the floor binds.
 
-    It computes no log-likelihood, only gains. An attack needs only the
-    estimate, so ``record_observation`` calls this and evaluates neither the
-    start's ``log`` over the categories nor its product with their counts;
-    :func:`estimate` values the start itself and adds each gain to it, in
-    the order of the steps.
+    It computes no log-likelihood, only gains: an attack needs only the
+    estimate, so ``record_observation`` evaluates neither the start's ``log``
+    over the categories nor its product with their counts. :func:`estimate`
+    values the start itself and adds each gain to it, in the order of the
+    steps.
 
-    The Hessian's rows are scaled row-major, as ``cats * s[:, None]``, then
-    transposed: the same products as ``cats.T * s``, left in the same
-    Fortran-ordered memory, so the same BLAS call rounds them to the same
-    bits. The broadcast over the transposed view measured slower on one host
-    (11.8 against 7.1 us at k = 1,000 and n = 3); on a 2-core Xeon the two
-    forms timed the same.
+    The Hessian is formed as ``(cats * s[:, None]).T``: the same products in
+    the same Fortran-ordered memory as ``cats.T * s``, so the same bits (the
+    speed-up it was for, seen on another host, did not show on a 2-core Xeon).
     """
     cats, weight, _ = arrays.categories()
 
     # Products call ndarray.dot, not the @ operator: both reach the same
     # BLAS routine, to the same bits, but @ goes through numpy's matmul
     # gufunc, whose dispatch costs more than the arithmetic at these sizes.
-    observed, steps, gained = cats.dot(w), 0, 0.0
+    observed, steps = cats.dot(w), 0
     if on_step is not None:
         on_step(0, w, None)
     if np.minimum.reduce(observed, initial=1.0) <= PROBABILITY_FLOOR:
@@ -398,9 +394,9 @@ def maximize(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentC
             on_step(1, w, None)
         if np.minimum.reduce(observed, initial=1.0) <= PROBABILITY_FLOOR:
             # the floor binds everywhere: nothing to climb
-            return MixtureWeights(w.tolist()), gained, steps
+            return MixtureWeights(w.tolist()), steps
     if not weight.size:  # no category: the floored objective is constant
-        return MixtureWeights(w.tolist()), gained, steps
+        return MixtureWeights(w.tolist()), steps
     tolerance = GAP_TOL * arrays.population
     cats_t = cats.T
     while steps < cfg.max_steps:
@@ -427,11 +423,10 @@ def maximize(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentC
         if moved is None:
             break  # neither direction gains
         w, observed, gain = moved
-        gained += gain
         steps += 1
         if on_step is not None:
             on_step(steps, w, gain)
-    return MixtureWeights(w.tolist()), gained, steps
+    return MixtureWeights(w.tolist()), steps
 
 
 def _step(w: np.ndarray, direction: np.ndarray, q: list[float], d: list[float], slope: float,

@@ -86,7 +86,7 @@ SOLVERS = ("_reduced_pair", "_reduced_triple", "_reduced_direction")
 class Captured:
     """A descent as :func:`maximize` reads it: the categories, the
     population and the start, with the result it gave in its attack (the
-    weights, the gain of its steps and the steps)."""
+    weights and the steps)."""
 
     def __init__(self, arrays, w, cfg):
         cats, weight, constant = arrays.categories()
@@ -212,7 +212,7 @@ def record(name: str, k: int, d: Captured) -> dict:
     """The record of a descent, with the log-likelihood :func:`estimate`
     gives it; the weights and steps must be the attack's."""
     weights, loglik, steps = mixture._estimate_arrays(d, d.start.copy(), d.cfg)
-    if (weights, steps) != (d.result[0], d.result[2]):
+    if (weights, steps) != d.result:
         raise SystemExit(f"{name}: descent {k} differs from its attack when valued")
     return {"instance": name, "descent": k, "steps": steps, "loglik": loglik,
             "q": list(weights.q)}
@@ -224,7 +224,7 @@ if __name__ == "__main__":
     for name, instance in INSTANCES.items():
         corpus, ps = password_set(instance)
         descents, guesses = capture(instance, corpus, ps)
-        steps = sum(d.result[2] for d in descents)
+        steps = sum(d.result[1] for d in descents)
         times = [replay(descents) for _ in range(repetitions)]
         by_caller, py_calls = calls(instance, corpus, ps)
         c_calls = sum(callees.total() for callees in by_caller.values())

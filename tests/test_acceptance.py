@@ -89,9 +89,9 @@ def ordering_data(mixed_instance):
     steps, gaps = [], []
 
     def recording(arrays, w, *args):
-        weights, loglik, taken = maximize(arrays, w, *args)
+        weights, taken = maximize(arrays, w, *args)
         steps.append(taken)
-        return weights, loglik, taken
+        return weights, taken
 
     def record_gaps(trace):
         # The probability rows of the words guessed so far, looked up in the

@@ -499,9 +499,9 @@ def test_run_attack_is_the_public_per_guess_path_bit_for_bit(n):
 
 def test_an_attack_looks_up_no_word_and_values_no_start(monkeypatch):
     # run_attack hands the row that selection took to the observation step,
-    # builds one MixtureWeights per guess (the estimate; RANDOM init builds
-    # one more to check its start) besides the state's first estimate, and
-    # computes no log-likelihood: its descents need only the gains.
+    # builds one MixtureWeights per guess (the estimate) besides the state's
+    # first estimate, and computes no log-likelihood: its descents need only
+    # the gains.
     corpus = overlap_corpus(3, 200, 80, exponent=0.4, seed=1000)
     ps = compose_password_set(corpus, MixtureWeights((0.6, 0.3, 0.1)), 10_000, seed=42)
     calls = Counter()
@@ -516,8 +516,7 @@ def test_an_attack_looks_up_no_word_and_values_no_start(monkeypatch):
             calls.clear()
             guesses = len(run_attack(corpus, ps, init, guess, 60, seed=1).words)
             assert guesses == 60 and calls["row"] == calls["log"] == 0
-            per_guess = 2 if init is InitPolicy.RANDOM else 1
-            assert calls["weights"] == 1 + per_guess * guesses
+            assert calls["weights"] == 1 + guesses
     # The public functions still look the word up and value the start.
     state = new_state(corpus, ps.size, InitPolicy.AVERAGE, np.random.default_rng(0))
     word = select_guess(GuessPolicy.BY_Q, corpus, state)

@@ -257,8 +257,8 @@ def test_maximize_stops_at_max_steps(k):
     estimate(c, h, MixtureWeights.uniform(n), on_step=lambda i, w, ll: uncapped.append(i))
     assert len(uncapped) > k + 1  # the cap below binds
     capped = []
-    _, _, steps = maximize(HistoryArrays.of(c, h), np.full(n, 1.0 / n),
-                           DescentConfig(max_steps=k), lambda i, w, ll: capped.append(i))
+    _, steps = maximize(HistoryArrays.of(c, h), np.full(n, 1.0 / n),
+                        DescentConfig(max_steps=k), lambda i, w, gain: capped.append(i))
     assert capped == list(range(k + 1))
     assert steps == k
 
@@ -1215,22 +1215,38 @@ def test_near_duplicate_descents_certify_with_the_solvers_gap(instance):
 
 
 @pytest.mark.parametrize("n, live", [(3, 0), (1, 5), (3, 15), (3, 16), (4, 32)])
-def test_the_hessian_formed_row_major_has_the_transposed_form_s_bits(n, live):
+def test_maximize_forms_the_hessian_with_the_transposed_form_s_bits(monkeypatch, n, live):
     # maximize scales the category rows as cats * s[:, None] and transposes,
-    # where it scaled cats.T * s: the same products in the same
-    # Fortran-ordered memory, so the same BLAS product and the same bits.
-    # Shapes: only the rest category (k = 1), one dictionary, and k = 16, 17
-    # and 33, about the sizes where the buffers double.
+    # where it scaled cats.T * s. Every Hessian it hands to _newton_direction
+    # must have the bytes of the old form, at the point of that step. Shapes:
+    # only the rest category (k = 1), one dictionary, and k = 16, 17 and 33,
+    # about the sizes where the buffers double.
     rng = np.random.default_rng(live)
     arrays = HistoryArrays(n, 10 ** 6)
     for _ in range(live):
         arrays.append(rng.random(n) / (4 * live), int(rng.integers(1, 100)))
+    arrays.append(rng.random(n) / 4, 0)  # no category, but an uneven rest
     cats, weight, _ = arrays.categories()
     assert cats.shape == (live + 1, n)
-    observed = cats.dot(rng.dirichlet(np.ones(n)))
-    ratio = weight / observed
-    scaled = ratio / observed
-    old, new = cats.T * scaled, (cats * scaled[:, None]).T
-    assert (new.flags.c_contiguous, new.flags.f_contiguous) == (old.flags.c_contiguous,
-                                                                 old.flags.f_contiguous)
-    assert new.dot(cats).tobytes() == old.dot(cats).tobytes()
+    start = rng.dirichlet(np.ones(n))
+    current, checked = [cats.dot(start)], []
+    newton, step = mixture._newton_direction, mixture._step
+
+    def stepped(*args):
+        moved = step(*args)
+        if moved is not None:
+            current[0] = moved[1]
+        return moved
+
+    def checked_direction(c, g, q, lam):
+        observed = current[0]
+        old = (cats.T * (weight / observed / observed)).dot(cats)
+        assert np.array(c).tobytes() == old.tobytes()
+        checked.append(len(c))
+        return newton(c, g, q, lam)
+
+    monkeypatch.setattr(mixture, "_step", stepped)
+    monkeypatch.setattr(mixture, "_newton_direction", checked_direction)
+    maximize(arrays, start)
+    # One dictionary: the start is the only point, so the descent stops there.
+    assert (checked == []) if n == 1 else (checked and set(checked) == {n})
