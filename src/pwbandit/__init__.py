@@ -9,16 +9,8 @@ from .bandit import (
     record_observation,
     select_guess,
 )
-from .config import ExperimentConfig, load_config, parse_config, save_config, serialize_config
-from .dictionary import (
-    Corpus,
-    Dictionary,
-    from_password_multiset,
-    load_frequency_file,
-    load_frequency_list,
-    save_frequency_file,
-    serialize_frequency_list,
-)
+from .config import ExperimentConfig, load_config
+from .dictionary import Corpus, Dictionary, load_frequency_file, save_frequency_file
 from .mixture import (
     DescentConfig,
     GuessHistory,
@@ -31,12 +23,9 @@ from .simulator import (
     AttackTrace,
     PasswordSet,
     TraceRecord,
-    average_traces,
     compose_password_set,
-    largest_remainder_counts,
     optimal_baseline,
     oracle_count,
-    pad_curve,
     run_attack,
 )
 
@@ -55,27 +44,18 @@ __all__ = [
     "MixtureWeights",
     "PasswordSet",
     "TraceRecord",
-    "average_traces",
     "compose_password_set",
     "estimate",
-    "from_password_multiset",
     "gradient",
     "initialize_weights",
-    "largest_remainder_counts",
     "load_config",
     "load_frequency_file",
-    "load_frequency_list",
     "log_likelihood",
     "new_state",
     "optimal_baseline",
     "oracle_count",
-    "pad_curve",
-    "parse_config",
     "record_observation",
     "run_attack",
-    "save_config",
     "save_frequency_file",
     "select_guess",
-    "serialize_config",
-    "serialize_frequency_list",
 ]

@@ -145,7 +145,9 @@ def _by_q_candidates(corpus: Corpus, state: BanditState, q: np.ndarray,
     live = [i for i, rank in enumerate(ranks) if rank < ranked[i].size]
     if not live:
         return np.empty(0, dtype=np.intp)
-    floor = probs[[ranked[i][ranks[i]] for i in live]].dot(q).max() / q.sum() * (1.0 - slack)
+    # The ufunc reductions that .max() and .sum() make, without numpy's Python wrappers
+    heads = probs[[ranked[i][ranks[i]] for i in live]].dot(q)
+    floor = np.maximum.reduce(heads) / np.add.reduce(q) * (1.0 - slack)
     parts = []
     for i in live:
         rows, rank = ranked[i], ranks[i]
@@ -160,7 +162,7 @@ def _best_of_all_rows(probs: np.ndarray, guessed: np.ndarray, q: np.ndarray) -> 
     scores = probs.dot(q)
     np.putmask(scores, guessed, -np.inf)
     # union_vocabulary is sorted, so the first argmax is the tie-break winner
-    best = int(np.argmax(scores))
+    best = int(scores.argmax())
     return None if guessed[best] else best
 
 
@@ -189,12 +191,12 @@ def _best_by_q(corpus: Corpus, state: BanditState) -> int | None:
     # being exact; so where every near tie is such a row, the lowest row of
     # the best score is the full product's pick. Other near ties (such as
     # shared words with equal probability rows) go to the full product.
-    best = scores.max()
+    best = np.maximum.reduce(scores)
     top = rows[scores >= best * (1.0 - slack)]
-    if top.min() == top.max():
+    if np.minimum.reduce(top) == np.maximum.reduce(top):
         return int(top[0])
-    if np.count_nonzero(probs[top], axis=1).max() <= 1:
-        return int(rows[scores == best].min())
+    if np.maximum.reduce(np.count_nonzero(probs[top], axis=1)) <= 1:
+        return int(np.minimum.reduce(rows[scores == best]))
     return _best_of_all_rows(probs, guessed, q)
 
 

@@ -17,8 +17,9 @@ import dataclasses
 import sys
 import traceback
 from enum import EnumMeta
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,9 +29,7 @@ from .dictionary import Corpus, load_frequency_file
 from .errors import ConfigError, FrequencyListError
 from .mixture import GuessHistory, MixtureWeights, estimate
 from .simulator import (
-    AttackTrace,
     PasswordSet,
-    average_traces,
     compose_password_set,
     largest_remainder_counts,
     optimal_baseline,
@@ -109,15 +108,6 @@ def cmd_compose(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     print(f"composed {ps.size} passwords -> {set_path} (+ {meta_path.name})")
 
 
-def _write_trace_csv(path: Path, traces: Sequence[AttackTrace], n: int) -> None:
-    rows = ([run, j, word, successes, cumulative] + [_fmt(q) for q in estimate]
-            for run, trace in enumerate(traces, start=1)
-            for j, (word, (successes, cumulative), estimate)
-            in enumerate(zip(trace.words, trace.counts.tolist(), trace.estimates.tolist()), 1))
-    _write_csv(path, ["run", "guess_index", "word", "successes", "cumulative"]
-               + [f"qhat_{i + 1}" for i in range(n)], rows)
-
-
 def _write_summary_csv(path: Path, mean_curve: Sequence[float],
                        baseline: Sequence[int]) -> None:
     _write_csv(path, ["guess_index", "mean_cumulative", "optimal_baseline"],
@@ -126,17 +116,33 @@ def _write_summary_csv(path: Path, mean_curve: Sequence[float],
 
 
 def cmd_attack(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
+    """Write each run's trace rows when it ends, holding one trace at a time.
+
+    Every run makes ``min(m, V)`` guesses, so the cumulative curves add
+    without padding, in run order from 0.0: row by row, as numpy's
+    ``mean(axis=0)`` over the stacked curves adds them (pairwise only for
+    one guess, and sums below 2^53 are exact in any order).
+    """
     corpus = _build_corpus(cfg)
     ps = _password_set(cfg, corpus)
-    traces = [
-        run_attack(corpus, ps, cfg.init_policy, cfg.guess_policy,
-                   cfg.guess_budget, seed=cfg.attack_seed + run)
-        for run in range(cfg.runs)
-    ]
     out = _out_dir(cfg)
+    total = 0.0
+
+    def run_rows(run: int) -> Iterator[list]:
+        """The rows of run ``run + 1``; they hold its columns as lists, not the trace."""
+        nonlocal total
+        trace = run_attack(corpus, ps, cfg.init_policy, cfg.guess_policy,
+                           cfg.guess_budget, seed=cfg.attack_seed + run)
+        total = total + trace.counts[:, 1]
+        return ([run + 1, j, word, successes, cumulative] + [_fmt(q) for q in estimate]
+                for j, (word, (successes, cumulative), estimate)
+                in enumerate(zip(trace.words, trace.counts.tolist(), trace.estimates.tolist()), 1))
+
+    _write_csv(out / "trace.csv", ["run", "guess_index", "word", "successes", "cumulative"]
+               + [f"qhat_{i + 1}" for i in range(len(corpus))],
+               chain.from_iterable(map(run_rows, range(cfg.runs))))
+    mean_curve = pad_curve((total / cfg.runs).tolist(), cfg.guess_budget)
     baseline = optimal_baseline(ps, cfg.guess_budget)
-    _write_trace_csv(out / "trace.csv", traces, len(corpus))
-    mean_curve = pad_curve(average_traces(traces), cfg.guess_budget)
     _write_summary_csv(out / "summary.csv", mean_curve, baseline)
     print(f"{cfg.runs} runs of {cfg.guess_policy.value}/{cfg.init_policy.value}: "
           f"mean {mean_curve[-1]:.1f} of {ps.size} users at guess {cfg.guess_budget} "

@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -208,20 +208,6 @@ def optimal_baseline(ps: PasswordSet, m: int) -> tuple[int, ...]:
         raise ValueError(f"m must be >= 1, got {m}")
     ordered = sorted(ps.counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return pad_curve(tuple(accumulate(count for _, count in ordered[:m])), m)
-
-
-def average_traces(traces: Iterable[AttackTrace]) -> tuple[float, ...]:
-    """Mean cumulative successes per guess index across runs.
-
-    Shorter traces are padded with their final cumulative value so every
-    run contributes to every index.
-    """
-    curves = [t.cumulative_curve for t in traces]
-    if not curves:
-        raise EmptyInput("no traces to average")
-    length = max(len(c) for c in curves)
-    padded = np.array([pad_curve(c, length) for c in curves], dtype=float)
-    return tuple(float(x) for x in padded.mean(axis=0))
 
 
 def pad_curve(curve: Sequence[float], length: int) -> tuple[float, ...]:

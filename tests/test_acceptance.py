@@ -20,14 +20,13 @@ from pwbandit import (
     MixtureWeights,
     compose_password_set,
     gradient,
-    load_frequency_list,
     log_likelihood,
     optimal_baseline,
     run_attack,
-    serialize_frequency_list,
 )
 from pwbandit import bandit
 from pwbandit.cli import main
+from pwbandit.dictionary import load_frequency_list, serialize_frequency_list
 from pwbandit.mixture import GAP_TOL, DescentConfig, estimate, maximize
 
 from helpers import (

@@ -1,13 +1,16 @@
 import csv
+import gc
 import re
 import sys
 import tempfile
+import weakref
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from pwbandit import GuessPolicy, InitPolicy, MixtureWeights, PasswordSet
+from pwbandit import GuessPolicy, InitPolicy, MixtureWeights, PasswordSet, cli, run_attack
 from pwbandit.cli import _COMMANDS, _apply_overrides, _build_parser, _load_password_lines, main
 from pwbandit.config import (
     ExperimentConfig,
@@ -286,6 +289,50 @@ def test_attack_writes_trace_and_summary(workdir):
     assert [int(r[0]) for r in rows] == [1, 2, 3]
     for _, mean, best in rows:
         assert float(mean) <= int(best)
+
+
+@pytest.mark.parametrize("guesses", [4, 7])
+def test_attack_summary_is_the_mean_of_the_trace_curves(tmp_path, guesses):
+    # Seven guesses run past the five-word vocabulary, so the mean is padded.
+    (tmp_path / "d1.tsv").write_text("x1\t5\nx2\t3\nx3\t2\n", encoding="utf-8")
+    (tmp_path / "d2.tsv").write_text("y1\t6\ny2\t4\n", encoding="utf-8")
+    config = tmp_path / "random.ini"
+    config.write_text(
+        f"[dictionaries]\nd1 = {tmp_path / 'd1.tsv'}\nd2 = {tmp_path / 'd2.tsv'}\n\n"
+        "[composition]\nproportions = 0.6, 0.4\nusers = 100\nseed = 9\n\n"
+        f"[attack]\ninit = random\nguess = random-dict\nguesses = {guesses}\nruns = 50\n\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n",
+        encoding="utf-8",
+    )
+    assert main(["attack", "--config", str(config)]) == 0
+    _, trace_rows = read_csv(tmp_path / "out" / "trace.csv")
+    curves = defaultdict(list)
+    for run, _, _, _, cumulative, *_ in trace_rows:
+        curves[run].append(int(cumulative))
+    assert len(curves) == 50
+    padded = [curve + curve[-1:] * (guesses - len(curve)) for curve in curves.values()]
+    oracle = [sum(column) / len(padded) for column in zip(*padded)]
+    _, rows = read_csv(tmp_path / "out" / "summary.csv")
+    assert [mean for _, mean, _ in rows] == [f"{x:.9g}" for x in oracle]
+    mean = [float(mean) for _, mean, _ in rows]
+    finals = [curve[-1] for curve in padded]
+    assert min(finals) <= mean[-1] <= max(finals)
+    assert mean == sorted(mean)
+
+
+def test_attack_holds_one_trace_at_a_time(workdir, monkeypatch):
+    traces, alive = [], []
+
+    def tracked(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in traces))
+        trace = run_attack(*args, **kwargs)
+        traces.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(cli, "run_attack", tracked)
+    assert main(["attack", "--config", str(workdir / "experiment.ini"), "--runs", "4"]) == 0
+    assert alive == [0, 0, 0, 0]
 
 
 def test_attack_single_dictionary_matches_its_baseline(workdir):

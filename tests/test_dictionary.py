@@ -8,13 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pwbandit import (
-    Corpus,
-    Dictionary,
+from pwbandit import Corpus, Dictionary, load_frequency_file, save_frequency_file
+from pwbandit.dictionary import (
     from_password_multiset,
-    load_frequency_file,
     load_frequency_list,
-    save_frequency_file,
     serialize_frequency_list,
 )
 from pwbandit.errors import (

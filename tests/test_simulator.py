@@ -14,16 +14,14 @@ from pwbandit import (
     MixtureWeights,
     PasswordSet,
     TraceRecord,
-    average_traces,
     compose_password_set,
-    largest_remainder_counts,
     log_likelihood,
     optimal_baseline,
     oracle_count,
-    pad_curve,
     run_attack,
 )
 from pwbandit.errors import DimensionMismatch, EmptyInput
+from pwbandit.simulator import largest_remainder_counts, pad_curve
 
 from helpers import assert_trace_dominated, grid_loglik_max, zipf_dictionary
 
@@ -200,42 +198,6 @@ def test_no_trace_beats_the_optimal_baseline():
         for seed in range(3):
             trace = run_attack(corpus, ps, InitPolicy.BEST, policy, 15, seed=seed)
             assert_trace_dominated(trace, ps)
-
-
-def _trace(curve, budget):
-    est = MixtureWeights((1.0,))
-    records = []
-    prev = 0
-    for i, c in enumerate(curve):
-        records.append(TraceRecord(f"w{i}", c - prev, c, est))
-        prev = c
-    return AttackTrace(tuple(records), InitPolicy.AVERAGE, GuessPolicy.BY_Q, 0, budget)
-
-
-def test_average_traces_arithmetic():
-    assert average_traces([_trace((2, 4), 2)]) == (2.0, 4.0)
-    assert average_traces([_trace((2, 4), 2), _trace((4, 4), 2)]) == (3.0, 4.0)
-
-
-def test_average_traces_pads_short_runs():
-    # The short run holds its final value while the longer one continues.
-    assert average_traces([_trace((2,), 3), _trace((1, 3, 6), 3)]) == (1.5, 2.5, 4.0)
-    with pytest.raises(EmptyInput):
-        average_traces([])
-
-
-def test_average_traces_over_random_runs(disjoint_pair):
-    ps = compose_password_set(disjoint_pair, MixtureWeights((0.6, 0.4)), 100, seed=9)
-    traces = [
-        run_attack(disjoint_pair, ps, InitPolicy.RANDOM, GuessPolicy.RANDOM_DICTIONARY,
-                   4, seed=s)
-        for s in range(50)
-    ]
-    mean = average_traces(traces)
-    finals = [t.cumulative_curve[-1] for t in traces]
-    assert len(mean) == 4
-    assert min(finals) <= mean[-1] <= max(finals)
-    assert list(mean) == sorted(mean)
 
 
 def test_pad_curve():
