@@ -25,7 +25,7 @@ import numpy as np
 
 from .bandit import initialize_weights
 from .config import KEYS, ExperimentConfig, load_config
-from .dictionary import Corpus, load_frequency_file
+from .dictionary import Corpus, load_frequency_file, save_text_file
 from .errors import ConfigError, FrequencyListError
 from .mixture import GuessHistory, MixtureWeights, estimate
 from .simulator import (
@@ -49,7 +49,7 @@ def _build_corpus(cfg: ExperimentConfig) -> Corpus:
     for name, path in cfg.dictionaries:
         try:
             dictionaries.append(load_frequency_file(name, path))
-        except (FrequencyListError, UnicodeDecodeError) as exc:
+        except FrequencyListError as exc:
             raise ConfigError(str(exc), field=f"dictionaries.{name}") from None
     return Corpus(tuple(dictionaries))
 
@@ -91,11 +91,7 @@ def cmd_compose(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     ps = compose_password_set(corpus, cfg.proportions, cfg.population, cfg.composition_seed)
     out = _out_dir(cfg)
     set_path = out / "password_set.txt"
-    # As in save_frequency_file: a first password that begins with U+FEFF is
-    # written after a byte-order mark, which the loader drops instead.
-    encoding = "utf-8-sig" if ps.passwords[0].startswith("\ufeff") else "utf-8"
-    with open(set_path, "w", encoding=encoding, newline="") as handle:
-        handle.writelines(f"{pw}\n" for pw in ps.passwords)
+    save_text_file("".join(f"{pw}\n" for pw in ps.passwords), set_path)
     counts = largest_remainder_counts(cfg.proportions, cfg.population)
     meta_path = out / "password_set.meta"
     with open(meta_path, "w", encoding="utf-8", newline="") as handle:
@@ -108,20 +104,13 @@ def cmd_compose(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     print(f"composed {ps.size} passwords -> {set_path} (+ {meta_path.name})")
 
 
-def _write_summary_csv(path: Path, mean_curve: Sequence[float],
-                       baseline: Sequence[int]) -> None:
-    _write_csv(path, ["guess_index", "mean_cumulative", "optimal_baseline"],
-               ([j, _fmt(mean), best]
-                for j, (mean, best) in enumerate(zip(mean_curve, baseline), start=1)))
-
-
 def cmd_attack(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     """Write each run's trace rows when it ends, holding one trace at a time.
 
     Every run makes ``min(m, V)`` guesses, so the cumulative curves add
-    without padding, in run order from 0.0: row by row, as numpy's
-    ``mean(axis=0)`` over the stacked curves adds them (pairwise only for
-    one guess, and sums below 2^53 are exact in any order).
+    without padding, in run order from 0.0. The curves hold integers, so
+    each sum is exact while it is below 2^53, and the mean is that sum over
+    the runs.
     """
     corpus = _build_corpus(cfg)
     ps = _password_set(cfg, corpus)
@@ -143,7 +132,9 @@ def cmd_attack(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
                chain.from_iterable(map(run_rows, range(cfg.runs))))
     mean_curve = pad_curve((total / cfg.runs).tolist(), cfg.guess_budget)
     baseline = optimal_baseline(ps, cfg.guess_budget)
-    _write_summary_csv(out / "summary.csv", mean_curve, baseline)
+    _write_csv(out / "summary.csv", ["guess_index", "mean_cumulative", "optimal_baseline"],
+               ([j, _fmt(mean), best]
+                for j, (mean, best) in enumerate(zip(mean_curve, baseline), start=1)))
     print(f"{cfg.runs} runs of {cfg.guess_policy.value}/{cfg.init_policy.value}: "
           f"mean {mean_curve[-1]:.1f} of {ps.size} users at guess {cfg.guess_budget} "
           f"(optimal {baseline[-1]}) -> {out / 'trace.csv'}, {out / 'summary.csv'}")
@@ -165,9 +156,8 @@ def cmd_estimate(cfg: ExperimentConfig, args: argparse.Namespace) -> None:
     _write_csv(path, ["step"] + [f"qhat_{i + 1}" for i in range(len(corpus))] + ["loglik"],
                ([step] + [_fmt(q) for q in weights] + [_fmt(loglik)]
                 for step, weights, loglik in rows))
-    final = rows[-1][1]
     print(f"estimated weights after {len(guesses)} guesses: "
-          + ", ".join(_fmt(q) for q in final) + f" -> {path}")
+          + ", ".join(_fmt(q) for q in rows[-1][1]) + f" -> {path}")
 
 
 def cmd_baseline(cfg: ExperimentConfig, args: argparse.Namespace) -> None:

@@ -28,7 +28,6 @@ directory (``load_config``); the output directory is relative to the working
 directory. The solver takes no settings from the file: its constants are
 fixed in ``mixture``, and a ``[descent]`` section is an error like any
 unknown one.
-`parse_config(serialize_config(parse_config(text)))` is a fixed point.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ import dataclasses
 import os
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 from .bandit import GuessPolicy, InitPolicy
@@ -148,30 +146,6 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(dictionaries, **fields)
 
 
-def _text(value) -> str:
-    """A field's value as the config file writes it."""
-    if isinstance(value, MixtureWeights):
-        return ", ".join(repr(q) for q in value)
-    return str(value.value if isinstance(value, Enum) else value)
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form; parsing it back reproduces ``cfg`` exactly."""
-    lines = ["[dictionaries]"]
-    lines += [f"{name} = {path}" for name, path in cfg.dictionaries]
-    section = "dictionaries"
-    for key, (field, *_) in KEYS.items():
-        value = getattr(cfg, field)
-        if value is None:
-            continue
-        head, _, name = key.partition(".")
-        if head != section:
-            lines += ["", f"[{head}]"]
-            section = head
-        lines.append(f"{name} = {_text(value)}")
-    return "\n".join(lines) + "\n"
-
-
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read a config file. Relative dictionary and password paths in it are
     taken from the config file's directory, so it works from any directory."""
@@ -191,7 +165,3 @@ def load_config(path: str | Path) -> ExperimentConfig:
                        else os.path.join(base, cfg.password_file)),
     )
 
-
-def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(serialize_config(cfg))

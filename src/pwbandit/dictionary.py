@@ -24,6 +24,7 @@ from .errors import (
     DuplicateWord,
     EmptyDictionary,
     EmptyInput,
+    FrequencyListError,
     MalformedLine,
     NonPositiveCount,
 )
@@ -33,13 +34,15 @@ from .errors import (
 _FORBIDDEN_CHARS = ("\t", "\n", "\r")
 
 
-def _rank_order(words: Sequence[str], counts: Sequence[int]
-                ) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """Both columns in rank order, count descending, ties by ascending word:
-    two stable sorts of the positions."""
+def _fill(d: Dictionary, name: str, words: Sequence[str], counts: Sequence[int]) -> Dictionary:
+    """Set the fields of ``d``: its name, its two columns in rank order
+    (count descending, ties by ascending word: two stable sorts of the
+    positions) and their total count."""
     order = sorted(range(len(words)), key=words.__getitem__)
     order.sort(key=counts.__getitem__, reverse=True)
-    return tuple(map(words.__getitem__, order)), tuple(map(counts.__getitem__, order))
+    d.__dict__.update(name=name, words=tuple(map(words.__getitem__, order)),
+                      counts=tuple(map(counts.__getitem__, order)), total_count=sum(counts))
+    return d
 
 
 @dataclass(frozen=True, init=False)
@@ -75,8 +78,7 @@ class Dictionary:
             if word in seen:
                 raise DuplicateWord(f"duplicate word {word!r}")
             seen.add(word)
-        words, counts = _rank_order([word for word, _ in pairs], [count for _, count in pairs])
-        self.__dict__.update(name=name, words=words, counts=counts, total_count=sum(counts))
+        _fill(self, name, [word for word, _ in pairs], [count for _, count in pairs])
 
     def __len__(self) -> int:
         return len(self.words)
@@ -128,11 +130,8 @@ def load_frequency_list(name: str, source: Iterable[str]) -> Dictionary:
     if not words:
         raise EmptyDictionary("stream contains no entries")
     del seen  # frees its line numbers, an int object each, before the sort
-    d = object.__new__(Dictionary)  # skips __init__: each line passed the checks above
-    ranked_words, ranked_counts = _rank_order(words, counts)
-    d.__dict__.update(name=name, words=ranked_words, counts=ranked_counts,
-                      total_count=sum(counts))
-    return d
+    # object.__new__ skips __init__: each line passed the checks above
+    return _fill(object.__new__(Dictionary), name, words, counts)
 
 
 def serialize_frequency_list(d: Dictionary) -> str:
@@ -141,17 +140,25 @@ def serialize_frequency_list(d: Dictionary) -> str:
 
 
 def load_frequency_file(name: str, path: str | Path) -> Dictionary:
+    """:func:`load_frequency_list` of a file; one not in UTF-8 is a FrequencyListError."""
     with open(path, encoding="utf-8-sig", newline="") as handle:
-        return load_frequency_list(name, handle)
+        try:
+            return load_frequency_list(name, handle)
+        except UnicodeDecodeError as exc:
+            raise FrequencyListError(str(exc)) from None
 
 
-def save_frequency_file(d: Dictionary, path: str | Path) -> None:
-    text = serialize_frequency_list(d)
-    # Loaders drop a leading U+FEFF as a byte-order mark, so a first word that
-    # begins with one is written after a real byte-order mark.
+def save_text_file(text: str, path: str | Path) -> None:
+    """Write ``text`` to ``path`` as UTF-8, its line ends as they are. Loaders
+    drop a leading U+FEFF as a byte-order mark, so a text that begins with
+    one is written after a real byte-order mark."""
     encoding = "utf-8-sig" if text.startswith("\ufeff") else "utf-8"
     with open(path, "w", encoding=encoding, newline="") as handle:
         handle.write(text)
+
+
+def save_frequency_file(d: Dictionary, path: str | Path) -> None:
+    save_text_file(serialize_frequency_list(d), path)
 
 
 @dataclass(frozen=True)

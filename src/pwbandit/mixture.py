@@ -312,13 +312,16 @@ def estimate(corpus: Corpus, history: GuessHistory, init: MixtureWeights,
     :func:`gradient`, which reads the same categories. The step cap of the
     default :class:`DescentConfig`, 100 steps, only guards against a descent
     that does not get there. Where there is no category, the objective is
-    constant and the start is returned.
+    constant: its gradient is 0, so the first gap test returns the start.
 
     Returns (weights, final log-likelihood, steps taken). The log-likelihood
     is that of ``init`` plus the gain of each step, summed from log1p terms
     so that small gains are not lost to rounding; it is never below that of
-    ``init``. If given, ``on_step(index, weights, loglik)`` is called for the
-    initial point (index 0) and after every step.
+    ``init``. The gains are added in the order of the steps to the start's
+    value. A start is valued afresh: the first point, and the point halfway
+    to uniform that replaces a first point the floor binds. If given,
+    ``on_step(index, weights, loglik)`` is called for the initial point
+    (index 0) and after every step.
 
     ``init`` may be a MixtureWeights or any length-n sequence; a sequence of
     the wrong shape raises DimensionMismatch, and one that is not a point of
@@ -327,18 +330,7 @@ def estimate(corpus: Corpus, history: GuessHistory, init: MixtureWeights,
     w = _weight_vector(init, len(corpus))
     if not isinstance(init, MixtureWeights):
         MixtureWeights(w.tolist())
-    return _estimate_arrays(HistoryArrays.of(corpus, history), w, on_step=on_step)
-
-
-def _estimate_arrays(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentConfig(),
-                     on_step: StepCallback | None = None) -> tuple[MixtureWeights, float, int]:
-    """:func:`estimate` on a :class:`HistoryArrays`: :func:`maximize` from
-    ``w``, and the log-likelihood of each point it reaches.
-
-    The log-likelihood is the start's value plus the gain of each step, added
-    in the order of the steps. A start is valued afresh: the first point, and
-    the point halfway to uniform that replaces a first point the floor binds.
-    """
+    arrays = HistoryArrays.of(corpus, history)
     cats, weight, constant = arrays.categories()
     loglik = -np.inf
 
@@ -355,7 +347,7 @@ def _estimate_arrays(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = 
         if on_step is not None:
             on_step(index, MixtureWeights(point), loglik)
 
-    weights, steps = maximize(arrays, w, cfg, track)
+    weights, steps = maximize(arrays, w, on_step=track)
     return weights, loglik, steps
 
 
@@ -395,8 +387,6 @@ def maximize(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentC
         if np.minimum.reduce(observed, initial=1.0) <= PROBABILITY_FLOOR:
             # the floor binds everywhere: nothing to climb
             return MixtureWeights(w.tolist()), steps
-    if not weight.size:  # no category: the floored objective is constant
-        return MixtureWeights(w.tolist()), steps
     tolerance = GAP_TOL * arrays.population
     cats_t = cats.T
     while steps < cfg.max_steps:
@@ -486,6 +476,12 @@ def _newton_direction(c: list[list[float]], g: list[float], q: list[float],
     the others, and u solves the reduced system a u = b, a = Z^T c Z and
     b = Z^T g. An empty coordinate the step would push negative is fixed at
     0 and the step solved again.
+
+    A direction after a floored pivot may not ascend, from the rounding of
+    ``c``, not from a re-solve: in sweep histories 890 and 2196 nothing is
+    fixed, and an exact solve of the same floats gives the same slope. There
+    ``c``'s entries, about 1e5, round by about 1e-11, the size of ``a``,
+    which comes out asymmetric and indefinite; the exact Hessian ascends.
 
     :func:`_reduced_direction` solves the reduced system; it is the
     reference, and it solves the 1 x 1 system and those of five or more free

@@ -37,7 +37,8 @@ replayed descent returns what it returned in its attack. With ``out.json``
 it also writes one record per descent (its instance, steps, log-likelihood
 and estimate) to compare two trees descent by descent. An attack's descent
 computes no log-likelihood, so a record's is that of :func:`pwbandit.estimate`
-on the same descent: the start's value plus each step's gain, in order.
+from the same start on the attack's guesses so far, whose weights and steps
+must be the descent's: the start's value plus each step's gain, in order.
 """
 
 import json
@@ -50,8 +51,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from helpers import overlap_corpus
-from pwbandit import (Corpus, GuessPolicy, InitPolicy, MixtureWeights, bandit,
-                      compose_password_set, mixture, run_attack)
+from pwbandit import (Corpus, GuessHistory, GuessPolicy, InitPolicy, MixtureWeights, bandit,
+                      compose_password_set, estimate, mixture, run_attack)
 from pwbandit.mixture import maximize
 
 
@@ -86,13 +87,13 @@ SOLVERS = ("_reduced_pair", "_reduced_triple", "_reduced_direction")
 class Captured:
     """A descent as :func:`maximize` reads it: the categories, the
     population and the start, with the result it gave in its attack (the
-    weights and the steps)."""
+    weights and the steps) and the attack's guesses it was run on."""
 
     def __init__(self, arrays, w, cfg):
         cats, weight, constant = arrays.categories()
         self.population = arrays.population
         self._categories = cats.copy(), weight.copy(), constant
-        self.start, self.cfg, self.result = w.copy(), cfg, None
+        self.start, self.cfg, self.result, self.history = w.copy(), cfg, None, None
 
     def categories(self):
         return self._categories
@@ -112,7 +113,8 @@ def attacks(instance: Instance, corpus, ps) -> int:
 
 
 def capture(instance: Instance, corpus, ps) -> tuple[list[Captured], int]:
-    """Every descent of the slots, and the guesses they made."""
+    """Every descent of the slots, and the guesses they made. The j-th
+    descent of an attack follows its j-th guess."""
     descents = []
 
     def capturing(arrays, w, cfg, on_step=None):
@@ -122,7 +124,14 @@ def capture(instance: Instance, corpus, ps) -> tuple[list[Captured], int]:
 
     bandit.maximize = capturing
     try:
-        guesses = attacks(instance, corpus, ps)
+        guesses = 0
+        for slot, (init, guess) in enumerate(instance.slots):
+            first = len(descents)
+            trace = run_attack(corpus, ps, init, guess, instance.budget, seed=slot)
+            observations = tuple(zip(trace.words, trace.counts[:, 0].tolist()))
+            for j, d in enumerate(descents[first:], start=1):
+                d.history = GuessHistory(ps.size, observations[:j])
+            guesses += len(trace.words)
     finally:
         bandit.maximize = maximize
     return descents, guesses
@@ -208,10 +217,11 @@ def replay(descents: list[Captured]) -> float:
     return elapsed
 
 
-def record(name: str, k: int, d: Captured) -> dict:
+def record(name: str, corpus, k: int, d: Captured) -> dict:
     """The record of a descent, with the log-likelihood :func:`estimate`
-    gives it; the weights and steps must be the attack's."""
-    weights, loglik, steps = mixture._estimate_arrays(d, d.start.copy(), d.cfg)
+    gives it on the attack's guesses so far; the weights and steps must be
+    the attack's."""
+    weights, loglik, steps = estimate(corpus, d.history, d.start.copy())
     if (weights, steps) != d.result:
         raise SystemExit(f"{name}: descent {k} differs from its attack when valued")
     return {"instance": name, "descent": k, "steps": steps, "loglik": loglik,
@@ -229,7 +239,7 @@ if __name__ == "__main__":
         by_caller, py_calls = calls(instance, corpus, ps)
         c_calls = sum(callees.total() for callees in by_caller.values())
         sizes, fast, differ = solves(descents)
-        records += [record(name, k, d) for k, d in enumerate(descents)]
+        records += [record(name, corpus, k, d) for k, d in enumerate(descents)]
         per_step = [1e6 * t / steps for t in times]
         print(f"{name}: {len(descents)} descents, {steps} steps over {guesses} guesses; replay "
               f"{min(per_step):.2f} us a step at best, median "

@@ -292,6 +292,17 @@ def test_file_round_trip(tmp_path):
     assert load_frequency_file("mine", path) == d
 
 
+def test_a_file_that_is_not_utf8_is_a_frequency_list_error(tmp_path):
+    raw = b"alpha\t8\n\xff\t2\n"
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(raw)
+    with pytest.raises(UnicodeDecodeError) as decode:
+        raw.decode("utf-8-sig")
+    with pytest.raises(FrequencyListError) as err:
+        load_frequency_file("bad", path)
+    assert str(err.value) == str(decode.value) and err.value.line is None
+
+
 def file_bytes(lines, data, bom):
     """``lines`` ending in LF throughout, CRLF throughout or a random mix,
     the last one perhaps in nothing, after a UTF-8 byte-order mark if ``bom``."""

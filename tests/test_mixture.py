@@ -315,17 +315,21 @@ def test_estimate_converges_once_every_word_is_guessed():
 @pytest.mark.parametrize("observations", [
     (("tiny", 1),),
     (("w", 0), ("tiny", 1), ("unranked", 0)),
+    (("unranked", 1),),
 ])
 def test_estimate_returns_the_start_where_no_category_is_left(observations):
     # Every user is cracked by a word no dictionary gives more than the floor
-    # (1e-13 here), so the floored objective is constant on the simplex.
+    # (1e-13 here) or that no dictionary ranks, so the floored objective is
+    # constant on the simplex: its gradient is 0 and the first gap test stops.
     c = Corpus((
         Dictionary("d1", (("huge", 10**13), ("tiny", 1), ("w", 1))),
         Dictionary("d2", (("w", 1),)),
     ))
     start = MixtureWeights((0.25, 0.75))
-    weights, loglik, steps = estimate(c, GuessHistory(1, observations), start)
-    assert weights == start and steps == 0
+    seen = []
+    weights, loglik, steps = estimate(c, GuessHistory(1, observations), start,
+                                      on_step=lambda index, *_: seen.append(index))
+    assert weights == start and steps == 0 and seen == [0]
     assert loglik == log_likelihood(c, start, GuessHistory(1, observations))
 
 
