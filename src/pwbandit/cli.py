@@ -4,7 +4,8 @@ Each subcommand, its function and its override flags are declared once, in
 ``_COMMANDS``; each flag parses its text as the config key it sets does.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 internal error
-(its traceback goes to standard error, before ``internal error: <message>``).
+(its traceback goes to standard error, before ``internal error: <message>``,
+or the exception's type name where it has no message).
 An input file (config, dictionary or password set) that is not UTF-8 text
 is a configuration error.
 """
@@ -233,7 +234,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except Exception as exc:  # anything else is an internal invariant violation
         traceback.print_exc()
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 4
 
 

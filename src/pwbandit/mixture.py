@@ -12,8 +12,15 @@ guessed words and the rest, each with a probability linear in q, so the
 log-likelihood is concave on the simplex. ``log_likelihood``, ``gradient``
 and ``estimate`` all read it through ``HistoryArrays.categories``, which
 takes the rest's probability as sum_i q_i * (1 - sum_j p_i(k_j)), equal to
-1 - sum_j Q_{k_j} on the simplex. ``log_likelihood`` and ``gradient`` floor
-both logs at ``PROBABILITY_FLOOR`` so they are finite on the whole simplex.
+1 - sum_j Q_{k_j} on the simplex. A word that only dictionary i ranks, with
+probability p, has Q_k = p * q_i, so its term is N ln q_i + N ln p: the
+guessed words that only dictionary i ranks form one merged category, with
+row p_min * e_i (p_min the least of their p) and their total count W, and
+sum N ln(p / p_min) over them joins the constant. ``log_likelihood`` and
+``gradient`` floor both logs at ``PROBABILITY_FLOOR`` so they are finite on
+the whole simplex. They are defined per category, merged ones included: the
+floor applies to p_min * q_i, and the objective equals the one with a
+category per word, each floored on its own, wherever no floor binds.
 
 ``estimate`` maximizes it by damped active-set Newton ascent on the faces of
 the simplex (Bertsekas 1982; Boyd and Vandenberghe 2004, section 9.5), with a
@@ -26,8 +33,8 @@ an upper bound on the distance to the maximum for a concave objective (Jaggi
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import compress
 from numbers import Integral
 from typing import Callable, Container
 
@@ -160,9 +167,18 @@ class HistoryArrays:
     """One attack's guesses as the solver reads them, grown by :meth:`append`.
 
     In guess order, the rows of per-dictionary probabilities and the counts
-    of the ``live`` word categories: each guess with successes that some
-    dictionary gives more than ``PROBABILITY_FLOOR`` (any other guess is a
-    constant of the floored objective). A spare row after them takes the
+    of the ``live`` categories. A guess is live if it has successes and some
+    dictionary gives it more than ``PROBABILITY_FLOOR`` (any other guess is a
+    constant of the floored objective). A live guess that two or more
+    dictionaries rank is a category of its own. The live guesses that only
+    dictionary i ranks share one category, its merged category: it takes
+    the row where the first of them would be, its count is their total
+    count ``W``, and its row is ``p_min * e_i``, with ``p_min`` the least
+    probability among them. A guess with probability p and N successes adds
+    ``N ln q_i + N ln p`` to the objective, so the merged category's
+    ``W ln(p_min q_i)`` leaves ``sum N ln(p / p_min)`` over its guesses for
+    the constant; and ``p_min q_i`` is above the floor exactly when each of
+    its guesses' ``p q_i`` is. A spare row after them takes the
     rest category. Three running totals, each grown by one term per guess,
     spare the objective any sum over the history: ``prob_totals``, the column
     totals of the guesses' probability rows; ``successes``, their total
@@ -175,28 +191,31 @@ class HistoryArrays:
         self.population, self.live = population, 0
         self._cats, self._weight = np.zeros((17, n)), np.zeros(17)
         self.prob_totals, self.successes, self.live_successes = np.zeros(n), 0, 0
+        # Per dictionary with a merged category: [its row, p_min, its count
+        # W]; and sum N ln(p / p_min) over their guesses, its terms added in
+        # turn from 0, not by sum(), which compensates its rounding from
+        # Python 3.12 on: the same bits on every Python version.
+        self._merged: dict[int, list] = {}
+        self._shift = 0.0
 
     @classmethod
     def of(cls, corpus: Corpus, history: GuessHistory) -> "HistoryArrays":
         """The arrays that appending each observation of ``history`` in turn
         would leave, buffers included, built from one
-        :meth:`Corpus.probability_rows` lookup."""
+        :meth:`Corpus.probability_rows` lookup and the same merge as
+        :meth:`append`."""
         arrays = cls(len(corpus), history.population)
         probs = corpus.probability_rows(word for word, _ in history.observations)
         successes = [count for _, count in history.observations]
-        counts = np.array(successes, dtype=float)
-        live = (counts > 0) & (probs.max(axis=1) > PROBABILITY_FLOOR)
-        k = int(live.sum())
-        arrays._reserve(k)
-        arrays._cats[:k], arrays._weight[:k] = probs[live], counts[live]
-        arrays.live = k
-        if len(counts):
+        for values, count in zip(probs.tolist(), successes):
+            if count > 0:
+                arrays._add(values, count)
+        if successes:
             # cumsum adds the rows in turn, as append does; sum(axis=0) does
             # too for n >= 2, but sums a single column pairwise.
             arrays.prob_totals = np.cumsum(probs, axis=0)[-1].copy()
-        # As append keeps them: Python ints, exact above 2^53.
+        # As append keeps it: a Python int, exact above 2^53.
         arrays.successes = sum(successes)
-        arrays.live_successes = sum(compress(successes, live.tolist()))
         return arrays
 
     def _reserve(self, k: int) -> None:
@@ -215,11 +234,32 @@ class HistoryArrays:
         self.successes += successes
         if row is not None:
             self.prob_totals += row
-            if successes > 0 and max(row.tolist()) > PROBABILITY_FLOOR:
-                self._reserve(self.live + 1)
-                self._cats[self.live], self._weight[self.live] = row, successes
-                self.live += 1
-                self.live_successes += successes
+            if successes > 0:
+                self._add(row.tolist(), successes)
+
+    def _add(self, probs: list[float], successes: int) -> None:
+        """Add a guess with successes, whose probability row is ``probs``,
+        to the categories if it is live."""
+        p = max(probs)
+        if not p > PROBABILITY_FLOOR:
+            return
+        self.live_successes += successes
+        if probs.count(0.0) == len(probs) - 1:  # only dictionary i ranks it
+            i = probs.index(p)
+            if i in self._merged:
+                merged = self._merged[i]
+                k, p_min, total = merged
+                if p < p_min:  # every earlier guess's ln(p / p_min) grows
+                    self._shift += total * math.log(p_min / p)
+                    self._cats[k, i] = merged[1] = p
+                else:
+                    self._shift += successes * math.log(p / p_min)
+                merged[2] = self._weight[k] = total + successes
+                return
+            self._merged[i] = [self.live, p, successes]
+        self._reserve(self.live + 1)
+        self._cats[self.live], self._weight[self.live] = probs, successes
+        self.live += 1
 
     def categories(self) -> tuple[np.ndarray, np.ndarray, float]:
         """The rows and counts of every category, and the constant of the
@@ -229,7 +269,8 @@ class HistoryArrays:
         The rest comes last, with each dictionary's probability of the
         unguessed words, ``left``, as its row, while users remain and some
         dictionary gives it more than the floor. Every user outside the
-        categories counts ln(floor) in the constant.
+        categories counts ln(floor) in the constant, and each merged
+        category its ``sum N ln(p / p_min)``.
         """
         # Each dictionary's probability of the rest, from the running column
         # totals, which add the rows in turn. For n >= 2 numpy's sum(axis=0)
@@ -241,12 +282,15 @@ class HistoryArrays:
         if rest > 0 and max(left.tolist()) > PROBABILITY_FLOOR:
             self._cats[k], self._weight[k] = left, rest
             k, outside = k + 1, outside - rest
-        return self._cats[:k], self._weight[:k], outside * _LOG_FLOOR
+        return self._cats[:k], self._weight[:k], outside * _LOG_FLOOR + self._shift
 
 
 def log_likelihood(corpus: Corpus, weights, history: GuessHistory) -> float:
     """Censored-multinomial log-likelihood of ``weights`` given ``history``,
-    evaluated on the categories that :func:`estimate` reads.
+    evaluated on the categories that :func:`estimate` reads, each floored at
+    ``PROBABILITY_FLOOR``: a merged category as a whole (see
+    :class:`HistoryArrays`), so where a floor binds it may differ from
+    flooring each word on its own.
 
     The rest's probability is ``left @ q``, with ``left_i = 1 - sum_j
     p_i(k_j)`` each dictionary's probability of its unguessed words; on the
@@ -268,10 +312,10 @@ def gradient(corpus: Corpus, weights, history: GuessHistory) -> np.ndarray:
         sum_j N_j * p_i(k_j) / Q_{k_j}  +  (N - sum_j N_j) * left_i / (left . q)
 
     with ``left_i = 1 - sum_j p_i(k_j)``, the same categories and the same
-    floor as the objective. A term the floor binds, a guessed word with
-    Q_{k_j} at most ``PROBABILITY_FLOOR`` or a rest at most it (every
-    dictionary's words are all guessed), is a constant of the objective and
-    adds nothing here.
+    floor as the objective. A term the floor binds, a category at most
+    ``PROBABILITY_FLOOR`` (a guessed word, a merged category as a whole, or
+    a rest when every dictionary's words are all guessed), is a constant of
+    the objective and adds nothing here.
     """
     q = _weight_vector(weights, len(corpus))
     cats, weight, _ = HistoryArrays.of(corpus, history).categories()
@@ -289,8 +333,10 @@ def estimate(corpus: Corpus, history: GuessHistory, init: MixtureWeights,
     """Maximize the log-likelihood from ``init`` by active-set Newton ascent.
 
     The descent reads only its categories: each guessed word with successes
-    that some dictionary gives more than ``PROBABILITY_FLOOR``, and the rest
-    while users remain and some dictionary gives it more than the floor. Every
+    that some dictionary gives more than ``PROBABILITY_FLOOR``, those that
+    only one dictionary ranks merged into one category per dictionary (see
+    :class:`HistoryArrays`), and the rest while users remain and some
+    dictionary gives it more than the floor. Every
     other term of the objective is a constant, and adds nothing to its
     gradient. Each step solves the Newton system on the face of the simplex the
     iterate lies on, widened by the empty coordinates whose gradient beats

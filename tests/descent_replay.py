@@ -1,6 +1,6 @@
 """What one solver step costs on the descents of the benchmark's attacks.
 
-Runs two instances, captures every descent their attacks run, and replays
+Runs three instances, captures every descent their attacks run, and replays
 :func:`pwbandit.mixture.maximize` on them in-process:
 
 - ``mixed-attack``: the six attack slots of the benchmark's workload of that
@@ -13,7 +13,10 @@ Runs two instances, captures every descent their attacks run, and replays
   under ``random``, 25 guesses, attack seeds 0 to 3) on the four-dictionary
   ``overlap_corpus(4, 100000, 40000, 0.9, seed=2020)`` with 200,000 users at
   (0.4, 0.3, 0.2, 0.1), so that most Newton systems have four free
-  coordinates.
+  coordinates;
+- ``long-budget``: the three slots of the workload of that name (each guess
+  policy under ``best`` init, 1,000 guesses, attack seeds 0 to 2) on the
+  corpus and users of ``mixed-attack``, where the histories grow long.
 
 Run
 
@@ -25,6 +28,9 @@ to print, for each instance,
   over ``repetitions`` (default 20) replays of every descent;
 - per guess, counts that do not depend on the host: solver steps, and the
   C-level and Python calls of the attacks, counted with ``sys.setprofile``;
+- the live categories a descent reads (its history's word categories, the
+  rest not counted): their mean over the descents, and their least and
+  largest number at the last guess of a slot;
 - how many of the Newton directions start with three and with four free
   coordinates;
 - how many Newton systems went to ``_reduced_pair`` and ``_reduced_triple``
@@ -80,18 +86,22 @@ INSTANCES = {
         ((InitPolicy.AVERAGE, GuessPolicy.BY_Q), (InitPolicy.RANDOM, GuessPolicy.BY_Q),
          (InitPolicy.BEST, GuessPolicy.BEST_DICTIONARY),
          (InitPolicy.RANDOM, GuessPolicy.RANDOM_DICTIONARY))),
+    "long-budget": Instance(
+        lambda: overlap_corpus(3, 1000, 400, exponent=0.4, seed=1000), (0.6, 0.3, 0.1),
+        10_000, 1000, tuple((InitPolicy.BEST, guess) for guess in POLICIES)),
 }
 SOLVERS = ("_reduced_pair", "_reduced_triple", "_reduced_direction")
 
 
 class Captured:
     """A descent as :func:`maximize` reads it: the categories, the
-    population and the start, with the result it gave in its attack (the
-    weights and the steps) and the attack's guesses it was run on."""
+    population and the start, with the number of live categories, the
+    result it gave in its attack (the weights and the steps) and the
+    attack's guesses it was run on."""
 
     def __init__(self, arrays, w, cfg):
         cats, weight, constant = arrays.categories()
-        self.population = arrays.population
+        self.population, self.live = arrays.population, arrays.live
         self._categories = cats.copy(), weight.copy(), constant
         self.start, self.cfg, self.result, self.history = w.copy(), cfg, None, None
 
@@ -112,10 +122,11 @@ def attacks(instance: Instance, corpus, ps) -> int:
                for slot, (init, guess) in enumerate(instance.slots))
 
 
-def capture(instance: Instance, corpus, ps) -> tuple[list[Captured], int]:
-    """Every descent of the slots, and the guesses they made. The j-th
-    descent of an attack follows its j-th guess."""
-    descents = []
+def capture(instance: Instance, corpus, ps) -> tuple[list[Captured], list[int], int]:
+    """Every descent of the slots, the live categories of each slot's last
+    descent, and the guesses they made. The j-th descent of an attack
+    follows its j-th guess."""
+    descents, last = [], []
 
     def capturing(arrays, w, cfg, on_step=None):
         descents.append(Captured(arrays, w, cfg))
@@ -132,9 +143,10 @@ def capture(instance: Instance, corpus, ps) -> tuple[list[Captured], int]:
             for j, d in enumerate(descents[first:], start=1):
                 d.history = GuessHistory(ps.size, observations[:j])
             guesses += len(trace.words)
+            last.append(descents[-1].live)
     finally:
         bandit.maximize = maximize
-    return descents, guesses
+    return descents, last, guesses
 
 
 def calls(instance: Instance, corpus, ps) -> tuple[dict[str, Counter], int]:
@@ -233,8 +245,9 @@ if __name__ == "__main__":
     records = []
     for name, instance in INSTANCES.items():
         corpus, ps = password_set(instance)
-        descents, guesses = capture(instance, corpus, ps)
+        descents, last, guesses = capture(instance, corpus, ps)
         steps = sum(d.result[1] for d in descents)
+        live = statistics.fmean(d.live for d in descents)
         times = [replay(descents) for _ in range(repetitions)]
         by_caller, py_calls = calls(instance, corpus, ps)
         c_calls = sum(callees.total() for callees in by_caller.values())
@@ -245,7 +258,8 @@ if __name__ == "__main__":
               f"{min(per_step):.2f} us a step at best, median "
               f"{statistics.median(per_step):.2f} over {repetitions}; per guess "
               f"{steps / guesses:.2f} steps, {c_calls / guesses:.1f} C-level calls, "
-              f"{py_calls / guesses:.1f} Python calls; {sum(sizes.values())} Newton "
+              f"{py_calls / guesses:.1f} Python calls; {live:.1f} live categories a "
+              f"descent, {min(last)} to {max(last)} at the last guess; {sum(sizes.values())} Newton "
               f"directions, {sizes[3]} starting with three free coordinates, {sizes[4]} "
               f"with four; {fast} systems solved in straight-line code, {differ} of them "
               f"differing in bits from the reference's solve")

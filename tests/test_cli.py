@@ -527,6 +527,20 @@ def test_internal_error_prints_its_traceback(workdir, capsys, monkeypatch):
     assert err.splitlines()[-1] == "internal error: invariant broken"
 
 
+def test_an_internal_error_with_no_message_names_its_type(workdir, capsys, monkeypatch):
+    # A huge guess budget ends in MemoryError(), whose text is empty, when
+    # pad_curve asks for the curve; raised here without allocating.
+    def fail(cfg, args):
+        raise MemoryError()
+
+    help_text, _, flags = _COMMANDS["attack"]
+    monkeypatch.setitem(_COMMANDS, "attack", (help_text, fail, flags))
+    assert main(["attack", "--config", str(workdir / "experiment.ini")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.splitlines()[-1] == "internal error: MemoryError"
+
+
 @pytest.mark.parametrize("kind", ["config", "dictionary", "passwords"])
 def test_non_utf8_input_file_is_a_config_error(workdir, capsys, kind):
     (workdir / "leak.txt").write_text("beta\nalpha\n", encoding="utf-8")

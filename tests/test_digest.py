@@ -29,9 +29,9 @@ from pwbandit import GuessPolicy, InitPolicy, MixtureWeights, compose_password_s
 
 from helpers import overlap_corpus
 
-DIGEST = "bd1465e0c5c8b95a66df13e64b3e340fa416c4c741f2dc2efbaac0e25f182e46"
-OTHER_SIZES_DIGEST = "efd1eea0ed7a67c45fca073b296ba8a3559afb6cd6cac3fc33a8b3a9e199f682"
-SIX_DICTIONARIES_DIGEST = "0c8d96617633dbd65d040147369b30e7bb00b7cd11e4ab9faa6f57f84d25bb17"
+DIGEST = "9d3f31cebe2cf2bf319056b24bcccc1fe4c075b7a91f0d6e42f69e820bee7ece"
+OTHER_SIZES_DIGEST = "e2f48a82ccdbf1eedb97bc9981a0bd7d85456fbcbb02083c66f395f092943f42"
+SIX_DICTIONARIES_DIGEST = "b936b2c13b9853cd2e6751dce9e472a8eb2f2723fd1caabbd680a5148faa9c41"
 
 
 def attacks_digest(corpus, weights, runs) -> str:

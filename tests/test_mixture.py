@@ -957,17 +957,37 @@ def column_totals(probs):
 
 
 def reference_categories(probs, counts, population):
-    """The categories as each descent once rebuilt them from the m rows:
-    their rows, their counts and the constant of the floored terms."""
-    rows = np.flatnonzero(counts)
-    reach = probs[rows].max(axis=1, initial=0.0)
-    if reach.min(initial=1.0) <= PROBABILITY_FLOOR:
-        rows = rows[reach > PROBABILITY_FLOOR]
-    cats, weight = probs[rows], counts[rows]
+    """The categories as each descent once rebuilt them from the m rows,
+    with the guesses that only one dictionary ranks merged: their rows, their
+    counts, the constant of the floored terms, and the sum of the magnitudes
+    of the constant's terms, which bounds its rounding."""
+    live = [(row, count) for row, count in zip(probs.tolist(), counts.tolist())
+            if count > 0 and max(row) > PROBABILITY_FLOOR]
+    cats, weight, merged = [], [], {}
+    for row, count in live:
+        ranked = np.flatnonzero(row)
+        if len(ranked) == 1:
+            i = int(ranked[0])
+            if i not in merged:
+                merged[i] = (len(cats), [])
+                cats.append(None)
+                weight.append(None)
+            merged[i][1].append((row[i], count))
+        else:
+            cats.append(row)
+            weight.append(count)
+    terms = []
+    for i, (k, words) in merged.items():
+        p_min = min(p for p, _ in words)
+        cats[k] = [p_min if j == i else 0.0 for j in range(probs.shape[1])]
+        weight[k] = sum(count for _, count in words)
+        terms += [count * math.log(p / p_min) for p, count in words]
+    cats, weight = np.array(cats).reshape(-1, probs.shape[1]), np.array(weight, dtype=float)
     left, rest = 1.0 - column_totals(probs), population - counts.sum()
     if rest > 0 and left.max() > PROBABILITY_FLOOR:
         cats, weight = np.vstack([cats, left]), np.append(weight, rest)
-    return cats, weight, (population - weight.sum()) * mixture._LOG_FLOOR
+    floored = (population - weight.sum()) * mixture._LOG_FLOOR
+    return cats, weight, floored + math.fsum(terms), abs(floored) + math.fsum(terms)
 
 
 @st.composite
@@ -1001,6 +1021,18 @@ def growing_attacks(draw, sizes=st.integers(1, 3)):
     return corpus, population, observations
 
 
+# Merged categories. Only d0 ranks x and y, and only d1 ranks z: y comes
+# after x with a smaller probability, so d0's merged row is rescaled to it.
+RESCALED_MERGE = (
+    Corpus((Dictionary("d0", (("x", 3), ("s", 2), ("y", 1))),
+            Dictionary("d1", (("s", 1), ("z", 1))))),
+    100, [("x", 5), ("z", 2), ("s", 3), ("y", 4), ("z0", 1)])
+# One dictionary: every live row merges into one category.
+ONE_DICTIONARY_MERGE = (
+    Corpus((Dictionary("d", (("a", 5), ("b", 3), ("c", 1), ("e", 1))),)),
+    50, [("b", 4), ("a", 7), ("c", 0), ("e", 2)])
+
+
 @settings(max_examples=200, deadline=None)
 @given(growing_attacks())
 # From the uniform start, the first step's limit is where d0's weight reaches
@@ -1012,6 +1044,8 @@ def growing_attacks(draw, sizes=st.integers(1, 3)):
                   Dictionary("d1", (("w00", 1),)),
                   Dictionary("d2", (("w00", 1),)))),
           173, [("huge", 1)]))
+@example(RESCALED_MERGE)
+@example(ONE_DICTIONARY_MERGE)
 def test_grown_arrays_equal_the_rebuilt_categories(attack):
     corpus, population, observations = attack
     n = len(corpus)
@@ -1028,7 +1062,9 @@ def test_grown_arrays_equal_the_rebuilt_categories(attack):
             cats, weight, constant = arrays.categories()
             assert cats.shape == want[0].shape and np.array_equal(cats, want[0])
             assert weight.shape == want[1].shape and np.array_equal(weight, want[1])
-            assert constant == want[2]
+            # The merged categories' terms are added as their guesses come,
+            # the reference's in one exactly rounded sum.
+            assert constant == pytest.approx(want[2], rel=0, abs=1e-13 * want[3])
             # The running totals are the sums over the history, in the same
             # rounding: numpy's sum(axis=0) adds the rows in turn too, but
             # sums a single column pairwise.
@@ -1067,10 +1103,62 @@ def assert_same_buffers(built, reference):
 # Successes above 2^53 round as floats: the total stays an exact int.
 @example((Corpus((Dictionary("a", (("x", 3), ("y", 1))), Dictionary("b", (("x", 1), ("z", 3))))),
           2**53 + 1, [("x", 2**53 + 1)]))
+@example(RESCALED_MERGE)
+@example(ONE_DICTIONARY_MERGE)
 def test_arrays_built_at_once_are_the_appended_arrays_byte_for_byte(attack):
     corpus, population, observations = attack
     for history in (GuessHistory(population), GuessHistory(population, tuple(observations))):
         assert_same_buffers(HistoryArrays.of(corpus, history), appended(corpus, history))
+
+
+def per_word(corpus, q, history):
+    """The floored log-likelihood and its gradient with one category per
+    guessed word, and whether a floor binds at ``q`` on a word that some
+    dictionary gives more than the floor, or on the rest."""
+    probs = corpus.probability_rows(history.words)
+    counts = np.array([s for _, s in history.observations], dtype=float)
+    observed, left = probs @ q, 1.0 - column_totals(probs)
+    rest, rest_observed = history.population - counts.sum(), left @ q
+    live = (counts > 0) & (probs.max(axis=1, initial=0.0) > PROBABILITY_FLOOR)
+    binds = bool(np.any(observed[live] <= PROBABILITY_FLOOR)) or (
+        rest > 0 and left.max() > PROBABILITY_FLOOR and rest_observed <= PROBABILITY_FLOOR)
+    value = (counts @ np.log(np.maximum(observed, PROBABILITY_FLOOR))
+             + rest * np.log(max(rest_observed, PROBABILITY_FLOOR)))
+    above = observed > PROBABILITY_FLOOR
+    grad = probs.T @ np.where(above, counts / np.where(above, observed, 1.0), 0.0)
+    if rest > 0 and rest_observed > PROBABILITY_FLOOR:
+        grad = grad + rest / rest_observed * left
+    return value, grad, binds
+
+
+def assert_merged_is_per_word(corpus, q, history):
+    value, grad, binds = per_word(corpus, q, history)
+    if binds:
+        return False
+    assert log_likelihood(corpus, q, history) == pytest.approx(value, rel=1e-12, abs=0)
+    np.testing.assert_allclose(gradient(corpus, q, history), grad, rtol=1e-12, atol=0)
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(growing_attacks(), st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3))
+@example(RESCALED_MERGE, [0.2, 0.7, 1.0])
+@example(ONE_DICTIONARY_MERGE, [0.3, 1.0, 1.0])
+def test_the_merged_objective_is_the_per_word_objective_where_no_floor_binds(attack, raw):
+    corpus, population, observations = attack
+    q = np.array(raw[:len(corpus)]) / sum(raw[:len(corpus)])
+    history = GuessHistory(population, tuple(observations))
+    assume(assert_merged_is_per_word(corpus, q, history))
+
+
+def test_the_merged_objective_is_the_per_word_objective_on_the_first_sweep_histories():
+    from certification_sweep import instance
+
+    rng, compared = np.random.default_rng(0), 0
+    for _ in range(300):
+        corpus, history, start = instance(rng)
+        compared += assert_merged_is_per_word(corpus, start / start.sum(), history)
+    assert compared == 300
 
 
 @settings(max_examples=200, deadline=None)
@@ -1223,15 +1311,16 @@ def test_maximize_forms_the_hessian_with_the_transposed_form_s_bits(monkeypatch,
     # maximize scales the category rows as cats * s[:, None] and transposes,
     # where it scaled cats.T * s. Every Hessian it hands to _newton_direction
     # must have the bytes of the old form, at the point of that step. Shapes:
-    # only the rest category (k = 1), one dictionary, and k = 16, 17 and 33,
-    # about the sizes where the buffers double.
+    # only the rest category (k = 1), one dictionary, whose live rows all
+    # merge into one (k = 2), and k = 16, 17 and 33, about the sizes where
+    # the buffers double.
     rng = np.random.default_rng(live)
     arrays = HistoryArrays(n, 10 ** 6)
     for _ in range(live):
         arrays.append(rng.random(n) / (4 * live), int(rng.integers(1, 100)))
     arrays.append(rng.random(n) / 4, 0)  # no category, but an uneven rest
     cats, weight, _ = arrays.categories()
-    assert cats.shape == (live + 1, n)
+    assert cats.shape == ((live if n > 1 else 1) + 1, n)
     start = rng.dirichlet(np.ones(n))
     current, checked = [cats.dot(start)], []
     newton, step = mixture._newton_direction, mixture._step
