@@ -33,8 +33,10 @@ an upper bound on the distance to the maximum for a concave objective (Jaggi
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import accumulate, compress
 from numbers import Integral
 from typing import Callable, Container
 
@@ -163,6 +165,24 @@ def _weight_vector(weights, n: int) -> np.ndarray:
     return q
 
 
+@functools.cache
+def _pair_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Where a category's pair row keeps its products a_i a_j, i <= j, for
+    n dictionaries: the pairs in row-major order as the index arrays of i
+    and of j; the n x n array of the column of pair (min(i, j), max(i, j)),
+    which unpacks a pair row into a symmetric matrix; and the column of
+    each (i, i)."""
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    column = {pair: k for k, pair in enumerate(pairs)}
+    layout = (np.array([i for i, _ in pairs], dtype=np.intp),
+              np.array([j for _, j in pairs], dtype=np.intp),
+              np.array([[column[min(i, j), max(i, j)] for j in range(n)] for i in range(n)],
+                       dtype=np.intp))
+    for array in layout:  # shared by every caller
+        array.flags.writeable = False
+    return (*layout, tuple(column[i, i] for i in range(n)))
+
+
 class HistoryArrays:
     """One attack's guesses as the solver reads them, grown by :meth:`append`.
 
@@ -179,7 +199,10 @@ class HistoryArrays:
     ``W ln(p_min q_i)`` leaves ``sum N ln(p / p_min)`` over its guesses for
     the constant; and ``p_min q_i`` is above the floor exactly when each of
     its guesses' ``p q_i`` is. A spare row after them takes the
-    rest category. Three running totals, each grown by one term per guess,
+    rest category. Beside each row a_c, a pair row keeps its products a_ci
+    a_cj for i <= j (see :meth:`pair_rows`), written once when the category
+    opens and again where a merged category's ``p_min`` drops. Three running
+    totals, each grown by one term per guess,
     spare the objective any sum over the history: ``prob_totals``, the column
     totals of the guesses' probability rows; ``successes``, their total
     count; and ``live_successes``, the total count of the live categories.
@@ -190,6 +213,7 @@ class HistoryArrays:
     def __init__(self, n: int, population: int):
         self.population, self.live = population, 0
         self._cats, self._weight = np.zeros((17, n)), np.zeros(17)
+        self._pairs = np.zeros((17, n * (n + 1) // 2))
         self.prob_totals, self.successes, self.live_successes = np.zeros(n), 0, 0
         # Per dictionary with a merged category: [its row, p_min, its count
         # W]; and sum N ln(p / p_min) over their guesses, its terms added in
@@ -202,20 +226,68 @@ class HistoryArrays:
     def of(cls, corpus: Corpus, history: GuessHistory) -> "HistoryArrays":
         """The arrays that appending each observation of ``history`` in turn
         would leave, buffers included, built from one
-        :meth:`Corpus.probability_rows` lookup and the same merge as
-        :meth:`append`."""
-        arrays = cls(len(corpus), history.population)
-        probs = corpus.probability_rows(word for word, _ in history.observations)
-        successes = [count for _, count in history.observations]
-        for values, count in zip(probs.tolist(), successes):
-            if count > 0:
-                arrays._add(values, count)
+        :meth:`Corpus.probability_rows` lookup with array operations.
+
+        The merge rule of :meth:`append` runs over all live one-dictionary
+        rows at once: each dictionary's running least probability and
+        running count give each row's term of the constant by the same
+        float operations, and the terms are added in guess order from 0."""
+        n = len(corpus)
+        arrays = cls(n, history.population)
+        words, successes = zip(*history.observations) if history.observations else ((), ())
+        probs = corpus.probability_rows(words)
         if successes:
             # cumsum adds the rows in turn, as append does; sum(axis=0) does
             # too for n >= 2, but sums a single column pairwise.
             arrays.prob_totals = np.cumsum(probs, axis=0)[-1].copy()
-        # As append keeps it: a Python int, exact above 2^53.
+        # As append keeps them: Python ints, exact above 2^53.
         arrays.successes = sum(successes)
+        # Each count as _weight holds it, float(count); the reductions over
+        # each row run over the columns of a copy, which is faster.
+        counts, columns = np.fromiter(successes, float, len(successes)), probs.T.copy()
+        live = (counts > 0) & (columns.max(axis=0, initial=0.0) > PROBABILITY_FLOOR)
+        arrays.live_successes = sum(compress(successes, live.tolist()))
+        single = live & (np.count_nonzero(columns, axis=0) == 1)
+        opens, rows = live & ~single, np.flatnonzero(single)
+        if rows.size:
+            # The one-dictionary rows in guess order, each at its dictionary
+            # i in an n x (s + 1) grid led by a column of +inf: the running
+            # least probability and the running count of each dictionary,
+            # before each row and after it. Counts add as floats, exact
+            # below 2^53, or else as Python ints.
+            owner, at = columns[:, rows].argmax(axis=0), np.arange(1, rows.size + 1)
+            p = columns[owner, rows]
+            grid = np.full((n, rows.size + 1), np.inf)
+            grid[owner, at] = p
+            least = np.minimum.accumulate(grid, axis=1)
+            before, after = least[owner, at - 1], least[owner, at]
+            tally = np.zeros(grid.shape, float if history.population <= 2**53 else object)
+            tally[owner, at] = [successes[r] for r in rows.tolist()]
+            tally = tally.cumsum(axis=1)
+            # A row below the least before it rescales the earlier rows: the
+            # total before it times ln(p_min / p); any later row adds its own
+            # count times ln(p / p_min). Either ratio is the larger of p and
+            # the least before it over the least after it. The terms are
+            # added in guess order from 0.
+            later = before < np.inf
+            scale = np.where(p < before, tally[owner, at - 1].astype(float), counts[rows])[later]
+            ratio = (np.maximum(before, p)[later] / after[later]).tolist()
+            terms = np.zeros(len(successes))
+            terms[rows[later]] = scale * np.fromiter(map(math.log, ratio), float, len(ratio))
+            arrays._shift = float(np.cumsum(terms)[-1])
+            opening = rows[~later]
+            opens[opening] = True
+            slots = np.cumsum(opens) - 1
+            for r, i in zip(opening.tolist(), owner[~later].tolist()):
+                arrays._merged[i] = [int(slots[r]), float(least[i, -1]), int(tally[i, -1])]
+        arrays.live = k = int(np.count_nonzero(opens))
+        arrays._reserve(k)
+        first, second, _, _ = _pair_layout(n)
+        cats = arrays._cats[:k] = probs[opens]
+        arrays._weight[:k] = counts[opens]
+        np.multiply(cats[:, first], cats[:, second], out=arrays._pairs[:k])
+        for i in arrays._merged:
+            arrays._place(i)
         return arrays
 
     def _reserve(self, k: int) -> None:
@@ -226,8 +298,9 @@ class HistoryArrays:
         while capacity < k:
             capacity *= 2
         grow = capacity + 1 - self._weight.size
-        self._cats, self._weight = (np.concatenate([a, np.zeros((grow,) + a.shape[1:])])
-                                    for a in (self._cats, self._weight))
+        self._cats, self._weight, self._pairs = (
+            np.concatenate([a, np.zeros((grow,) + a.shape[1:])])
+            for a in (self._cats, self._weight, self._pairs))
 
     def append(self, row: np.ndarray | None, successes: int) -> None:
         """Add one guess: its probability row (None if unranked) and successes."""
@@ -248,18 +321,34 @@ class HistoryArrays:
             i = probs.index(p)
             if i in self._merged:
                 merged = self._merged[i]
-                k, p_min, total = merged
+                _, p_min, total = merged
                 if p < p_min:  # every earlier guess's ln(p / p_min) grows
                     self._shift += total * math.log(p_min / p)
-                    self._cats[k, i] = merged[1] = p
+                    merged[1] = p
                 else:
                     self._shift += successes * math.log(p / p_min)
-                merged[2] = self._weight[k] = total + successes
+                merged[2] = total + successes
+                self._place(i)
                 return
             self._merged[i] = [self.live, p, successes]
         self._reserve(self.live + 1)
-        self._cats[self.live], self._weight[self.live] = probs, successes
+        k = self.live
+        self._cats[k], self._weight[k] = probs, successes
+        self._pair(k)
         self.live += 1
+
+    def _place(self, i: int) -> None:
+        """Write dictionary i's merged category into its row, its pair row
+        and its count."""
+        k, p_min, total = self._merged[i]
+        self._cats[k, i], self._weight[k] = p_min, total
+        self._pairs[k, _pair_layout(self._cats.shape[1])[3][i]] = p_min * p_min
+
+    def _pair(self, k: int) -> None:
+        """Write row k's pair products."""
+        first, second, _, _ = _pair_layout(self._cats.shape[1])
+        row = self._cats[k]
+        np.multiply(row[first], row[second], out=self._pairs[k])
 
     def categories(self) -> tuple[np.ndarray, np.ndarray, float]:
         """The rows and counts of every category, and the constant of the
@@ -283,6 +372,15 @@ class HistoryArrays:
             self._cats[k], self._weight[k] = left, rest
             k, outside = k + 1, outside - rest
         return self._cats[:k], self._weight[:k], outside * _LOG_FLOOR + self._shift
+
+    def pair_rows(self, k: int) -> np.ndarray:
+        """The pair rows of the first ``k`` rows that :meth:`categories`
+        returned: row c holds a_ci a_cj for each pair i <= j, in row-major
+        order. The rest's, if it is among them, is formed here from its row,
+        once per call."""
+        if k > self.live:
+            self._pair(self.live)
+        return self._pairs[:k]
 
 
 def log_likelihood(corpus: Corpus, weights, history: GuessHistory) -> float:
@@ -413,11 +511,17 @@ def maximize(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentC
     values the start itself and adds each gain to it, in the order of the
     steps.
 
-    The Hessian is formed as ``(cats * s[:, None]).T``: the same products in
-    the same Fortran-ordered memory as ``cats.T * s``, so the same bits (the
-    speed-up it was for, seen on another host, did not show on a 2-core Xeon).
+    Minus the Hessian, ``sum_c s_c a_c a_c^T`` with ``s = weight /
+    observed**2``, is one product ``s . pairs`` with the categories' pair
+    rows (see :meth:`HistoryArrays.pair_rows`): its n(n + 1) / 2 entries,
+    unpacked into an n x n list that is exactly symmetric. Its entries
+    round apart from those of ``cats.T * s`` times ``cats`` in the last
+    places. The gradient, ``g . q``, the floor test and each step read
+    ``cats`` alone, so the gap a descent stops at is the gap of
+    :func:`gradient` at its estimate, bit for bit.
     """
     cats, weight, _ = arrays.categories()
+    pairs, unpack = arrays.pair_rows(weight.size), _pair_layout(w.size)[2]
 
     # Products call ndarray.dot, not the @ operator: both reach the same
     # BLAS routine, to the same bits, but @ goes through numpy's matmul
@@ -443,8 +547,8 @@ def maximize(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentC
         if max(g) - lam <= tolerance:
             break
         # minus the Hessian: sum_c C_c a_c a_c^T / (a_c . q)^2
-        hessian = (cats * (ratio / observed)[:, None]).T.dot(cats)
-        d = _newton_direction(hessian.tolist(), g, q, lam)
+        hessian = (ratio / observed).dot(pairs)[unpack].tolist()
+        d = _newton_direction(hessian, g, q, lam)
         moved = None
         if d is not None and (slope := float(grad.dot(direction := np.array(d)))) > 0:
             moved = _step(w, direction, q, d, slope, cats, weight, observed)
@@ -524,10 +628,14 @@ def _newton_direction(c: list[list[float]], g: list[float], q: list[float],
     0 and the step solved again.
 
     A direction after a floored pivot may not ascend, from the rounding of
-    ``c``, not from a re-solve: in sweep histories 890 and 2196 nothing is
-    fixed, and an exact solve of the same floats gives the same slope. There
-    ``c``'s entries, about 1e5, round by about 1e-11, the size of ``a``,
-    which comes out asymmetric and indefinite; the exact Hessian ascends.
+    ``c``, not from a re-solve. In sweep histories 890 and 2196 nothing is
+    fixed, and an exact solve of the same floats gave the same negative
+    slope: ``c``'s entries, about 1e5, rounded by about 1e-11, the size of
+    ``a``, which came out asymmetric and indefinite while ``c`` was formed
+    from the category rows. Formed from their pair rows (see
+    :func:`maximize`), ``c`` is exactly symmetric and both ascend; of the
+    sweep's 3,000 histories only 497 still meets a direction that does not,
+    a flat one, where the 1 x 1 reduced system rounds to exactly 0.
 
     :func:`_reduced_direction` solves the reduced system; it is the
     reference, and it solves the 1 x 1 system and those of five or more free
@@ -544,11 +652,16 @@ def _newton_direction(c: list[list[float]], g: list[float], q: list[float],
     routine is loaded (``numpy.linalg.eigh`` alone added 0.8 MB of resident
     code pages).
     """
-    n, index = len(q), [i for i, x in enumerate(q) if x > 0 or g[i] > lam]
+    # Where every coordinate of q >= 0 is positive, every one is free and
+    # none can be fixed, so both scans are skipped: the same bits.
+    n, positive = len(q), 0.0 not in q
+    index = list(range(n)) if positive else [i for i, x in enumerate(q) if x > 0 or g[i] > lam]
     while (size := len(index)) >= 2:
         solve = (_reduced_pair if size == 3 else _reduced_triple if size == 4
                  else _reduced_direction)
         direction = solve(c, g, n, index)
+        if positive:
+            return direction
         free = [i for i in index if q[i] != 0 or not direction[i] < 0]
         if free == index:  # a sublist of index, so equal only if nothing was fixed
             return direction

@@ -18,10 +18,12 @@ estimate is at most ``GAP_TOL`` per user. Run
 
     PYTHONPATH=src python tests/certification_sweep.py [histories] [out.json]
 
-to print the uncertified and capped counts, the largest gap, and the mean,
-median and 99th percentile of the steps, and optionally write one record
-per history (its steps, gap per user, log-likelihood and estimate) to
-compare two trees descent by descent.
+to print the uncertified and capped counts, the largest gap, the mean,
+median and 99th percentile of the steps, how many Newton directions did not
+ascend (slope <= 0) and how many pairwise Frank-Wolfe steps were taken, and
+optionally write one record per history (its steps, gap per user,
+log-likelihood, estimate and those two counts) to compare two trees descent
+by descent.
 """
 
 import json
@@ -29,7 +31,8 @@ import sys
 
 import numpy as np
 
-from pwbandit import Corpus, DescentConfig, Dictionary, GuessHistory, MixtureWeights, estimate, gradient
+from pwbandit import (Corpus, DescentConfig, Dictionary, GuessHistory, MixtureWeights, estimate,
+                      gradient, mixture)
 from pwbandit.mixture import GAP_TOL
 
 
@@ -71,13 +74,34 @@ def instance(rng):
 def sweep(histories: int = 3000) -> list[dict]:
     rng = np.random.default_rng(0)
     records = []
-    for k in range(histories):
-        corpus, history, start = instance(rng)
-        weights, loglik, steps = estimate(corpus, history, MixtureWeights(start / start.sum()))
-        g = gradient(corpus, weights, history)
-        gap = float(g.max() - g @ np.asarray(weights)) / history.population
-        records.append({"history": k, "n": len(corpus), "population": history.population,
-                        "steps": steps, "gap": gap, "loglik": loglik, "q": list(weights.q)})
+    newton, step = mixture._newton_direction, mixture._step
+    last, counts = [None], {}
+
+    def direction(c, g, q, lam):
+        d = last[0] = newton(c, g, q, lam)
+        counts["not_ascending"] += d is not None and float(np.dot(g, d)) <= 0
+        return d
+
+    def stepped(w, direction, q, d, *args):
+        moved = step(w, direction, q, d, *args)
+        # maximize hands _step the Newton direction's own list, or a new one
+        # for the pairwise step.
+        counts["pairwise"] += d is not last[0] and moved is not None
+        return moved
+
+    mixture._newton_direction, mixture._step = direction, stepped
+    try:
+        for k in range(histories):
+            corpus, history, start = instance(rng)
+            counts.update(not_ascending=0, pairwise=0)
+            weights, loglik, steps = estimate(corpus, history, MixtureWeights(start / start.sum()))
+            g = gradient(corpus, weights, history)
+            gap = float(g.max() - g @ np.asarray(weights)) / history.population
+            records.append({"history": k, "n": len(corpus), "population": history.population,
+                            "steps": steps, "gap": gap, "loglik": loglik, "q": list(weights.q),
+                            **counts})
+    finally:
+        mixture._newton_direction, mixture._step = newton, step
     return records
 
 
@@ -90,4 +114,7 @@ if __name__ == "__main__":
     print(f"uncertified {sum(r['gap'] > GAP_TOL for r in records)} of {len(records)}, "
           f"at the step cap {sum(s >= cap for s in steps)}, "
           f"largest gap per user {max(r['gap'] for r in records):.3g}; steps mean "
-          f"{np.mean(steps):.1f}, median {np.median(steps):g}, 99th percentile {np.percentile(steps, 99):g}")
+          f"{np.mean(steps):.1f}, median {np.median(steps):g}, 99th percentile {np.percentile(steps, 99):g}; "
+          f"Newton directions with slope <= 0 {sum(r['not_ascending'] for r in records)} (histories "
+          f"{[r['history'] for r in records if r['not_ascending']]}), pairwise steps taken "
+          f"{sum(r['pairwise'] for r in records)}")

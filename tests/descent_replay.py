@@ -94,19 +94,24 @@ SOLVERS = ("_reduced_pair", "_reduced_triple", "_reduced_direction")
 
 
 class Captured:
-    """A descent as :func:`maximize` reads it: the categories, the
-    population and the start, with the number of live categories, the
-    result it gave in its attack (the weights and the steps) and the
+    """A descent as :func:`maximize` reads it: the categories, their pair
+    rows, the population and the start, with the number of live categories,
+    the result it gave in its attack (the weights and the steps) and the
     attack's guesses it was run on."""
 
     def __init__(self, arrays, w, cfg):
         cats, weight, constant = arrays.categories()
         self.population, self.live = arrays.population, arrays.live
         self._categories = cats.copy(), weight.copy(), constant
+        self._pairs = arrays.pair_rows(weight.size).copy()
         self.start, self.cfg, self.result, self.history = w.copy(), cfg, None, None
 
     def categories(self):
         return self._categories
+
+    def pair_rows(self, k):
+        assert k == len(self._pairs)
+        return self._pairs
 
 
 def password_set(instance: Instance):

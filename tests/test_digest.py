@@ -29,9 +29,9 @@ from pwbandit import GuessPolicy, InitPolicy, MixtureWeights, compose_password_s
 
 from helpers import overlap_corpus
 
-DIGEST = "9d3f31cebe2cf2bf319056b24bcccc1fe4c075b7a91f0d6e42f69e820bee7ece"
-OTHER_SIZES_DIGEST = "e2f48a82ccdbf1eedb97bc9981a0bd7d85456fbcbb02083c66f395f092943f42"
-SIX_DICTIONARIES_DIGEST = "b936b2c13b9853cd2e6751dce9e472a8eb2f2723fd1caabbd680a5148faa9c41"
+DIGEST = "bad160e1d217ca887131364b839f098219f749386911ac8686ffe91355abb8b3"
+OTHER_SIZES_DIGEST = "693aea1d9785eaf3b4004a9bdffd28cc7de7d7f218a4f1b16babb8f24ed879be"
+SIX_DICTIONARIES_DIGEST = "2d90e14a67f73da7c2d4ef55eda110c3bc6b151a2e9784bf910e2d79df5d6e34"
 
 
 def attacks_digest(corpus, weights, runs) -> str:

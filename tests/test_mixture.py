@@ -388,26 +388,45 @@ def test_a_step_that_loses_is_halved_until_it_gains():
 
 
 def test_a_stalled_newton_direction_falls_back_to_a_pairwise_step(monkeypatch):
-    # d1 is d0 plus a rare word, guessed without success, so the likelihood
-    # is nearly linear along e0 - e1 and the maximum is the vertex e0. From
-    # (0.6, 0.4) the 1 x 1 reduced Hessian rounds to exactly 0, so the
+    # Sweep history 497 of tests/certification_sweep.py, whose every word is
+    # guessed, so each dictionary keeps all its words and the descent is the
+    # sweep's, bit for bit. d1 and d2 are d0 plus a rare word each, guessed
+    # without success, so the likelihood is nearly linear along e0 - e1 and
+    # the maximum is the vertex e0. The first Newton step, cut at the
+    # boundary, empties d2, whose gradient is then below g . q. On the face
+    # of d0 and d1 the 1 x 1 reduced Hessian rounds to exactly 0, so the
     # direction counts as flat and is zero, and the step is the pairwise
     # one, towards the best vertex and away from the worst one in the
     # support, which ends there.
-    step, directions = mixture._step, []
+    newton, step, directions = mixture._newton_direction, mixture._step, []
+
+    def recorded_newton(c, g, q, lam):
+        d = newton(c, g, q, lam)
+        directions.append(("newton", d))
+        return d
 
     def recorded(w, direction, q, d, *args):
         assert d == direction.tolist() and q == w.tolist()
-        directions.append(d)
+        directions.append(("step", d))
         return step(w, direction, q, d, *args)
 
+    monkeypatch.setattr(mixture, "_newton_direction", recorded_newton)
     monkeypatch.setattr(mixture, "_step", recorded)
-    c = Corpus((Dictionary("d0", (("w21", 96187), ("rest0", 82118049))),
-                Dictionary("d1", (("w21", 96187), ("rest0", 82118049), ("r1_0", 1)))))
-    h = GuessHistory(38170, (("r1_0", 0), ("w21", 36)))
-    weights, _, steps = estimate(c, h, MixtureWeights((0.6, 0.4)))
-    assert directions == [[1.0, -1.0]]
-    assert weights.q == (1.0, 0.0) and steps == 1
+    words = (("rest0", 44130072), ("w4", 536883), ("w11", 241226), ("w0", 131133),
+             ("w13", 127005), ("w6", 124717), ("w15", 107898), ("w5", 107354), ("w10", 106449),
+             ("w2", 98717), ("w12", 91755), ("w3", 83224), ("w7", 78363), ("w8", 65839))
+    c = Corpus((Dictionary("d0", words), Dictionary("d1", words + (("r1_0", 1),)),
+                Dictionary("d2", words + (("r2_0", 1),))))
+    h = GuessHistory(18676, (("r1_0", 0), ("rest0", 17912), ("w3", 34), ("w6", 42), ("w0", 60),
+                             ("w10", 50), ("w7", 30), ("w12", 35), ("w4", 201), ("w13", 46),
+                             ("r2_0", 0), ("w2", 47), ("w5", 39), ("w15", 34), ("w11", 110),
+                             ("w8", 36)))
+    start = MixtureWeights((0.0773598833349667, 0.6658033476443316, 0.2568367690207018))
+    weights, _, steps = estimate(c, h, start)
+    (_, first), (_, long_step), (_, flat), (_, pairwise) = directions
+    assert long_step is first and first[1] == 0.0 and first[2] < 0
+    assert flat == [0.0, 0.0, 0.0] and pairwise == [1.0, -1.0, 0.0]
+    assert weights.q == (1.0, 0.0, 0.0) and steps == 2
     assert fw_gap(c, weights, h) <= GAP_TOL * h.population
     # Sweep history 2200: here the reduced system is nearly singular along
     # e0 - e1. When such pivots counted as zero, the Newton direction soon
@@ -553,23 +572,27 @@ def test_the_sweep_descents_that_lost_their_certificate_certify(dictionaries, po
         (0.06982774297035628, 0.46123812785621426, 0.46893412917342947),
         id="history-2196"),
 ])
-def test_a_newton_direction_that_does_not_ascend_falls_back_to_a_pairwise_step(
+def test_the_newton_directions_on_the_sweeps_near_duplicates_ascend(
         monkeypatch, dictionaries, population, observations, start):
     # Two histories of tests/certification_sweep.py over three near-duplicate
     # dictionaries, reduced as above to the sweep's descent bit for bit.
-    # After a floored pivot the Newton direction does not ascend: in 890 the
-    # first has slope about -1.0e14, in 2196 the second about -5.0e5. The
-    # descent drops it for the pairwise step and still certifies.
-    events, newton, step = [], mixture._newton_direction, mixture._step
+    # With the Hessian formed from the category rows, the Newton direction
+    # after a floored pivot did not ascend (in 890 the first had slope about
+    # -1.0e14, in 2196 the second about -5.0e5) and the descent fell back to
+    # a pairwise step. Formed from the pair rows, every Newton direction
+    # ascends, every step is a Newton step, and the descent certifies.
+    slopes, directions, newton, step = [], [], mixture._newton_direction, mixture._step
 
     def recorded_newton(c, g, q, lam):
         d = newton(c, g, q, lam)
-        events.append(("newton", None if d is None else float(np.dot(g, d))))
+        slopes.append(None if d is None else float(np.dot(g, d)))
+        directions.append(d)
         return d
 
     def recorded_step(w, direction, q, d, *args):
-        assert d == direction.tolist() and q == w.tolist()
-        events.append(("step", d))
+        # maximize hands _step the Newton direction's own list, or a new
+        # one for the pairwise step.
+        assert d is directions[-1], "a pairwise step"
         return step(w, direction, q, d, *args)
 
     monkeypatch.setattr(mixture, "_newton_direction", recorded_newton)
@@ -579,12 +602,7 @@ def test_a_newton_direction_that_does_not_ascend_falls_back_to_a_pairwise_step(
     weights, _, steps = estimate(c, h, MixtureWeights(start))
     assert fw_gap(c, weights, h) <= GAP_TOL * h.population
     assert steps < DescentConfig().max_steps
-    pairwise = sorted([-1.0, 1.0] + [0.0] * (len(c) - 2))
-    after_descending = [after for (kind, slope), after in zip(events, events[1:])
-                        if kind == "newton" and slope is not None and slope <= 0]
-    assert after_descending
-    assert all(kind == "step" and sorted(direction) == pairwise
-               for kind, direction in after_descending)
+    assert slopes and all(slope is not None and slope > 0 for slope in slopes)
 
 
 def test_a_near_duplicate_instance_certifies_from_every_start():
@@ -873,11 +891,13 @@ def test_the_newton_direction_through_the_closed_form_is_the_eliminations(monkey
         [-283799351248.0442, 425699273090.6856, -141899921842.64142], id="history-2196"),
 ])
 def test_the_sweeps_non_ascending_newton_directions_are_pinned(c, g, q, lam, expected):
-    # The Newton systems of the non-ascending directions in
-    # test_a_newton_direction_that_does_not_ascend_falls_back_to_a_pairwise_step:
-    # three free coordinates (in 2196 one of them empty, with a gradient
-    # above lam), a near-singular reduced system whose second pivot is
-    # floored, and a direction along which the objective does not ascend.
+    # The Newton systems that sweep histories 890 and 2196 (see
+    # test_the_newton_directions_on_the_sweeps_near_duplicates_ascend) met
+    # while minus the Hessian was formed from the category rows, which left
+    # it asymmetric: three free coordinates (in 2196 one of them empty, with
+    # a gradient above lam), a near-singular reduced system whose second
+    # pivot is floored, and a direction along which the objective does not
+    # ascend. The solve of these floats stays pinned.
     d = mixture._newton_direction(c, g, q, lam)
     assert bits(d) == bits(expected)
     assert bits(mixture._reduced_direction(c, g, len(q), [0, 1, 2])) == bits(expected)
@@ -1062,6 +1082,11 @@ def test_grown_arrays_equal_the_rebuilt_categories(attack):
             cats, weight, constant = arrays.categories()
             assert cats.shape == want[0].shape and np.array_equal(cats, want[0])
             assert weight.shape == want[1].shape and np.array_equal(weight, want[1])
+            # Each pair row holds its row's products a_i a_j, i <= j, the
+            # rest's too, each rounded once.
+            pairs = [[row[i] * row[j] for i in range(n) for j in range(i, n)]
+                     for row in cats.tolist()]
+            assert arrays.pair_rows(len(weight)).tolist() == pairs
             # The merged categories' terms are added as their guesses come,
             # the reference's in one exactly rounded sum.
             assert constant == pytest.approx(want[2], rel=0, abs=1e-13 * want[3])
@@ -1109,6 +1134,29 @@ def test_arrays_built_at_once_are_the_appended_arrays_byte_for_byte(attack):
     corpus, population, observations = attack
     for history in (GuessHistory(population), GuessHistory(population, tuple(observations))):
         assert_same_buffers(HistoryArrays.of(corpus, history), appended(corpus, history))
+
+
+@pytest.mark.parametrize("corpus, population, observations", [
+    # Only d0 ranks x and y, only d1 z: y's lower probability rescales x's
+    # count, a total above 2^53 that rounds as a float, as does each weight.
+    (Corpus((Dictionary("d0", (("x", 3), ("y", 1), ("s", 1))),
+             Dictionary("d1", (("s", 2), ("z", 1))))),
+     2**60, [("x", 2**55 + 1), ("z", 2**54 + 3), ("y", 2**53 + 5), ("s", 7), ("x0", 1)]),
+    # Every dictionary has a merged category, and its later words come
+    # above and below the least before them.
+    (Corpus((Dictionary("d0", (("a", 5), ("b", 3), ("c", 4), ("s", 1))),
+             Dictionary("d1", (("d", 1), ("e", 2), ("f", 3), ("s", 2))),
+             Dictionary("d2", (("g", 7), ("h", 1), ("s", 2))))),
+     1000, [("b", 3), ("d", 4), ("g", 1), ("a", 2), ("s", 9), ("e", 6), ("h", 5), ("c", 8),
+            ("f", 1)]),
+])
+def test_arrays_built_at_once_merge_as_append_does(corpus, population, observations):
+    # of runs the merge rule over each dictionary's rows at once; append
+    # runs it a guess at a time, with Python ints and math.log.
+    history = GuessHistory(population, tuple(observations))
+    built = HistoryArrays.of(corpus, history)
+    assert len(built._merged) == len(corpus)
+    assert_same_buffers(built, appended(corpus, history))
 
 
 def per_word(corpus, q, history):
@@ -1307,13 +1355,14 @@ def test_near_duplicate_descents_certify_with_the_solvers_gap(instance):
 
 
 @pytest.mark.parametrize("n, live", [(3, 0), (1, 5), (3, 15), (3, 16), (4, 32)])
-def test_maximize_forms_the_hessian_with_the_transposed_form_s_bits(monkeypatch, n, live):
-    # maximize scales the category rows as cats * s[:, None] and transposes,
-    # where it scaled cats.T * s. Every Hessian it hands to _newton_direction
-    # must have the bytes of the old form, at the point of that step. Shapes:
-    # only the rest category (k = 1), one dictionary, whose live rows all
-    # merge into one (k = 2), and k = 16, 17 and 33, about the sizes where
-    # the buffers double.
+def test_maximize_forms_a_symmetric_hessian_from_the_pair_rows(monkeypatch, n, live):
+    # maximize forms minus the Hessian as one product of s = weight /
+    # observed^2 with the categories' pair rows. Every Hessian it hands to
+    # _newton_direction must be exactly symmetric and, at the point of that
+    # step, within 1e-13 of its largest entry of the product formed from the
+    # rows, (cats.T * s).dot(cats). Shapes: only the rest category (k = 1),
+    # one dictionary, whose live rows all merge into one (k = 2), and k =
+    # 16, 17 and 33, about the sizes where the buffers double.
     rng = np.random.default_rng(live)
     arrays = HistoryArrays(n, 10 ** 6)
     for _ in range(live):
@@ -1333,8 +1382,10 @@ def test_maximize_forms_the_hessian_with_the_transposed_form_s_bits(monkeypatch,
 
     def checked_direction(c, g, q, lam):
         observed = current[0]
-        old = (cats.T * (weight / observed / observed)).dot(cats)
-        assert np.array(c).tobytes() == old.tobytes()
+        want = (cats.T * (weight / observed / observed)).dot(cats)
+        got = np.array(c)
+        assert got.shape == (n, n) and np.array_equal(got, got.T)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         checked.append(len(c))
         return newton(c, g, q, lam)
 
