@@ -50,8 +50,10 @@ def _proportions(text: str) -> MixtureWeights:
 
 # The schema, in file order: "section.key" -> (field of ExperimentConfig,
 # parser of the key's text, least and greatest integer value or None). A
-# count of users or guesses sizes arrays, so it may not exceed sys.maxsize.
-# The free-form [dictionaries] section is not in it.
+# count of users sizes arrays, so it may not exceed sys.maxsize; the summary
+# pads its mean curve to the guess budget, a list of up to MAX_GUESSES
+# entries. The free-form [dictionaries] section is not in it.
+MAX_GUESSES = 10**7
 KEYS = {
     "composition.passwords": ("password_file", str, None, None),
     "composition.proportions": ("proportions", _proportions, None, None),
@@ -59,7 +61,7 @@ KEYS = {
     "composition.seed": ("composition_seed", int, 0, None),
     "attack.init": ("init_policy", InitPolicy, None, None),
     "attack.guess": ("guess_policy", GuessPolicy, None, None),
-    "attack.guesses": ("guess_budget", int, 1, sys.maxsize),
+    "attack.guesses": ("guess_budget", int, 1, MAX_GUESSES),
     "attack.runs": ("runs", int, 1, None),
     "attack.seed": ("attack_seed", int, 0, None),
     "output.dir": ("output_dir", str, None, None),

@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import compress
 from numbers import Integral
 from typing import Callable, Container
 
@@ -198,7 +198,8 @@ class HistoryArrays:
     ``N ln q_i + N ln p`` to the objective, so the merged category's
     ``W ln(p_min q_i)`` leaves ``sum N ln(p / p_min)`` over its guesses for
     the constant; and ``p_min q_i`` is above the floor exactly when each of
-    its guesses' ``p q_i`` is. A spare row after them takes the
+    its guesses' ``p q_i`` is. The arrays keep no constant, which an attack
+    never reads: :func:`_value` computes it. A spare row after them takes the
     rest category. Beside each row a_c, a pair row keeps its products a_ci
     a_cj for i <= j (see :meth:`pair_rows`), written once when the category
     opens and again where a merged category's ``p_min`` drops. Three running
@@ -215,23 +216,20 @@ class HistoryArrays:
         self._cats, self._weight = np.zeros((17, n)), np.zeros(17)
         self._pairs = np.zeros((17, n * (n + 1) // 2))
         self.prob_totals, self.successes, self.live_successes = np.zeros(n), 0, 0
-        # Per dictionary with a merged category: [its row, p_min, its count
-        # W]; and sum N ln(p / p_min) over their guesses, its terms added in
-        # turn from 0, not by sum(), which compensates its rounding from
-        # Python 3.12 on: the same bits on every Python version.
+        # Per dictionary with a merged category: [its row, p_min, its count W].
         self._merged: dict[int, list] = {}
-        self._shift = 0.0
 
     @classmethod
-    def of(cls, corpus: Corpus, history: GuessHistory) -> "HistoryArrays":
+    def of(cls, corpus: Corpus, history: GuessHistory) -> tuple["HistoryArrays", float]:
         """The arrays that appending each observation of ``history`` in turn
         would leave, buffers included, built from one
-        :meth:`Corpus.probability_rows` lookup with array operations.
+        :meth:`Corpus.probability_rows` lookup with array operations; and
+        ``sum N ln p`` over the merged categories' guesses, exactly rounded,
+        which :func:`_value` reads in place of their ``sum N ln(p / p_min)``.
 
-        The merge rule of :meth:`append` runs over all live one-dictionary
-        rows at once: each dictionary's running least probability and
-        running count give each row's term of the constant by the same
-        float operations, and the terms are added in guess order from 0."""
+        Each merged category opens at the row of its dictionary's first live
+        one-dictionary guess; its ``p_min`` and its count are reductions over
+        all of them."""
         n = len(corpus)
         arrays = cls(n, history.population)
         words, successes = zip(*history.observations) if history.observations else ((), ())
@@ -249,37 +247,16 @@ class HistoryArrays:
         arrays.live_successes = sum(compress(successes, live.tolist()))
         single = live & (np.count_nonzero(columns, axis=0) == 1)
         opens, rows = live & ~single, np.flatnonzero(single)
-        if rows.size:
-            # The one-dictionary rows in guess order, each at its dictionary
-            # i in an n x (s + 1) grid led by a column of +inf: the running
-            # least probability and the running count of each dictionary,
-            # before each row and after it. Counts add as floats, exact
-            # below 2^53, or else as Python ints.
-            owner, at = columns[:, rows].argmax(axis=0), np.arange(1, rows.size + 1)
-            p = columns[owner, rows]
-            grid = np.full((n, rows.size + 1), np.inf)
-            grid[owner, at] = p
-            least = np.minimum.accumulate(grid, axis=1)
-            before, after = least[owner, at - 1], least[owner, at]
-            tally = np.zeros(grid.shape, float if history.population <= 2**53 else object)
-            tally[owner, at] = [successes[r] for r in rows.tolist()]
-            tally = tally.cumsum(axis=1)
-            # A row below the least before it rescales the earlier rows: the
-            # total before it times ln(p_min / p); any later row adds its own
-            # count times ln(p / p_min). Either ratio is the larger of p and
-            # the least before it over the least after it. The terms are
-            # added in guess order from 0.
-            later = before < np.inf
-            scale = np.where(p < before, tally[owner, at - 1].astype(float), counts[rows])[later]
-            ratio = (np.maximum(before, p)[later] / after[later]).tolist()
-            terms = np.zeros(len(successes))
-            terms[rows[later]] = scale * np.fromiter(map(math.log, ratio), float, len(ratio))
-            arrays._shift = float(np.cumsum(terms)[-1])
-            opening = rows[~later]
-            opens[opening] = True
-            slots = np.cumsum(opens) - 1
-            for r, i in zip(opening.tolist(), owner[~later].tolist()):
-                arrays._merged[i] = [int(slots[r]), float(least[i, -1]), int(tally[i, -1])]
+        owner = columns[:, rows].argmax(axis=0)
+        p, p_min = columns[owner, rows], np.full(n, np.inf)
+        np.minimum.at(p_min, owner, p)
+        owners, firsts = np.unique(owner, return_index=True)
+        opens[rows[firsts]] = True
+        for i, r in zip(owners.tolist(), rows[firsts].tolist()):
+            total = sum(map(successes.__getitem__, rows[owner == i].tolist()))
+            arrays._merged[i] = [int(np.count_nonzero(opens[:r])), float(p_min[i]), total]
+        constant = math.fsum(count * math.log(x) for count, x
+                             in zip(counts[rows].tolist(), p.tolist()))
         arrays.live = k = int(np.count_nonzero(opens))
         arrays._reserve(k)
         first, second, _, _ = _pair_layout(n)
@@ -288,7 +265,7 @@ class HistoryArrays:
         np.multiply(cats[:, first], cats[:, second], out=arrays._pairs[:k])
         for i in arrays._merged:
             arrays._place(i)
-        return arrays
+        return arrays, constant
 
     def _reserve(self, k: int) -> None:
         """Double the buffers until they hold ``k`` categories and the spare."""
@@ -321,13 +298,9 @@ class HistoryArrays:
             i = probs.index(p)
             if i in self._merged:
                 merged = self._merged[i]
-                _, p_min, total = merged
-                if p < p_min:  # every earlier guess's ln(p / p_min) grows
-                    self._shift += total * math.log(p_min / p)
+                if p < merged[1]:
                     merged[1] = p
-                else:
-                    self._shift += successes * math.log(p / p_min)
-                merged[2] = total + successes
+                merged[2] += successes
                 self._place(i)
                 return
             self._merged[i] = [self.live, p, successes]
@@ -350,16 +323,15 @@ class HistoryArrays:
         row = self._cats[k]
         np.multiply(row[first], row[second], out=self._pairs[k])
 
-    def categories(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """The rows and counts of every category, and the constant of the
-        floored objective: the log-likelihood at q is ``weight @
-        log(max(cats @ q, PROBABILITY_FLOOR)) + constant``.
+    def categories(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The rows and counts of every category, and the number of users
+        outside them: the log-likelihood at q is ``weight @ log(max(cats @
+        q, PROBABILITY_FLOOR))`` plus ln(floor) for each user outside, plus
+        the merged categories' ``sum N ln(p / p_min)`` (see :func:`_value`).
 
         The rest comes last, with each dictionary's probability of the
         unguessed words, ``left``, as its row, while users remain and some
-        dictionary gives it more than the floor. Every user outside the
-        categories counts ln(floor) in the constant, and each merged
-        category its ``sum N ln(p / p_min)``.
+        dictionary gives it more than the floor.
         """
         # Each dictionary's probability of the rest, from the running column
         # totals, which add the rows in turn. For n >= 2 numpy's sum(axis=0)
@@ -371,7 +343,7 @@ class HistoryArrays:
         if rest > 0 and max(left.tolist()) > PROBABILITY_FLOOR:
             self._cats[k], self._weight[k] = left, rest
             k, outside = k + 1, outside - rest
-        return self._cats[:k], self._weight[:k], outside * _LOG_FLOOR + self._shift
+        return self._cats[:k], self._weight[:k], outside
 
     def pair_rows(self, k: int) -> np.ndarray:
         """The pair rows of the first ``k`` rows that :meth:`categories`
@@ -397,9 +369,21 @@ def log_likelihood(corpus: Corpus, weights, history: GuessHistory) -> float:
     the simplex too, which the finite-difference checks rely on. An empty
     history gives N ln(sum_i q_i): exactly 0 where the weights sum to 1.
     """
-    q = _weight_vector(weights, len(corpus))
-    cats, weight, constant = HistoryArrays.of(corpus, history).categories()
-    return float(weight.dot(np.log(np.maximum(cats.dot(q), PROBABILITY_FLOOR))) + constant)
+    return _value(*HistoryArrays.of(corpus, history), _weight_vector(weights, len(corpus)))
+
+
+def _value(arrays: HistoryArrays, merged: float, q: np.ndarray) -> float:
+    """The floored objective at ``q``, given ``arrays`` and ``merged`` as
+    :meth:`HistoryArrays.of` returns them. The merged category of dictionary
+    i counts ``W ln max(q_i, PROBABILITY_FLOOR / p_min)`` and its guesses
+    ``sum N ln p``: the ``W ln max(p_min q_i, PROBABILITY_FLOOR)`` and ``sum
+    N ln(p / p_min)`` of the objective, without their large terms that
+    cancel where p_min is far below the other p."""
+    cats, weight, outside = arrays.categories()
+    observed = np.maximum(cats.dot(q), PROBABILITY_FLOOR)
+    for i, (k, p_min, _) in arrays._merged.items():
+        observed[k] = max(q[i], PROBABILITY_FLOOR / p_min)
+    return float(weight.dot(np.log(observed)) + (outside * _LOG_FLOOR + merged))
 
 
 def gradient(corpus: Corpus, weights, history: GuessHistory) -> np.ndarray:
@@ -416,7 +400,7 @@ def gradient(corpus: Corpus, weights, history: GuessHistory) -> np.ndarray:
     the objective and adds nothing here.
     """
     q = _weight_vector(weights, len(corpus))
-    cats, weight, _ = HistoryArrays.of(corpus, history).categories()
+    cats, weight, _ = HistoryArrays.of(corpus, history)[0].categories()
     observed = cats.dot(q)
     live = observed > PROBABILITY_FLOOR
     return cats.T.dot(np.where(live, weight, 0.0) / np.where(live, observed, 1.0))
@@ -474,9 +458,8 @@ def estimate(corpus: Corpus, history: GuessHistory, init: MixtureWeights,
     w = _weight_vector(init, len(corpus))
     if not isinstance(init, MixtureWeights):
         MixtureWeights(w.tolist())
-    arrays = HistoryArrays.of(corpus, history)
-    cats, weight, constant = arrays.categories()
-    loglik = -np.inf
+    arrays, merged = HistoryArrays.of(corpus, history)
+    cats, loglik = arrays.categories()[0], -np.inf
 
     def track(index: int, point: np.ndarray, gain: float | None) -> None:
         nonlocal loglik
@@ -485,9 +468,8 @@ def estimate(corpus: Corpus, history: GuessHistory, init: MixtureWeights,
         else:
             # Where every category is above the floor, the floored objective
             # is the unfloored one; elsewhere the descent counts it as -inf.
-            observed = cats.dot(point)
-            loglik = (-np.inf if np.minimum.reduce(observed, initial=1.0) <= PROBABILITY_FLOOR
-                      else float(weight.dot(np.log(observed)) + constant))
+            floored = np.minimum.reduce(cats.dot(point), initial=1.0) <= PROBABILITY_FLOOR
+            loglik = -np.inf if floored else _value(arrays, merged, point)
         if on_step is not None:
             on_step(index, MixtureWeights(point), loglik)
 

@@ -100,9 +100,9 @@ class Captured:
     attack's guesses it was run on."""
 
     def __init__(self, arrays, w, cfg):
-        cats, weight, constant = arrays.categories()
+        cats, weight, outside = arrays.categories()
         self.population, self.live = arrays.population, arrays.live
-        self._categories = cats.copy(), weight.copy(), constant
+        self._categories = cats.copy(), weight.copy(), outside
         self._pairs = arrays.pair_rows(weight.size).copy()
         self.start, self.cfg, self.result, self.history = w.copy(), cfg, None, None
 

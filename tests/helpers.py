@@ -6,6 +6,11 @@ single-pass tallies and finite differences only.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+
 import numpy as np
 
 from pwbandit import (
@@ -18,6 +23,22 @@ from pwbandit import (
     log_likelihood,
     optimal_baseline,
 )
+
+
+@functools.cache
+def blas_core() -> str | None:
+    """The kernel set that the OpenBLAS bundled with numpy's wheel chose for
+    this CPU (``OPENBLAS_CORETYPE`` overrides the choice), such as
+    ``SkylakeX``; None where numpy bundles no OpenBLAS that reports one.
+    The bytes of the products that ``ndarray.dot`` hands to it depend on
+    that choice."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode("ascii")
+    return None
 
 
 def zipf_dictionary(name: str, words: list[str], exponent: float = 1.0,

@@ -1,4 +1,5 @@
 import copy
+import math
 from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
@@ -443,21 +444,23 @@ def test_state_arrays_are_the_history_one_row_per_guess():
 def test_an_attack_sums_nothing_over_its_history(monkeypatch):
     # record_observation and maximize work from the running totals, so a
     # guess costs the same however long the history is: an attack neither
-    # rebuilds its arrays nor looks up the rows of its history. The public
-    # functions still do.
+    # rebuilds its arrays nor looks up the rows of its history, and it keeps
+    # no log-likelihood constant, so it takes no math.log. The public
+    # functions do all three: here for each guess in a merged category.
     corpus = overlap_corpus(3, 1000, 400, exponent=0.4, seed=1000)
     ps = compose_password_set(corpus, MixtureWeights((0.6, 0.3, 0.1)), 10_000, seed=42)
     calls = []
-    of, rows = HistoryArrays.of.__func__, Corpus.probability_rows
+    of, rows, log = HistoryArrays.of.__func__, Corpus.probability_rows, math.log
     monkeypatch.setattr(HistoryArrays, "of", classmethod(
         lambda cls, *args: calls.append("of") or of(cls, *args)))
     monkeypatch.setattr(Corpus, "probability_rows",
                         lambda self, words: calls.append("rows") or rows(self, words))
+    monkeypatch.setattr(math, "log", lambda x: calls.append("log") or log(x))
     trace = run_attack(corpus, ps, InitPolicy.BEST, GuessPolicy.BY_Q, 1000, seed=0)
     assert len(trace.words) == 1000 and calls == []
     history = GuessHistory(ps.size, tuple(zip(trace.words, trace.counts[:, 0].tolist())))
     log_likelihood(corpus, trace.estimates[-1], history)
-    assert calls == ["of", "rows"]
+    assert calls[:2] == ["of", "rows"] and set(calls[2:]) == {"log"}
 
 
 def by_hand(corpus, ps, init, guess, m, seed):

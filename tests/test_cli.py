@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from pwbandit import GuessPolicy, InitPolicy, MixtureWeights, PasswordSet, cli, run_attack
 from pwbandit.cli import _COMMANDS, _apply_overrides, _build_parser, _load_password_lines, main
-from pwbandit.config import KEYS, ExperimentConfig, load_config, parse_config
+from pwbandit.config import KEYS, MAX_GUESSES, ExperimentConfig, load_config, parse_config
 from pwbandit.errors import ConfigError
 from pwbandit.mixture import DescentConfig
 
@@ -215,8 +215,8 @@ def test_parse_config_rejects_bad_input(tmp_path, mutation, field):
 def test_counts_up_to_sys_maxsize_parse():
     cfg = parse_config("[dictionaries]\nd1 = x.tsv\n\n"
                        f"[composition]\nproportions = 1.0\nusers = {sys.maxsize}\n"
-                       f"[attack]\nguesses = {sys.maxsize}\n")
-    assert cfg.population == cfg.guess_budget == sys.maxsize
+                       f"[attack]\nguesses = {MAX_GUESSES}\n")
+    assert cfg.population == sys.maxsize and cfg.guess_budget == MAX_GUESSES
 
 
 def test_absent_keys_keep_the_dataclass_defaults():
@@ -489,6 +489,12 @@ def test_exit_codes(workdir, capsys):
     for flag, field in (("--runs", "attack.runs"), ("--guesses", "attack.guesses")):
         assert main(["attack", "--config", config, flag, "0"]) == 2
         assert f"config error: {field}" in capsys.readouterr().err
+    # A budget past the bound once passed this check, and pad_curve's list of
+    # that many entries ended the command with a MemoryError (exit 4).
+    for budget in (MAX_GUESSES + 1, 10**12):
+        assert main(["attack", "--config", config, "--guesses", str(budget)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: attack.guesses: must be <= {MAX_GUESSES}\n")
 
     for command, field in (("attack", "attack.seed"), ("compose", "composition.seed")):
         assert main([command, "--config", config, "--seed", "-1"]) == 2

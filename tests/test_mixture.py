@@ -28,6 +28,7 @@ from pwbandit.mixture import (
 )
 
 from helpers import (
+    blas_core,
     central_difference_gradient,
     grid_loglik_max,
     random_corpus,
@@ -257,7 +258,7 @@ def test_maximize_stops_at_max_steps(k):
     estimate(c, h, MixtureWeights.uniform(n), on_step=lambda i, w, ll: uncapped.append(i))
     assert len(uncapped) > k + 1  # the cap below binds
     capped = []
-    _, steps = maximize(HistoryArrays.of(c, h), np.full(n, 1.0 / n),
+    _, steps = maximize(HistoryArrays.of(c, h)[0], np.full(n, 1.0 / n),
                         DescentConfig(max_steps=k), lambda i, w, gain: capped.append(i))
     assert capped == list(range(k + 1))
     assert steps == k
@@ -387,31 +388,55 @@ def test_a_step_that_loses_is_halved_until_it_gains():
     assert fw_gap(c, weights, h) <= GAP_TOL * h.population
 
 
+def record_descents(monkeypatch, newton=None):
+    """The events of the descents that follow, in order: each Newton
+    direction with the gradient and point it was found at, as ("newton", d,
+    g, q), and each step's direction, as ("step", d). ``newton`` stands in
+    for the Newton direction if given."""
+    events, step, newton = [], mixture._step, newton or mixture._newton_direction
+
+    def recorded_newton(c, g, q, lam):
+        d = newton(c, g, q, lam)
+        events.append(("newton", d, g, q))
+        return d
+
+    def recorded_step(w, direction, q, d, *args):
+        assert d == direction.tolist() and q == w.tolist()
+        events.append(("step", d))
+        return step(w, direction, q, d, *args)
+
+    monkeypatch.setattr(mixture, "_newton_direction", recorded_newton)
+    monkeypatch.setattr(mixture, "_step", recorded_step)
+    return events
+
+
+def pairwise_steps(events) -> int:
+    """The pairwise steps among the recorded ``events``, checking the rule
+    that holds on every BLAS kernel: a Newton direction that ascends is the
+    next step's, and any other step is the pairwise one from the same point,
+    towards the best vertex and away from the worst one in the support."""
+    pairwise, g, q = 0, None, None
+    for k, (kind, d, *point) in enumerate(events):
+        if kind == "newton":
+            g, q = point
+            if d is not None and float(np.dot(g, d)) > 0:
+                assert events[k + 1][1] is d
+        elif events[k - 1][1] is not d:
+            expected = [0.0] * len(q)
+            expected[g.index(max(g))] = 1.0
+            expected[min((i for i, x in enumerate(q) if x > 0), key=g.__getitem__)] = -1.0
+            assert d == expected
+            pairwise += 1
+    return pairwise
+
+
 def test_a_stalled_newton_direction_falls_back_to_a_pairwise_step(monkeypatch):
     # Sweep history 497 of tests/certification_sweep.py, whose every word is
     # guessed, so each dictionary keeps all its words and the descent is the
     # sweep's, bit for bit. d1 and d2 are d0 plus a rare word each, guessed
     # without success, so the likelihood is nearly linear along e0 - e1 and
     # the maximum is the vertex e0. The first Newton step, cut at the
-    # boundary, empties d2, whose gradient is then below g . q. On the face
-    # of d0 and d1 the 1 x 1 reduced Hessian rounds to exactly 0, so the
-    # direction counts as flat and is zero, and the step is the pairwise
-    # one, towards the best vertex and away from the worst one in the
-    # support, which ends there.
-    newton, step, directions = mixture._newton_direction, mixture._step, []
-
-    def recorded_newton(c, g, q, lam):
-        d = newton(c, g, q, lam)
-        directions.append(("newton", d))
-        return d
-
-    def recorded(w, direction, q, d, *args):
-        assert d == direction.tolist() and q == w.tolist()
-        directions.append(("step", d))
-        return step(w, direction, q, d, *args)
-
-    monkeypatch.setattr(mixture, "_newton_direction", recorded_newton)
-    monkeypatch.setattr(mixture, "_step", recorded)
+    # boundary, empties d2, whose gradient is then below g . q.
     words = (("rest0", 44130072), ("w4", 536883), ("w11", 241226), ("w0", 131133),
              ("w13", 127005), ("w6", 124717), ("w15", 107898), ("w5", 107354), ("w10", 106449),
              ("w2", 98717), ("w12", 91755), ("w3", 83224), ("w7", 78363), ("w8", 65839))
@@ -422,11 +447,31 @@ def test_a_stalled_newton_direction_falls_back_to_a_pairwise_step(monkeypatch):
                              ("r2_0", 0), ("w2", 47), ("w5", 39), ("w15", 34), ("w11", 110),
                              ("w8", 36)))
     start = MixtureWeights((0.0773598833349667, 0.6658033476443316, 0.2568367690207018))
+    events = record_descents(monkeypatch)
     weights, _, steps = estimate(c, h, start)
-    (_, first), (_, long_step), (_, flat), (_, pairwise) = directions
-    assert long_step is first and first[1] == 0.0 and first[2] < 0
-    assert flat == [0.0, 0.0, 0.0] and pairwise == [1.0, -1.0, 0.0]
-    assert weights.q == (1.0, 0.0, 0.0) and steps == 2
+    pairwise_steps(events)
+    assert fw_gap(c, weights, h) <= GAP_TOL * h.population
+    if blas_core() in ("SkylakeX", "Sandybridge"):
+        # On the face of d0 and d1 the 1 x 1 reduced Hessian rounds to
+        # exactly 0 on these kernel sets (on Haswell's to 111526156.0), so
+        # the direction counts as flat and is zero, and the step is the
+        # pairwise one, which ends at e0.
+        (_, first, *_), (_, long_step), (_, flat, *_), (_, pairwise) = events
+        assert long_step is first and first[1] == 0.0 and first[2] < 0
+        assert flat == [0.0, 0.0, 0.0] and pairwise == [1.0, -1.0, 0.0]
+        assert weights.q == (1.0, 0.0, 0.0) and steps == 2
+    # A flat direction on every kernel set: after the first, each Newton
+    # direction is zero, whose slope is exactly 0.
+    monkeypatch.undo()
+    newton, found = mixture._newton_direction, []
+
+    def flat_after_the_first(c, g, q, lam):
+        found.append(newton(c, g, q, lam))
+        return found[0] if len(found) == 1 else [0.0] * len(q)
+
+    events = record_descents(monkeypatch, flat_after_the_first)
+    weights, _, _ = estimate(c, h, start)
+    assert len(found) >= 2 and pairwise_steps(events) >= 1
     assert fw_gap(c, weights, h) <= GAP_TOL * h.population
     # Sweep history 2200: here the reduced system is nearly singular along
     # e0 - e1. When such pivots counted as zero, the Newton direction soon
@@ -553,7 +598,7 @@ def test_the_sweep_descents_that_lost_their_certificate_certify(dictionaries, po
     assert steps < DescentConfig().max_steps
 
 
-@pytest.mark.parametrize("dictionaries,population,observations,start", [
+@pytest.mark.parametrize("dictionaries,population,observations,start,ascending_on", [
     pytest.param(
         {"d0": (("w0", 191891), ("w17", 155664), ("w13", 82133), ("unguessed0", 79341335)),
          "d1": (("w0", 191891), ("w17", 155664), ("w13", 82133), ("unguessed1", 79341337)),
@@ -561,7 +606,7 @@ def test_the_sweep_descents_that_lost_their_certificate_certify(dictionaries, po
                 ("unguessed2", 79341338))},
         80767, (("w13", 97), ("r2_0", 0), ("w17", 182), ("w0", 215)),
         (0.102868472735299, 0.31513372705423287, 0.5819978002104681),
-        id="history-890"),
+        ("SkylakeX", "Haswell"), id="history-890"),
     pytest.param(
         {"d0": (("rest0", 369214), ("w24", 117065), ("w33", 6157)),
          "d1": (("rest0", 369214), ("w24", 117065), ("w33", 6157), ("r1_0", 1)),
@@ -570,39 +615,29 @@ def test_the_sweep_descents_that_lost_their_certificate_certify(dictionaries, po
         198662, (("r2_2", 0), ("r2_1", 0), ("w33", 2481), ("r2_0", 0), ("w24", 47165),
                  ("rest0", 149016), ("r1_0", 0)),
         (0.06982774297035628, 0.46123812785621426, 0.46893412917342947),
-        id="history-2196"),
+        ("SkylakeX", "Haswell", "Sandybridge"), id="history-2196"),
 ])
 def test_the_newton_directions_on_the_sweeps_near_duplicates_ascend(
-        monkeypatch, dictionaries, population, observations, start):
+        monkeypatch, dictionaries, population, observations, start, ascending_on):
     # Two histories of tests/certification_sweep.py over three near-duplicate
     # dictionaries, reduced as above to the sweep's descent bit for bit.
     # With the Hessian formed from the category rows, the Newton direction
     # after a floored pivot did not ascend (in 890 the first had slope about
     # -1.0e14, in 2196 the second about -5.0e5) and the descent fell back to
-    # a pairwise step. Formed from the pair rows, every Newton direction
-    # ascends, every step is a Newton step, and the descent certifies.
-    slopes, directions, newton, step = [], [], mixture._newton_direction, mixture._step
-
-    def recorded_newton(c, g, q, lam):
-        d = newton(c, g, q, lam)
-        slopes.append(None if d is None else float(np.dot(g, d)))
-        directions.append(d)
-        return d
-
-    def recorded_step(w, direction, q, d, *args):
-        # maximize hands _step the Newton direction's own list, or a new
-        # one for the pairwise step.
-        assert d is directions[-1], "a pairwise step"
-        return step(w, direction, q, d, *args)
-
-    monkeypatch.setattr(mixture, "_newton_direction", recorded_newton)
-    monkeypatch.setattr(mixture, "_step", recorded_step)
+    # a pairwise step. On every kernel set, a step is the pairwise one only
+    # where the Newton direction does not ascend or gains nothing, and the
+    # descent certifies. Formed from the pair rows, on the kernel sets of
+    # ``ascending_on`` every Newton direction ascends and every step is a
+    # Newton step; on Sandybridge's, 890's first direction is flat.
+    events = record_descents(monkeypatch)
     c = Corpus(tuple(Dictionary(name, entries) for name, entries in dictionaries.items()))
     h = GuessHistory(population, observations)
     weights, _, steps = estimate(c, h, MixtureWeights(start))
     assert fw_gap(c, weights, h) <= GAP_TOL * h.population
     assert steps < DescentConfig().max_steps
-    assert slopes and all(slope is not None and slope > 0 for slope in slopes)
+    pairwise = pairwise_steps(events)
+    if blas_core() in ascending_on:
+        assert events and pairwise == 0
 
 
 def test_a_near_duplicate_instance_certifies_from_every_start():
@@ -979,8 +1014,9 @@ def column_totals(probs):
 def reference_categories(probs, counts, population):
     """The categories as each descent once rebuilt them from the m rows,
     with the guesses that only one dictionary ranks merged: their rows, their
-    counts, the constant of the floored terms, and the sum of the magnitudes
-    of the constant's terms, which bounds its rounding."""
+    counts, and the constant of the public value: ln(floor) for each user
+    outside them and, exactly rounded, sum N ln p over the merged
+    categories' guesses."""
     live = [(row, count) for row, count in zip(probs.tolist(), counts.tolist())
             if count > 0 and max(row) > PROBABILITY_FLOOR]
     cats, weight, merged = [], [], {}
@@ -1001,13 +1037,13 @@ def reference_categories(probs, counts, population):
         p_min = min(p for p, _ in words)
         cats[k] = [p_min if j == i else 0.0 for j in range(probs.shape[1])]
         weight[k] = sum(count for _, count in words)
-        terms += [count * math.log(p / p_min) for p, count in words]
+        terms += [count * math.log(p) for p, count in words]
     cats, weight = np.array(cats).reshape(-1, probs.shape[1]), np.array(weight, dtype=float)
     left, rest = 1.0 - column_totals(probs), population - counts.sum()
     if rest > 0 and left.max() > PROBABILITY_FLOOR:
         cats, weight = np.vstack([cats, left]), np.append(weight, rest)
     floored = (population - weight.sum()) * mixture._LOG_FLOOR
-    return cats, weight, floored + math.fsum(terms), abs(floored) + math.fsum(terms)
+    return cats, weight, floored + math.fsum(terms)
 
 
 @st.composite
@@ -1074,12 +1110,12 @@ def test_grown_arrays_equal_the_rebuilt_categories(attack):
         v = corpus.row(word)
         grown.append(None if v is None else corpus.vocab_probs[v], successes)
         history = GuessHistory(population, tuple(observations[:j]))
-        built = HistoryArrays.of(corpus, history)
+        built, merged = HistoryArrays.of(corpus, history)
         probs = corpus.probability_rows(history.words)
         counts = np.array([s for _, s in history.observations], dtype=float)
         want = reference_categories(probs, counts, population)
         for arrays in (grown, built):
-            cats, weight, constant = arrays.categories()
+            cats, weight, outside = arrays.categories()
             assert cats.shape == want[0].shape and np.array_equal(cats, want[0])
             assert weight.shape == want[1].shape and np.array_equal(weight, want[1])
             # Each pair row holds its row's products a_i a_j, i <= j, the
@@ -1087,9 +1123,7 @@ def test_grown_arrays_equal_the_rebuilt_categories(attack):
             pairs = [[row[i] * row[j] for i in range(n) for j in range(i, n)]
                      for row in cats.tolist()]
             assert arrays.pair_rows(len(weight)).tolist() == pairs
-            # The merged categories' terms are added as their guesses come,
-            # the reference's in one exactly rounded sum.
-            assert constant == pytest.approx(want[2], rel=0, abs=1e-13 * want[3])
+            assert outside == population - int(weight.sum())
             # The running totals are the sums over the history, in the same
             # rounding: numpy's sum(axis=0) adds the rows in turn too, but
             # sums a single column pairwise.
@@ -1101,6 +1135,10 @@ def test_grown_arrays_equal_the_rebuilt_categories(attack):
             assert arrays.live_successes == int(weight[:arrays.live].sum())
         start = np.full(n, 1.0 / n)
         assert maximize(grown, start.copy()) == maximize(built, start.copy())
+        # The arrays keep no constant: of sums the merged categories' terms
+        # in one exactly rounded sum, as the reference does, and the public
+        # value adds it to the floored users' ln(floor).
+        assert outside * mixture._LOG_FLOOR + merged == want[2]
 
 
 def appended(corpus, history):
@@ -1133,7 +1171,7 @@ def assert_same_buffers(built, reference):
 def test_arrays_built_at_once_are_the_appended_arrays_byte_for_byte(attack):
     corpus, population, observations = attack
     for history in (GuessHistory(population), GuessHistory(population, tuple(observations))):
-        assert_same_buffers(HistoryArrays.of(corpus, history), appended(corpus, history))
+        assert_same_buffers(HistoryArrays.of(corpus, history)[0], appended(corpus, history))
 
 
 @pytest.mark.parametrize("corpus, population, observations", [
@@ -1154,7 +1192,7 @@ def test_arrays_built_at_once_merge_as_append_does(corpus, population, observati
     # of runs the merge rule over each dictionary's rows at once; append
     # runs it a guess at a time, with Python ints and math.log.
     history = GuessHistory(population, tuple(observations))
-    built = HistoryArrays.of(corpus, history)
+    built, _ = HistoryArrays.of(corpus, history)
     assert len(built._merged) == len(corpus)
     assert_same_buffers(built, appended(corpus, history))
 
@@ -1192,6 +1230,12 @@ def assert_merged_is_per_word(corpus, q, history):
 @given(growing_attacks(), st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3))
 @example(RESCALED_MERGE, [0.2, 0.7, 1.0])
 @example(ONE_DICTIONARY_MERGE, [0.3, 1.0, 1.0])
+# The merged category's p_min is 10^10 below huge's p. Valued as W ln(p_min)
+# plus sum N ln(p / p_min), two terms near 2e5 that cancel to -23.6, the
+# value was 2.4e-11 from the exact one; the per-word value is 2.7e-13 from it.
+@example((Corpus((Dictionary("d0", (("huge", 10**13), ("w00", 554), ("tiny", 1), ("w01", 1),
+                                   ("w02", 1), ("w03", 1))),)),
+          8562, [("w00", 1), ("tiny", 0), ("huge", 8561)]), [1.0, 1.0, 1.0])
 def test_the_merged_objective_is_the_per_word_objective_where_no_floor_binds(attack, raw):
     corpus, population, observations = attack
     q = np.array(raw[:len(corpus)]) / sum(raw[:len(corpus)])
@@ -1271,7 +1315,7 @@ def category_instances(draw):
           GuessHistory(9855, (("w0", 0),)), np.array([3 / 7, 4 / 7])))
 def test_category_gap_is_the_public_gap(instance):
     corpus, history, q = instance
-    cats, weight, _ = HistoryArrays.of(corpus, history).categories()
+    cats, weight, _ = HistoryArrays.of(corpus, history)[0].categories()
     observed = cats @ q
     assume(observed.min(initial=1.0) > PROBABILITY_FLOOR)  # where a descent can be
     g = cats.T @ (weight / observed)
@@ -1347,7 +1391,7 @@ def test_near_duplicate_descents_certify_with_the_solvers_gap(instance):
     gap = public.max() - public @ q
     assert gap <= GAP_TOL * history.population
     # The gap the descent stopped on, from its own categories at its estimate.
-    cats, weight, _ = HistoryArrays.of(corpus, history).categories()
+    cats, weight, _ = HistoryArrays.of(corpus, history)[0].categories()
     observed = cats @ q
     assert observed.min(initial=1.0) > PROBABILITY_FLOOR
     g = cats.T @ (weight / observed)
