@@ -53,6 +53,9 @@ SIMPLEX_TOL = 1e-9
 PROBABILITY_FLOOR = 1e-12
 GAP_TOL = 1e-9
 ARMIJO = 1e-4
+# The largest slope g . d of a Newton direction whose unit step is proved to
+# pass the Armijo test, derived in maximize's docstring: not a tuning knob.
+UNIT_STEP_SLOPE = 0.25
 _LOG_FLOOR = np.log(PROBABILITY_FLOOR)
 
 
@@ -493,14 +496,39 @@ def maximize(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentC
     values the start itself and adds each gain to it, in the order of the
     steps.
 
+    Without ``on_step`` it does not value a step it can prove gains enough:
+    a Newton direction d with slope g . d at most ``UNIT_STEP_SLOPE`` = 1/4,
+    whose unit step the simplex allows, is taken at unit length once the
+    floor test passes, with no gain computed (see :func:`_step`). The proof
+    (Nesterov and Nemirovskii 1994; Boyd and Vandenberghe 2004, sections
+    9.6.3-9.6.4):
+
+    - minus the objective, ``-sum_c C_c ln(a_c . q)`` with every count C_c an
+      integer >= 1, is self-concordant, as each ``-ln(a_c . q)`` is and a
+      multiple of at least 1 keeps the property;
+    - for the Newton direction d = Z u of :func:`_newton_direction`, r^2 =
+      d^T (-H) d = u^T a u <= u^T b = g . d: with equality for a plain solve;
+      a floored pivot adds a positive semidefinite term to ``a``, so u^T a u
+      <= u^T (a + E) u = u^T b; a dropped pivot or a fixed coordinate solves
+      on a subspace, with equality there;
+    - so with slope <= 1/4, r <= 1/2 < 1: the unit step stays in the domain,
+      and the gain is at least g . d - omega*(r), omega*(r) = -r - ln(1 - r)
+      <= 0.773 r^2 for r <= 1/2, so at least 0.227 g . d. That is over 2,000
+      times ``ARMIJO * g . d``, room far beyond the rounding of the Hessian.
+
+    With ``on_step`` every step is valued, and so tested, as before; the
+    steps are the same, which ``tests/test_mixture.py`` checks.
+
     Minus the Hessian, ``sum_c s_c a_c a_c^T`` with ``s = weight /
     observed**2``, is one product ``s . pairs`` with the categories' pair
     rows (see :meth:`HistoryArrays.pair_rows`): its n(n + 1) / 2 entries,
     unpacked into an n x n list that is exactly symmetric. Its entries
     round apart from those of ``cats.T * s`` times ``cats`` in the last
-    places. The gradient, ``g . q``, the floor test and each step read
-    ``cats`` alone, so the gap a descent stops at is the gap of
-    :func:`gradient` at its estimate, bit for bit.
+    places. The gradient, the floor test and each step read ``cats`` alone,
+    so the gradient a descent stops at is that of :func:`gradient` at its
+    estimate, bit for bit. ``g . q`` and each slope ``g . d`` are added in
+    turn from 0 over the lists the solver holds, which may round apart from
+    a BLAS product in the last place, far below ``GAP_TOL``.
     """
     cats, weight, _ = arrays.categories()
     pairs, unpack = arrays.pair_rows(weight.size), _pair_layout(w.size)[2]
@@ -508,32 +536,42 @@ def maximize(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentC
     # Products call ndarray.dot, not the @ operator: both reach the same
     # BLAS routine, to the same bits, but @ goes through numpy's matmul
     # gufunc, whose dispatch costs more than the arithmetic at these sizes.
+    # A floor test indexes the least entry, which costs less than a
+    # reduction; argmin finds a NaN first, and NaN fails the test.
     observed, steps = cats.dot(w), 0
     if on_step is not None:
         on_step(0, w, None)
-    if np.minimum.reduce(observed, initial=1.0) <= PROBABILITY_FLOOR:
+    if observed.size and observed[observed.argmin()] <= PROBABILITY_FLOOR:
         w = 0.5 * (w + 1.0 / w.size)
         observed, steps = cats.dot(w), 1
         if on_step is not None:
             on_step(1, w, None)
-        if np.minimum.reduce(observed, initial=1.0) <= PROBABILITY_FLOOR:
+        if observed[observed.argmin()] <= PROBABILITY_FLOOR:
             # the floor binds everywhere: nothing to climb
             return MixtureWeights(w.tolist()), steps
-    tolerance = GAP_TOL * arrays.population
+    tolerance, trust = GAP_TOL * arrays.population, on_step is None
     cats_t = cats.T
     while steps < cfg.max_steps:
         ratio = weight / observed
-        grad = cats_t.dot(ratio)
-        lam = float(grad.dot(w))
-        g, q = grad.tolist(), w.tolist()
+        g, q, lam = cats_t.dot(ratio).tolist(), w.tolist(), 0.0
+        # g . q and g . d are added in turn from 0 over the lists, which
+        # costs less than an ndarray.dot of n entries and rounds the same on
+        # every BLAS kernel.
+        for x, y in zip(g, q):
+            lam += x * y
         if max(g) - lam <= tolerance:
             break
         # minus the Hessian: sum_c C_c a_c a_c^T / (a_c . q)^2
         hessian = (ratio / observed).dot(pairs)[unpack].tolist()
         d = _newton_direction(hessian, g, q, lam)
         moved = None
-        if d is not None and (slope := float(grad.dot(direction := np.array(d)))) > 0:
-            moved = _step(w, direction, q, d, slope, cats, weight, observed)
+        if d is not None:
+            slope = 0.0
+            for x, y in zip(g, d):
+                slope += x * y
+            if slope > 0:
+                moved = _step(w, np.array(d), q, d, slope, cats, weight, observed,
+                              trust and slope <= UNIT_STEP_SLOPE)
         if moved is None:
             # Pairwise Frank-Wolfe: towards the best vertex, away from the
             # worst one in the support. Its slope is at least the gap.
@@ -552,8 +590,8 @@ def maximize(arrays: HistoryArrays, w: np.ndarray, cfg: DescentConfig = DescentC
 
 
 def _step(w: np.ndarray, direction: np.ndarray, q: list[float], d: list[float], slope: float,
-          cats: np.ndarray, weight: np.ndarray,
-          observed: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
+          cats: np.ndarray, weight: np.ndarray, observed: np.ndarray,
+          trusted: bool = False) -> tuple[np.ndarray, np.ndarray, float | None] | None:
     """The damped step of :func:`estimate` from ``w`` along ``direction``,
     whose product with the gradient is ``slope``: the point reached, its
     category probabilities and its gain; None if 64 halvings find no step
@@ -561,6 +599,13 @@ def _step(w: np.ndarray, direction: np.ndarray, q: list[float], d: list[float], 
     the caller already holds. The gain is a sum of log1p terms, exact to its
     own rounding, where a difference of two values would lose the gains of
     the last steps.
+
+    ``trusted`` says that ``direction`` is a Newton direction with slope at
+    most ``UNIT_STEP_SLOPE``, so its unit step passes the Armijo test (see
+    :func:`maximize`): where the simplex allows that step (a ratio-test
+    limit of at least 1) and it leaves every category above the floor, it
+    is taken unvalued, with gain None. Where the floor binds, the halving
+    goes on from step 1/2 as for any other step.
     """
     # The ratio test: the longest step keeping w >= 0, and where it binds.
     limit, hits = np.inf, []
@@ -571,7 +616,7 @@ def _step(w: np.ndarray, direction: np.ndarray, q: list[float], d: list[float], 
                 limit, hits = r, [i]
             elif r == limit:
                 hits.append(i)
-    change = cats.dot(direction) / observed  # relative change of each category per unit step
+    change = None  # relative change of each category per unit step, once a step is valued
     step = limit if limit < 1.0 else 1.0
     for _ in range(64):
         # A product with 1.0 is exact, so the unit step skips it.
@@ -588,7 +633,11 @@ def _step(w: np.ndarray, direction: np.ndarray, q: list[float], d: list[float], 
         # the other coordinates only grow. (For w >= 0: a -0.0 in w keeps its
         # sign where d_i is -0.0.)
         new = cats.dot(point)
-        if np.minimum.reduce(new) > PROBABILITY_FLOOR:
+        if new[new.argmin()] > PROBABILITY_FLOOR:
+            if trusted and step == 1.0:
+                return point, new, None
+            if change is None:
+                change = cats.dot(direction) / observed
             gain = float(weight.dot(np.log1p(change if step == 1.0 else step * change)))
             if gain >= ARMIJO * step * slope:
                 return point, new, gain

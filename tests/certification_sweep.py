@@ -24,6 +24,13 @@ ascend (slope <= 0) and how many pairwise Frank-Wolfe steps were taken, and
 optionally write one record per history (its steps, gap per user,
 log-likelihood, estimate and those two counts) to compare two trees descent
 by descent.
+
+Each history is also descended as an attack descends it: :func:`maximize`
+without ``on_step``, on the history's arrays from the same start, which
+takes a Newton step it can prove gains enough without valuing it. The
+script prints how many steps it so trusted and in how many descents its
+weights or steps differ, in any bit, from those of :func:`estimate`, which
+values every step; that count must be 0.
 """
 
 import json
@@ -31,9 +38,10 @@ import sys
 
 import numpy as np
 
+from helpers import solver_slope
 from pwbandit import (Corpus, DescentConfig, Dictionary, GuessHistory, MixtureWeights, estimate,
                       gradient, mixture)
-from pwbandit.mixture import GAP_TOL
+from pwbandit.mixture import GAP_TOL, HistoryArrays, maximize
 
 
 def instance(rng):
@@ -79,7 +87,7 @@ def sweep(histories: int = 3000) -> list[dict]:
 
     def direction(c, g, q, lam):
         d = last[0] = newton(c, g, q, lam)
-        counts["not_ascending"] += d is not None and float(np.dot(g, d)) <= 0
+        counts["not_ascending"] += d is not None and solver_slope(g, d) <= 0
         return d
 
     def stepped(w, direction, q, d, *args):
@@ -87,19 +95,27 @@ def sweep(histories: int = 3000) -> list[dict]:
         # maximize hands _step the Newton direction's own list, or a new one
         # for the pairwise step.
         counts["pairwise"] += d is not last[0] and moved is not None
+        counts["trusted"] += moved is not None and moved[2] is None
         return moved
 
     mixture._newton_direction, mixture._step = direction, stepped
     try:
         for k in range(histories):
             corpus, history, start = instance(rng)
-            counts.update(not_ascending=0, pairwise=0)
-            weights, loglik, steps = estimate(corpus, history, MixtureWeights(start / start.sum()))
+            counts.update(not_ascending=0, pairwise=0, trusted=0)
+            init = MixtureWeights(start / start.sum())
+            weights, loglik, steps = estimate(corpus, history, init)
+            found = dict(counts)
+            # An attack's descent; the counts above are estimate's alone.
+            attack, attack_steps = maximize(HistoryArrays.of(corpus, history)[0], np.asarray(init))
+            found["trusted"] = counts["trusted"]
+            differs = (attack_steps != steps
+                       or np.asarray(attack.q).tobytes() != np.asarray(weights.q).tobytes())
             g = gradient(corpus, weights, history)
             gap = float(g.max() - g @ np.asarray(weights)) / history.population
             records.append({"history": k, "n": len(corpus), "population": history.population,
                             "steps": steps, "gap": gap, "loglik": loglik, "q": list(weights.q),
-                            **counts})
+                            **found, "maximize_differs": differs})
     finally:
         mixture._newton_direction, mixture._step = newton, step
     return records
@@ -117,4 +133,6 @@ if __name__ == "__main__":
           f"{np.mean(steps):.1f}, median {np.median(steps):g}, 99th percentile {np.percentile(steps, 99):g}; "
           f"Newton directions with slope <= 0 {sum(r['not_ascending'] for r in records)} (histories "
           f"{[r['history'] for r in records if r['not_ascending']]}), pairwise steps taken "
-          f"{sum(r['pairwise'] for r in records)}")
+          f"{sum(r['pairwise'] for r in records)}; maximize without on_step: trusted unit steps "
+          f"{sum(r['trusted'] for r in records)}, descents differing from estimate's "
+          f"{sum(r['maximize_differs'] for r in records)}")

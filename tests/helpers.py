@@ -41,6 +41,15 @@ def blas_core() -> str | None:
     return None
 
 
+def solver_slope(g: list[float], d: list[float]) -> float:
+    """g . d as ``mixture.maximize`` computes a direction's slope: the
+    products added in turn from 0, so a test decides ascent as it does."""
+    slope = 0.0
+    for x, y in zip(g, d):
+        slope += x * y
+    return slope
+
+
 def zipf_dictionary(name: str, words: list[str], exponent: float = 1.0,
                     scale: int = 1_000_000) -> Dictionary:
     """Dictionary whose r-th word has count ~ scale / r**exponent."""

@@ -35,6 +35,7 @@ from helpers import (
     random_history,
     overlap_corpus,
     random_interior_point,
+    solver_slope,
 )
 
 
@@ -419,7 +420,7 @@ def pairwise_steps(events) -> int:
     for k, (kind, d, *point) in enumerate(events):
         if kind == "newton":
             g, q = point
-            if d is not None and float(np.dot(g, d)) > 0:
+            if d is not None and solver_slope(g, d) > 0:
                 assert events[k + 1][1] is d
         elif events[k - 1][1] is not d:
             expected = [0.0] * len(q)
@@ -1330,22 +1331,26 @@ def test_category_gap_is_the_public_gap(instance):
 
 
 def test_warm_started_steps_keep_the_unit_step(monkeypatch):
-    # A 1,000-guess best-init by-q attack on the acceptance instance: almost
-    # every warm-started step keeps min(1, limit), the first length it tries.
+    # A 1,000-guess best-init by-q attack on the acceptance instance: at least
+    # 95% of its warm-started steps are trusted unit steps, taken unvalued
+    # (gain None), and the attack's estimates are, bit for bit, those of the
+    # same attack with every step valued and tested.
     corpus = overlap_corpus(3, 1000, 400, exponent=0.4, seed=1000)
     ps = compose_password_set(corpus, MixtureWeights((0.6, 0.3, 0.1)), 10_000, seed=42)
     step, unit = mixture._step, []
 
-    def recorded(w, direction, q, d, slope, cats, weight, observed):
-        moved = step(w, direction, q, d, slope, cats, weight, observed)
-        limit = min((x / -d for x, d in zip(w, direction) if d < 0), default=np.inf)
-        first = min(1.0, limit) * (cats @ direction / observed)
-        unit.append(moved is not None and moved[2] == float(weight @ np.log1p(first)))
+    def recorded(*args):
+        moved = step(*args)
+        unit.append(moved is not None and moved[2] is None)
         return moved
 
     monkeypatch.setattr(mixture, "_step", recorded)
-    run_attack(corpus, ps, InitPolicy.BEST, GuessPolicy.BY_Q, 1000, seed=0)
+    trusted = run_attack(corpus, ps, InitPolicy.BEST, GuessPolicy.BY_Q, 1000, seed=0)
     assert len(unit) > 1000 and sum(unit) >= 0.95 * len(unit)
+    monkeypatch.setattr(mixture, "_step", lambda *args: step(*args[:8]))
+    valued = run_attack(corpus, ps, InitPolicy.BEST, GuessPolicy.BY_Q, 1000, seed=0)
+    assert trusted.words == valued.words
+    assert trusted.estimates.tobytes() == valued.estimates.tobytes()
 
 
 @st.composite
@@ -1396,6 +1401,50 @@ def test_near_duplicate_descents_certify_with_the_solvers_gap(instance):
     assert observed.min(initial=1.0) > PROBABILITY_FLOOR
     g = cats.T @ (weight / observed)
     assert g.max() - g @ q == gap
+
+
+def assert_trusted_steps_gain(corpus: Corpus, history: GuessHistory, start) -> int:
+    """Check that maximize without on_step, which takes the unit Newton step
+    unvalued where its slope is at most UNIT_STEP_SLOPE, returns estimate's
+    weights and steps bit for bit, and that each step it so trusted, valued
+    here, is a unit step that gains at least ARMIJO times its slope; return
+    how many steps it trusted."""
+    weights, _, steps = estimate(corpus, history, start)
+    step, trusted = mixture._step, []
+
+    def valued(w, direction, q, d, slope, cats, weight, observed, trust=False):
+        moved = step(w, direction, q, d, slope, cats, weight, observed, trust)
+        if moved is not None and moved[2] is None:
+            assert trust and 0 < slope <= mixture.UNIT_STEP_SLOPE
+            point = moved[0]
+            # At a ratio-test limit of exactly 1 the coordinates it hits are 0.
+            assert bits(point) == bits(np.where(point == 0.0, point, w + direction))
+            gain = float(weight.dot(np.log1p(cats.dot(direction) / observed)))
+            assert gain >= mixture.ARMIJO * slope
+            trusted.append(gain)
+        return moved
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mixture, "_step", valued)
+        attack, attack_steps = maximize(HistoryArrays.of(corpus, history)[0], np.asarray(start))
+    assert attack_steps == steps and bits(attack.q) == bits(weights.q)
+    return len(trusted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_duplicate_instances())
+def test_trusted_unit_steps_gain_and_keep_estimates_steps(instance):
+    assert_trusted_steps_gain(*instance)
+
+
+def test_trusted_unit_steps_gain_on_the_first_sweep_histories():
+    from certification_sweep import instance
+
+    rng, trusted = np.random.default_rng(0), 0
+    for _ in range(300):
+        corpus, history, start = instance(rng)
+        trusted += assert_trusted_steps_gain(corpus, history, MixtureWeights(start / start.sum()))
+    assert trusted > 300
 
 
 @pytest.mark.parametrize("n, live", [(3, 0), (1, 5), (3, 15), (3, 16), (4, 32)])
